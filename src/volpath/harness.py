@@ -24,8 +24,9 @@ from .pathway import (
     PathwayDag,
     base_dag_canonical,
     canonical_tests,
+    compute_pathway,
 )
-from .qoi import QoiSeries, QoiSpec, RegistryEvaluator, registry_canonical
+from .qoi import QoiSpec, RegistryEvaluator, registry_canonical
 from .stats import (
     ActivationSummary,
     BaselineStats,
@@ -85,8 +86,9 @@ class TrackerHook:
     """In-situ observer invoked once per model step (and once at the initial state).
 
     Extracts the QOI vector via cached reductions and, when tests are
-    configured, streams the hysteresis taus into a pathway accumulator.  No 3D
-    field is ever retained.
+    configured, feeds it to PathwayAccumulator.observe as a one-row block (the
+    method compute_pathway calls once on a whole series).  No 3D field is ever
+    retained.
     """
 
     def __init__(
@@ -117,7 +119,7 @@ class TrackerHook:
         values = self.evaluator.evaluate_state(state)
         self.series[:, m] = values
         if self.accumulator is not None:
-            self.accumulator.observe(values, m)
+            self.accumulator.observe(values[None, :], m)
 
     def series_by_id(self) -> dict[str, np.ndarray]:
         return {qid: self.series[i] for i, qid in enumerate(self.evaluator.ids)}
@@ -223,8 +225,6 @@ def run_experiment_grid(
     eruption_template: EruptionSpec | None = None,
 ) -> ExperimentResult:
     """Eruption ensembles at every mass, analyzed under every threshold experiment."""
-    from .pathway import compute_pathway
-
     template = eruption_template or EruptionSpec()
     specs = registry_canonical()
     base = base_dag_canonical()
@@ -246,9 +246,9 @@ def run_experiment_grid(
             try:
                 result = run_member(params, eruption, grid, seed, hook)
             except Exception as exc:
-                raise type(exc)(
-                    f"member {b} (mass {mass} Tg, seed {seed.seed}) failed: {exc}"
-                ) from exc
+                # the same object, so attributes such as step_index survive
+                exc.args = (f"member {b} (mass {mass} Tg, seed {seed.seed}) failed: {exc}",)
+                raise
             per_member_series.append(result.series)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)

@@ -3,11 +3,13 @@
 A bounds test classifies one QOI per step as active (1) or inactive (0) with a
 hold band between its lower and upper thresholds; the per-step active vertex
 sets induce subgraphs of the static base-DAG, recorded as an activation matrix.
+Every test type runs through one vectorized kernel, `hysteresis`, over a block
+of steps: one row per step in situ, the whole series offline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,66 +127,25 @@ class InactiveTest:
 BoundsTest = AbsoluteHysteresis | ZScoreHysteresis | InactiveTest
 
 
-@dataclass
-class TestState:
-    """Per-run hysteresis memory; previous_tau = 0 before the first step."""
+def hysteresis(
+    scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, initial: np.ndarray
+) -> np.ndarray:
+    """Taus of k consecutive steps: (k, r) scores -> (k, r) bool.
 
-    qoi_id: str
-    previous_tau: int = 0
-
-
-def zscore(value: float, mu: float, sigma: float) -> float:
-    if sigma <= 0.0:
-        raise DegenerateBaselineError(
-            f"baseline standard deviation {sigma} is not positive"
-        )
-    return (value - mu) / sigma
-
-
-def eval_bounds_test(
-    test: BoundsTest,
-    state: TestState,
-    value: float,
-    m: int,
-    mu: float | None = None,
-    sigma: float | None = None,
-) -> int:
-    """One hysteresis update; stores and returns the new tau.
-
-    At exact threshold equality the inactive branch is checked before the
-    active branch, and both take priority over the hold branch.
+    Per column l, a step is inactive when its score is <= lower[l], else
+    active when >= upper[l], else it holds the previous tau (initial[l]
+    before the first row).  At exact threshold equality the inactive branch
+    is checked before the active branch, and both take priority over the
+    hold branch; a NaN score holds.
     """
-    if isinstance(test, InactiveTest):
-        tau = 0
-    elif isinstance(test, AbsoluteHysteresis):
-        if value <= test.lower:
-            tau = 0
-        elif value >= test.upper:
-            tau = 1
-        else:
-            tau = state.previous_tau
-    else:
-        if m == 0:
-            tau = 0
-        else:
-            if sigma is None or mu is None:
-                raise ConfigurationError(
-                    f"z-score test for {state.qoi_id} needs baseline mu/sigma at step {m}"
-                )
-            if sigma <= 0.0:
-                raise DegenerateBaselineError(
-                    f"baseline sigma for {state.qoi_id} is zero at step {m}; "
-                    "z-score test is not well-defined"
-                )
-            z = zscore(value, mu, sigma)
-            if z <= test.t_l:
-                tau = 0
-            elif z >= test.t_u:
-                tau = 1
-            else:
-                tau = state.previous_tau
-    state.previous_tau = tau
-    return tau
+    off = scores <= lower
+    on = scores >= upper
+    on &= ~off
+    k, r = scores.shape
+    # 1 + index of the last decided step at or before each step; 0 = none yet
+    last = np.arange(1, k + 1)[:, None] * (off | on)
+    np.maximum.accumulate(last, axis=0, out=last)
+    return np.concatenate((initial[None], on))[last, np.arange(r)]
 
 
 @dataclass(frozen=True)
@@ -230,10 +191,12 @@ def materialize_dag(
 
 
 class PathwayAccumulator:
-    """Streaming activation tracker driven one step at a time.
+    """Activation tracker fed blocks of consecutive steps.
 
-    The same object serves in-situ observation (fed values as the model runs)
-    and offline recomputation from saved series; both paths are identical.
+    In-situ observation feeds one row per model step; offline recomputation
+    feeds a whole saved series as one block.  Both z-score against the same
+    per-step baseline matrices and run the same kernel, so their taus are
+    identical.
     """
 
     def __init__(
@@ -241,54 +204,76 @@ class PathwayAccumulator:
         base: BaseDag,
         tests: dict[str, BoundsTest],
         baselines: dict[str, "object"] | None = None,
-        n_steps: int | None = None,
+        *,
+        n_steps: int,
         dt: float = 1.0,
     ):
         missing = [v for v in base.vertices if v not in tests]
         if missing:
             raise ConfigurationError(f"no bounds test for vertices: {missing}")
+        baselines = baselines or {}
         self.base = base
-        self.tests = tests
-        self.baselines = baselines or {}
         self.dt = dt
-        self.states = {v: TestState(qoi_id=v) for v in base.vertices}
-        self._rows: list[np.ndarray] = []
-        if n_steps is not None:
-            self._matrix = np.zeros((n_steps + 1, base.r), dtype=bool)
-        else:
-            self._matrix = None
+        self.lower = np.empty(base.r)
+        self.upper = np.empty(base.r)
+        self.zscored = np.zeros(base.r, dtype=bool)
+        # absolute and inactive tests score the raw value: (value - 0) / 1
+        self.mean = np.zeros((n_steps + 1, base.r))
+        self.std = np.ones((n_steps + 1, base.r))
+        for l, v in enumerate(base.vertices):
+            test = tests[v]
+            if isinstance(test, AbsoluteHysteresis):
+                self.lower[l], self.upper[l] = test.lower, test.upper
+            elif isinstance(test, ZScoreHysteresis):
+                self.lower[l], self.upper[l] = test.t_l, test.t_u
+                if v not in baselines:
+                    raise ConfigurationError(f"z-score test for {v} has no baseline")
+                bl = baselines[v]
+                if bl.mean.size < n_steps + 1:
+                    raise ConfigurationError(
+                        f"baseline for {v} has {bl.mean.size} steps, "
+                        f"the run needs {n_steps + 1}"
+                    )
+                self.mean[:, l] = bl.mean[: n_steps + 1]
+                self.std[:, l] = bl.std()[: n_steps + 1]
+                self.zscored[l] = True
+            else:
+                # InactiveTest: any score but NaN is <= inf; NaN holds the initial 0
+                self.lower[l] = self.upper[l] = np.inf
+        # step 0 is forced inactive, so its sigma is never checked or used
+        self.std[:1] = 1.0
+        bad = np.argwhere(self.std <= 0.0)
+        self._degenerate = (int(bad[0, 0]), base.vertices[bad[0, 1]]) if len(bad) else None
+        self._matrix = np.zeros((n_steps + 1, base.r), dtype=bool)
         self._m = 0
 
-    def observe(self, values: np.ndarray, m: int) -> np.ndarray:
-        """Evaluate all taus for step m; values are in base vertex order."""
-        if m != self._m:
-            raise ConfigurationError(f"expected step {self._m}, got {m}")
-        row = np.zeros(self.base.r, dtype=bool)
-        for l, v in enumerate(self.base.vertices):
-            test = self.tests[v]
-            mu = sigma = None
-            if isinstance(test, ZScoreHysteresis):
-                try:
-                    bl = self.baselines[v]
-                except KeyError:
-                    raise ConfigurationError(f"z-score test for {v} has no baseline")
-                mu, sigma = bl.mean_at(m), bl.std_at(m)
-            try:
-                row[l] = eval_bounds_test(
-                    test, self.states[v], float(values[l]), m, mu=mu, sigma=sigma
-                )
-            except DegenerateBaselineError as exc:
-                raise DegenerateBaselineError(f"{exc} (qoi {v}, step {m})") from exc
-        if self._matrix is not None:
-            self._matrix[m] = row
+    def observe(self, values: np.ndarray, m0: int) -> np.ndarray:
+        """Taus of steps m0 .. m0+k-1 from their (k, r) values in base vertex order."""
+        if m0 != self._m:
+            raise ConfigurationError(f"expected step {self._m}, got {m0}")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self.base.r:
+            raise ConfigurationError(f"expected (k, {self.base.r}) values, got {values.shape}")
+        end = m0 + len(values)
+        if self._degenerate is not None and self._degenerate[0] < end:
+            m, v = self._degenerate
+            raise DegenerateBaselineError(
+                f"baseline sigma for {v} is not positive at step {m}; "
+                "z-score test is not well-defined"
+            )
+        scores = (values - self.mean[m0:end]) / self.std[m0:end]
+        if m0 == 0:
+            scores[:1, self.zscored] = -np.inf
+            initial = np.zeros(self.base.r, dtype=bool)
         else:
-            self._rows.append(row)
-        self._m += 1
-        return row
+            initial = self._matrix[m0 - 1]
+        taus = hysteresis(scores, self.lower, self.upper, initial)
+        self._matrix[m0:end] = taus
+        self._m = end
+        return taus
 
     def result(self) -> PathwayDag:
-        matrix = self._matrix if self._matrix is not None else np.array(self._rows)
-        return PathwayDag(base=self.base, activation=matrix[: self._m].copy(), dt=self.dt)
+        return PathwayDag(base=self.base, activation=self._matrix[: self._m].copy(), dt=self.dt)
 
 
 def compute_pathway(
@@ -300,7 +285,8 @@ def compute_pathway(
 ) -> PathwayDag:
     """Run the activation algorithm over full saved series.
 
-    Equivalent by construction to driving a PathwayAccumulator in-situ.
+    One PathwayAccumulator.observe call on the whole series, so the taus equal
+    those of the in-situ path, which feeds the same method one step at a time.
     """
     lengths = {len(series[v]) for v in base.vertices if v in series}
     missing = [v for v in base.vertices if v not in series]
@@ -310,9 +296,7 @@ def compute_pathway(
         raise ConfigurationError(f"series lengths differ: {sorted(lengths)}")
     n = lengths.pop()
     acc = PathwayAccumulator(base, tests, baselines, n_steps=n - 1, dt=dt)
-    stacked = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
-    for m in range(n):
-        acc.observe(stacked[m], m)
+    acc.observe(np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1), 0)
     return acc.result()
 
 

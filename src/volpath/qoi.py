@@ -1,8 +1,8 @@
 """Scalar QOI extraction: pressure-weighted vertical mean, then area-weighted zonal mean.
 
-Reductions are normalized (mean-valued) by default so QOI magnitudes match the
-field magnitudes the activation thresholds are written against; raw integrals
-are available behind a flag.
+Reductions are normalized (mean-valued) so QOI magnitudes match the field
+magnitudes the activation thresholds are written against.  RegistryEvaluator
+folds both means of each spec into one flat weight vector.
 """
 
 from __future__ import annotations
@@ -44,22 +44,6 @@ class QoiSpec:
             raise ConfigurationError(f"3D field {self.field} requires a level range")
 
 
-@dataclass(frozen=True)
-class QoiSample:
-    qoi_id: str
-    step: int
-    time: float
-    value: float
-
-
-@dataclass
-class QoiSeries:
-    """Dense per-step values for one QOI over a full run."""
-
-    qoi_id: str
-    values: np.ndarray  # length M+1, indexed by step
-
-
 def _field_of(state: ModelState, name: str) -> np.ndarray:
     if name == "SO2":
         return state.so2
@@ -68,56 +52,6 @@ def _field_of(state: ModelState, name: str) -> np.ndarray:
     if name == "AOD":
         return state.aod
     return state.temperature
-
-
-def vertical_reduce(
-    field3d: np.ndarray,
-    grid: SphericalGrid,
-    level_range: LevelRange,
-    normalized: bool = True,
-) -> np.ndarray:
-    """Pressure-weighted vertical mean (or raw integral) over the selected levels."""
-    mask = level_mask(grid, level_range)
-    if not mask.any():
-        raise ConfigurationError(
-            f"no model level has mid-pressure within [{level_range.p_lo}, {level_range.p_hi}] hPa"
-        )
-    dp = grid.dp[mask]
-    out = np.tensordot(field3d[:, :, mask], dp, axes=([2], [0]))
-    if normalized:
-        out = out / dp.sum()
-    return out
-
-
-def zonal_reduce(
-    field2d: np.ndarray,
-    grid: SphericalGrid,
-    zone: ZoneSpec,
-    normalized: bool = True,
-) -> float:
-    """Area-weighted zonal mean (or raw integral) of a 2D field."""
-    w = zone_weights(grid, zone)
-    total = w.sum()
-    if total == 0.0:
-        raise ConfigurationError(f"zone {zone.label!r} contains no cell centers")
-    val = float((field2d * w).sum())
-    if normalized:
-        val = val / total
-    return val
-
-
-def evaluate(spec: QoiSpec, state: ModelState, grid: SphericalGrid) -> QoiSample:
-    """Evaluate one QOI on a model state."""
-    f = _field_of(state, spec.field)
-    if spec.level_range is not None:
-        f = vertical_reduce(f, grid, spec.level_range)
-    value = zonal_reduce(f, grid, spec.zone)
-    if not np.isfinite(value):
-        raise NumericalFailureError(
-            f"non-finite QOI value for {spec.id} at step {state.step_index}",
-            step_index=state.step_index,
-        )
-    return QoiSample(qoi_id=spec.id, step=state.step_index, time=state.time, value=value)
 
 
 def registry_canonical() -> list[QoiSpec]:

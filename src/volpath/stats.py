@@ -51,16 +51,6 @@ class BaselineStats:
             )
         return np.sqrt(self.m2 / (self.n - 1))
 
-    def mean_at(self, m: int) -> float:
-        return float(self.mean[m])
-
-    def std_at(self, m: int) -> float:
-        if self.n < 2:
-            raise ConfigurationError(
-                f"{self.qoi_id}: sample std needs >= 2 members, have {self.n}"
-            )
-        return float(np.sqrt(self.m2[m] / (self.n - 1)))
-
     @classmethod
     def from_arrays(cls, qoi_id: str, n: int, mean: np.ndarray, std: np.ndarray) -> "BaselineStats":
         """Rebuild from serialized mean/std arrays."""

@@ -29,12 +29,11 @@ from volpath.pathway import (
     AbsoluteHysteresis,
     BaseDag,
     SO2_BOUNDS,
-    TestState as HysteresisState,
     ZScoreHysteresis,
     base_dag_canonical,
     canonical_tests,
     compute_pathway,
-    eval_bounds_test,
+    hysteresis,
     materialize_dag,
 )
 from volpath.qoi import registry_canonical
@@ -109,9 +108,16 @@ def summary_row(result, mass, experiment, qoi_id):
 def test_criterion_01_bounds_test_exactness():
     start = time.perf_counter()
 
+    def taus(scores, lower, upper, prev):
+        return list(
+            hysteresis(
+                np.asarray(scores, dtype=float)[:, None],
+                np.array([lower]), np.array([upper]), np.array([bool(prev)]),
+            )[:, 0].astype(int)
+        )
+
     # Every branch of the absolute tests at their exact thresholds.
     for lower, upper in (SO2_BOUNDS, SO2_BOUNDS, AOD_BOUNDS):
-        test = AbsoluteHysteresis(lower, upper)
         mid = 0.5 * (lower + upper)
         for prev, value, expected in [
             (0, lower * 0.99, 0),
@@ -124,35 +130,40 @@ def test_criterion_01_bounds_test_exactness():
             (1, lower, 0),
             (1, lower * 0.99, 0),
         ]:
-            state = HysteresisState(qoi_id="q", previous_tau=prev)
-            assert eval_bounds_test(test, state, value, m=3) == expected
+            assert taus([value], lower, upper, prev) == [expected]
 
     # z-score branches: forced-inactive start, both thresholds, hold band.
     ztest = ZScoreHysteresis(t_l=0.5, t_u=1.0)
-    for prev, z, m, expected in [
-        (1, 99.0, 0, 0),  # m = 0 is always inactive
-        (0, 0.4, 1, 0),
-        (0, 0.5, 1, 0),
-        (0, 0.75, 1, 0),
-        (0, 1.0, 1, 1),
-        (1, 0.75, 1, 1),
-        (1, 0.5, 1, 0),
+    mu, sigma = np.full(3, 5.0), np.full(3, 2.0)
+    baselines = {"q": BaselineStats.from_arrays("q", 5, mu, sigma)}
+    zbase = BaseDag(vertices=("q",), edges=())
+
+    def ztaus(zs):
+        values = mu + sigma * np.asarray(zs, dtype=float)
+        pw = compute_pathway(zbase, {"q": values}, {"q": ztest}, baselines)
+        return list(pw.vertex_series("q").astype(int))
+
+    assert ztaus([99.0, 99.0, 99.0]) == [0, 1, 1]  # m = 0 is always inactive
+    for prev, z, expected in [
+        (0, 0.4, 0),
+        (0, 0.5, 0),
+        (0, 0.75, 0),
+        (0, 1.0, 1),
+        (1, 0.75, 1),
+        (1, 0.5, 0),
     ]:
-        state = HysteresisState(qoi_id="q", previous_tau=prev)
-        got = eval_bounds_test(ztest, state, 5.0 + 2.0 * z, m=m, mu=5.0, sigma=2.0)
-        assert got == expected
+        assert taus([z], ztest.t_l, ztest.t_u, prev) == [expected]
+        # step 1 sets the previous tau, step 2 carries the tested z
+        assert ztaus([0.0, 5.0 if prev else -5.0, z]) == [0, prev, expected]
 
     # In-band sequences of length >= 100 hold the previous state with no chatter.
     rng = np.random.default_rng(0)
     for lower, upper in (SO2_BOUNDS, AOD_BOUNDS):
-        test = AbsoluteHysteresis(lower, upper)
         band = rng.uniform(lower, upper, 120)
         band = band[(band > lower) & (band < upper)]
         assert len(band) >= 100
         for start_tau in (0, 1):
-            state = HysteresisState(qoi_id="q", previous_tau=start_tau)
-            taus = [eval_bounds_test(test, state, v, m=i + 1) for i, v in enumerate(band)]
-            assert taus == [start_tau] * len(band)
+            assert taus(band, lower, upper, start_tau) == [start_tau] * len(band)
 
     assert time.perf_counter() - start < 1.0
 

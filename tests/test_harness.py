@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from volpath.errors import ConfigurationError
+from volpath import harness
+from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import build_grid
 from volpath.harness import (
     DEFAULT_EXPERIMENTS,
@@ -141,6 +142,22 @@ class TestExperimentGrid:
         assert a.member_seeds == b.member_seeds
         # Common random numbers: the same member uses one seed at every mass.
         assert a.member_seeds[(5.0, 1)] == a.member_seeds[(10.0, 1)]
+
+    def test_member_failure_keeps_exception_and_context(self, tiny_setup, monkeypatch):
+        grid, params, _ = tiny_setup
+        plan = ExperimentPlan(masses=(5.0,), n_members=2, baseline_members=2, seed=11)
+
+        def failing_step(state, *args):
+            raise NumericalFailureError("non-finite SO2", step_index=7)
+
+        monkeypatch.setattr(harness, "step", failing_step)
+        with pytest.raises(NumericalFailureError) as info:
+            run_experiment_grid(plan, params, grid, baselines={})
+        seed = derive_seed(11, "eruption", 0).seed
+        assert info.value.step_index == 7
+        assert str(info.value) == (
+            f"member 0 (mass 5.0 Tg, seed {seed}) failed: non-finite SO2"
+        )
 
 
 class TestBench:

@@ -261,6 +261,15 @@ class TestCli:
             "simulate", str(cfg), "--baseline", str(out / "baselines.json"),
         ]) == 0
 
+    def test_baseline_shorter_than_run_exits_2(self, tmp_path, capsys):
+        short = write_config(tmp_path, surrogate={"overrides": {"n_steps": 10}})
+        assert main(["baseline", str(short), "--out", str(tmp_path / "bl")]) == 0
+        cfg = write_config(tmp_path, surrogate={"overrides": {"n_steps": 20}})
+        baseline = str(tmp_path / "bl" / "baselines.json")
+        assert main(["experiment", str(cfg), "--baseline", baseline]) == 2
+        err = capsys.readouterr().err
+        assert "baseline for T(e) has 11 steps, the run needs 21" in err
+
     def test_experiment_grid_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_days=[0.0, 5.0])
         out = tmp_path / "out"

@@ -9,18 +9,13 @@ from volpath.grid import (
     LevelRange,
     STRATOSPHERE_RANGE,
     SphericalGrid,
+    ZoneSpec,
     build_grid,
     canonical_zones,
+    level_mask,
+    zone_weights,
 )
-from volpath.qoi import (
-    FIELD_NAMES,
-    QoiSpec,
-    RegistryEvaluator,
-    evaluate,
-    registry_canonical,
-    vertical_reduce,
-    zonal_reduce,
-)
+from volpath.qoi import FIELD_NAMES, QoiSpec, RegistryEvaluator, registry_canonical
 
 
 def grid_with_dp(dp_values):
@@ -41,6 +36,34 @@ def grid_with_dp(dp_values):
     )
 
 
+def qoi_oracle(spec, state, grid):
+    """Scalar reference: pressure-weighted vertical mean, then area-weighted zonal mean."""
+    fields = {"SO2": state.so2, "SUL": state.so4, "AOD": state.aod, "T": state.temperature}
+    f = fields[spec.field]
+    if spec.level_range is not None:
+        mask = level_mask(grid, spec.level_range)
+        dp = grid.dp[mask]
+        f = np.tensordot(f[:, :, mask], dp, axes=([2], [0])) / dp.sum()
+    w = zone_weights(grid, spec.zone)
+    return float((f * w).sum() / w.sum())
+
+
+def field_state(grid, temperature=None, aod=None):
+    """A state whose temperature (3D) or AOD (2D) field is the given array."""
+    state = random_state(grid, np.random.default_rng(0))
+    if temperature is not None:
+        state.temperature[:] = temperature
+    if aod is not None:
+        state.aod[:] = aod
+    return state
+
+
+def evaluate_one(grid, state, field, zone, level_range=None):
+    """One QOI of a state, through the registry evaluator."""
+    spec = QoiSpec(id=f"{field}({zone.label})", field=field, zone=zone, level_range=level_range)
+    return float(RegistryEvaluator(grid, [spec]).evaluate_state(state)[0])
+
+
 class TestVerticalReduce:
     def test_hand_computed_weighted_mean(self):
         # Two selected levels with dp 10 and 30 and values 1 and 2:
@@ -51,26 +74,32 @@ class TestVerticalReduce:
         field[:, :, 1] = 2.0
         field[:, :, 2:] = 99.0
         lr = LevelRange(grid.p_mid[0], grid.p_mid[1])
-        out = vertical_reduce(field, grid, lr)
-        assert np.allclose(out, 1.75)
-        raw = vertical_reduce(field, grid, lr, normalized=False)
-        assert np.allclose(raw, 70.0)
+        state = field_state(grid, temperature=field)
+        globe = ZoneSpec("g", -90.0, 90.0)
+        assert evaluate_one(grid, state, "T", globe, lr) == pytest.approx(1.75)
 
     def test_constant_field_preserved(self, small_grid):
-        field = np.full((8, 8, 8), 3.25)
-        out = vertical_reduce(field, small_grid, STRATOSPHERE_RANGE)
-        assert np.allclose(out, 3.25, rtol=1e-15)
+        state = field_state(small_grid, temperature=3.25)
+        for zone in canonical_zones().values():
+            val = evaluate_one(small_grid, state, "T", zone, STRATOSPHERE_RANGE)
+            assert val == pytest.approx(3.25, rel=1e-15)
 
     def test_empty_selection_rejected(self, small_grid):
-        with pytest.raises(ConfigurationError):
-            vertical_reduce(np.zeros((8, 8, 8)), small_grid, LevelRange(1.5, 1.6))
+        zone = canonical_zones()["e"]
+        with pytest.raises(ConfigurationError, match="empty level range"):
+            evaluate_one(small_grid, field_state(small_grid), "SO2", zone, LevelRange(1.5, 1.6))
+        # a band between two cell centers holds no cell
+        centers = small_grid.lat_centers
+        gap = ZoneSpec("gap", centers[3] + 1e-6, centers[4] - 1e-6)
+        with pytest.raises(ConfigurationError, match="zone 'gap' is empty"):
+            evaluate_one(small_grid, field_state(small_grid), "AOD", gap)
 
 
 class TestZonalReduce:
     def test_constant_field_preserved(self, small_grid):
-        zones = canonical_zones()
-        for z in zones.values():
-            val = zonal_reduce(np.full((8, 8), -1.5), small_grid, z)
+        state = field_state(small_grid, aod=-1.5)
+        for z in canonical_zones().values():
+            val = evaluate_one(small_grid, state, "AOD", z)
             assert val == pytest.approx(-1.5, rel=1e-15)
 
     def test_linearity(self, small_grid):
@@ -78,16 +107,19 @@ class TestZonalReduce:
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
         zone = canonical_zones()["t"]
-        va = zonal_reduce(a, small_grid, zone)
-        vb = zonal_reduce(b, small_grid, zone)
-        vab = zonal_reduce(2.0 * a + 3.0 * b, small_grid, zone)
-        assert vab == pytest.approx(2.0 * va + 3.0 * vb, rel=1e-12)
+
+        def value(f):
+            return evaluate_one(small_grid, field_state(small_grid, aod=f), "AOD", zone)
+
+        assert value(2.0 * a + 3.0 * b) == pytest.approx(
+            2.0 * value(a) + 3.0 * value(b), rel=1e-12
+        )
 
     def test_value_within_field_bounds(self, small_grid):
         rng = np.random.default_rng(1)
-        f = rng.uniform(5.0, 9.0, (8, 8))
+        state = field_state(small_grid, aod=rng.uniform(5.0, 9.0, (8, 8)))
         for z in canonical_zones().values():
-            v = zonal_reduce(f, small_grid, z)
+            v = evaluate_one(small_grid, state, "AOD", z)
             assert 5.0 <= v <= 9.0
 
 
@@ -127,9 +159,7 @@ class TestRegistryEvaluator:
         ev = RegistryEvaluator(small_grid, specs)
         vec = ev.evaluate_state(state)
         for i, spec in enumerate(specs):
-            sample = evaluate(spec, state, small_grid)
-            assert vec[i] == pytest.approx(sample.value, rel=1e-12)
-            assert sample.step == 2 and sample.time == 0.5
+            assert vec[i] == pytest.approx(qoi_oracle(spec, state, small_grid), rel=1e-12)
 
     def test_nonfinite_value_detected(self, small_grid):
         state = random_state(small_grid, np.random.default_rng(3))

@@ -28,8 +28,6 @@ class TestBaselineStats:
         fill(stats, [np.full(4, v) for v in (2.0, 4.0, 6.0)])
         assert np.allclose(stats.mean, 4.0)
         assert np.allclose(stats.std(), 2.0)
-        assert stats.mean_at(2) == 4.0
-        assert stats.std_at(2) == 2.0
 
     def test_matches_two_pass(self):
         rng = np.random.default_rng(0)
@@ -56,8 +54,6 @@ class TestBaselineStats:
         stats = fill(BaselineStats("q", 3), [np.zeros(4)])
         with pytest.raises(ConfigurationError):
             stats.std()
-        with pytest.raises(ConfigurationError):
-            stats.std_at(0)
 
     def test_from_arrays_round_trip(self):
         rng = np.random.default_rng(1)

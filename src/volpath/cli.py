@@ -79,7 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     digest = config_digest(cfg)
     write_series_csv(out / "series.csv", result.series, cfg.params.dt)
     write_pathway_json(out / "pathway.json", result.pathway, digest)
-    manifest = build_manifest(cfg, seeds={"member": result.seed.seed})
+    manifest = build_manifest(cfg, seeds={"member": seed.seed})
     write_manifest_json(out / "manifest.json", manifest)
     logger.info("wrote series.csv, pathway.json, manifest.json to %s", out)
     return 0
@@ -98,10 +98,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.experiments:
-        wanted = set(args.experiments.split(","))
+        wanted = args.experiments.split(",")
+        unknown = sorted(set(wanted) - {e[0] for e in cfg.plan.experiments})
+        if unknown:
+            raise ConfigurationError(f"--experiments: unknown labels {unknown}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
-        if not kept:
-            raise ConfigurationError(f"no matching experiments among {args.experiments!r}")
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
     out = Path(args.out or cfg.output_dir)
     grid = cfg.build_grid()

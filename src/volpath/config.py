@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -43,14 +44,56 @@ class ExperimentConfig:
         return build_grid(**self.grid)
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigurationError(f"missing field {key!r} in {where}")
-    return mapping[key]
+_KEYS = {
+    "": ("grid", "surrogate", "eruption", "plan", "output_dir", "snapshot_days"),
+    "grid": ("nlat", "nlon", "nlev", "p_top", "p_surface"),
+    "surrogate": ("preset", "overrides"),
+    "surrogate.overrides": tuple(ModelParams.__dataclass_fields__),
+    "eruption": ("mass", "day", "lat", "injection_levels"),
+    "plan": ("masses", "experiments", "n_members", "baseline_members", "seed"),
+}
+
+
+def _mapping(where: str, value) -> dict:
+    """value as a mapping of the keys _KEYS allows at where; None means empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where or 'the configuration'} must be a mapping, got {value!r}")
+    unknown = [f"{where}.{k}" if where else str(k) for k in value if k not in _KEYS[where]]
+    if unknown:
+        raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
+    return value
+
+
+def _real(where: str, value) -> float:
+    """A finite number; numeric strings count, since YAML reads 1e-3 as a string."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = float("nan")
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(where: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _reals(where: str, value, count: int | None = None) -> tuple[float, ...]:
+    if not isinstance(value, list) or count not in (None, len(value)):
+        what = "a list" if count is None else f"a list of {count} numbers"
+        raise ConfigurationError(f"{where} must be {what}, got {value!r}")
+    return tuple(_real(f"{where}[{i}]", x) for i, x in enumerate(value))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate an experiment configuration file."""
+    """Load and validate an experiment configuration file; an empty file means the defaults."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"configuration file not found: {path}")
@@ -58,60 +101,74 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
     return parse_config(raw)
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    grid_raw = dict(raw.get("grid", {}))
+def parse_config(raw: dict | None) -> ExperimentConfig:
+    """Validate raw YAML data; a bad value or unknown key raises naming section.key."""
+    raw = _mapping("", raw)
+    grid_raw = _mapping("grid", raw.get("grid"))
     grid = {
-        "nlat": int(grid_raw.get("nlat", 32)),
-        "nlon": int(grid_raw.get("nlon", 64)),
-        "nlev": int(grid_raw.get("nlev", 16)),
-        "p_top": float(grid_raw.get("p_top", 1.0)),
-        "p_surface": float(grid_raw.get("p_surface", 1000.0)),
+        "nlat": _integer("grid.nlat", grid_raw.get("nlat", 32)),
+        "nlon": _integer("grid.nlon", grid_raw.get("nlon", 64)),
+        "nlev": _integer("grid.nlev", grid_raw.get("nlev", 16)),
+        "p_top": _real("grid.p_top", grid_raw.get("p_top", 1.0)),
+        "p_surface": _real("grid.p_surface", grid_raw.get("p_surface", 1000.0)),
     }
 
-    surrogate_raw = dict(raw.get("surrogate", {}))
+    surrogate_raw = _mapping("surrogate", raw.get("surrogate"))
     preset = surrogate_raw.get("preset", PRESET_ID)
     if preset != PRESET_ID:
-        raise ConfigurationError(f"unknown surrogate preset {preset!r}")
-    overrides = dict(surrogate_raw.get("overrides", {}))
-    valid = set(ModelParams.__dataclass_fields__)
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ConfigurationError(f"unknown surrogate overrides: {sorted(unknown)}")
+        raise ConfigurationError(f"surrogate.preset: unknown preset {preset!r}")
+    overrides = dict(_mapping("surrogate.overrides", surrogate_raw.get("overrides")))
+    for key, value in overrides.items():
+        where = f"surrogate.overrides.{key}"
+        kind = ModelParams.__dataclass_fields__[key].type
+        if kind == "int":
+            overrides[key] = _integer(where, value)
+        elif value is not None or "None" not in kind:
+            number = _real(where, value)
+            # a number stays as written: config_digest hashes it
+            overrides[key] = value if isinstance(value, (int, float)) else number
     params = replace(PRESET_PARAMS, **overrides)
 
-    eruption_raw = dict(raw.get("eruption", {}))
-    lev = eruption_raw.get("injection_levels")
+    eruption_raw = _mapping("eruption", raw.get("eruption"))
+    levels = eruption_raw.get("injection_levels", [25.0, 75.0])
     eruption = EruptionSpec(
-        mass=float(eruption_raw.get("mass", 10.0)),
-        day=float(eruption_raw.get("day", 90.0)),
-        lat=float(eruption_raw.get("lat", 15.1)),
-        injection_levels=(
-            LevelRange(float(lev[0]), float(lev[1])) if lev else LevelRange(25.0, 75.0)
-        ),
+        mass=_real("eruption.mass", eruption_raw.get("mass", 10.0)),
+        day=_real("eruption.day", eruption_raw.get("day", 90.0)),
+        lat=_real("eruption.lat", eruption_raw.get("lat", 15.1)),
+        injection_levels=LevelRange(*_reals("eruption.injection_levels", levels, 2)),
     )
 
-    plan_raw = dict(raw.get("plan", {}))
-    experiments_raw = plan_raw.get("experiments")
-    if experiments_raw is None:
-        experiments = DEFAULT_EXPERIMENTS
-    else:
-        experiments = tuple(
-            (str(label), float(pair[0]), float(pair[1]))
-            for label, pair in experiments_raw.items()
+    plan_raw = _mapping("plan", raw.get("plan"))
+    experiments = plan_raw.get("experiments", {e[0]: list(e[1:]) for e in DEFAULT_EXPERIMENTS})
+    if not isinstance(experiments, dict) or not experiments:
+        raise ConfigurationError(
+            f"plan.experiments must map labels to [T_l, T_u], got {experiments!r}"
         )
     defaults = ExperimentPlan()
     plan = ExperimentPlan(
-        masses=tuple(float(x) for x in plan_raw.get("masses", defaults.masses)),
-        experiments=experiments,
-        n_members=int(plan_raw.get("n_members", defaults.n_members)),
-        baseline_members=int(plan_raw.get("baseline_members", defaults.baseline_members)),
-        seed=int(plan_raw.get("seed", defaults.seed)),
+        masses=_reals("plan.masses", plan_raw.get("masses", list(defaults.masses))),
+        experiments=tuple(
+            (str(label), *_reals(f"plan.experiments.{label}", pair, 2))
+            for label, pair in experiments.items()
+        ),
+        n_members=_integer("plan.n_members", plan_raw.get("n_members", defaults.n_members)),
+        baseline_members=_integer(
+            "plan.baseline_members", plan_raw.get("baseline_members", defaults.baseline_members)
+        ),
+        seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
+
+    snapshot_days = _reals("snapshot_days", raw.get("snapshot_days", []))
+    for day in snapshot_days:
+        # the step export_dot will look up
+        m = int(round(day / params.dt))
+        if not 0 <= m <= params.n_steps:
+            raise ConfigurationError(
+                f"snapshot_days: day {day} maps to step {m}, outside [0, {params.n_steps}]"
+            )
 
     return ExperimentConfig(
         grid=grid,
@@ -120,7 +177,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         eruption=eruption,
         plan=plan,
         output_dir=str(raw.get("output_dir", "out")),
-        snapshot_days=tuple(float(d) for d in raw.get("snapshot_days", ())),
+        snapshot_days=snapshot_days,
     )
 
 

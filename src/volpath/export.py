@@ -153,7 +153,7 @@ def baselines_to_dict(baselines: dict[str, BaselineStats]) -> dict:
         qid: {
             "n_members": b.n,
             "mean": [float(x) for x in b.mean],
-            "std": [float(x) for x in b.std()],
+            "m2": [float(x) for x in b.m2],
         }
         for qid, b in baselines.items()
     }
@@ -162,7 +162,7 @@ def baselines_to_dict(baselines: dict[str, BaselineStats]) -> dict:
 def baselines_from_dict(doc: dict) -> dict[str, BaselineStats]:
     return {
         qid: BaselineStats.from_arrays(
-            qid, entry["n_members"], np.array(entry["mean"]), np.array(entry["std"])
+            qid, entry["n_members"], entry["mean"], std=entry.get("std"), m2=entry.get("m2")
         )
         for qid, entry in doc.items()
     }

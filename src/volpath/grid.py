@@ -21,7 +21,7 @@ ZONE_BOUNDS = {
     "t": (35.0, 66.5),
     "p": (66.5, 90.0),
 }
-ZONE_ORDER = ("e", "s", "t", "p")
+ZONE_ORDER = tuple(ZONE_BOUNDS)
 
 
 @dataclass(frozen=True)

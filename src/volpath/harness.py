@@ -27,14 +27,7 @@ from .pathway import (
     compute_pathway,
 )
 from .qoi import QoiSpec, RegistryEvaluator, registry_canonical
-from .stats import (
-    ActivationSummary,
-    BaselineStats,
-    EnsembleSummary,
-    ensemble_summarize,
-    first_activation,
-    total_active,
-)
+from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
 from .surrogate import (
     EruptionSpec,
     ModelParams,
@@ -64,10 +57,12 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if self.n_members < 2 or self.baseline_members < 2:
-            raise ConfigurationError("ensembles need >= 2 members")
+            raise ConfigurationError("plan.n_members and plan.baseline_members must be >= 2")
+        if min(self.masses, default=0.0) < 0:
+            raise ConfigurationError(f"plan.masses must be >= 0, got {list(self.masses)}")
         for label, t_l, t_u in self.experiments:
             if t_l > t_u:
-                raise ConfigurationError(f"{label}: T_l {t_l} > T_u {t_u}")
+                raise ConfigurationError(f"plan.experiments.{label}: T_l {t_l} > T_u {t_u}")
 
 
 def derive_seed(plan_seed: int, role: str, member_index: int) -> RunSeed:
@@ -132,22 +127,16 @@ class TrackerHook:
 class MemberResult:
     series: dict[str, np.ndarray]
     pathway: PathwayDag | None
-    summaries: list[ActivationSummary]
-    seed: RunSeed
 
 
 def activation_summaries(
-    pathway: PathwayDag, member_index: int, never_value: float
-) -> list[ActivationSummary]:
-    return [
-        ActivationSummary(
-            qoi_id=qid,
-            member_index=member_index,
-            first_active=first_activation(pathway.vertex_series(qid), pathway.dt, never_value),
-            total_active=total_active(pathway.vertex_series(qid), pathway.dt),
-        )
-        for qid in pathway.base.vertices
-    ]
+    pathway: PathwayDag, never_value: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex (first active day, total active days), each (r,) in base vertex order."""
+    return (
+        first_activation(pathway.activation, pathway.dt, never_value),
+        total_active(pathway.activation, pathway.dt),
+    )
 
 
 def run_member(
@@ -164,14 +153,7 @@ def run_member(
     for _ in range(params.n_steps):
         state = step(state, params, eruption, grid, rng)
         hook.observe(state)
-    pathway = hook.pathway()
-    never = params.dt * params.n_steps
-    summaries = (
-        activation_summaries(pathway, seed.member_index, never) if pathway else []
-    )
-    return MemberResult(
-        series=hook.series_by_id(), pathway=pathway, summaries=summaries, seed=seed
-    )
+    return MemberResult(series=hook.series_by_id(), pathway=hook.pathway())
 
 
 def run_baseline_ensemble(
@@ -252,26 +234,21 @@ def run_experiment_grid(
             per_member_series.append(result.series)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)
-            by_qoi: dict[str, list[ActivationSummary]] = {v: [] for v in base.vertices}
+            summaries = []
             for b, series in enumerate(per_member_series):
-                pathway = compute_pathway(
-                    base, series, tests, baselines, dt=params.dt
-                )
+                pathway = compute_pathway(base, series, tests, baselines, dt=params.dt)
                 pathways[(mass, label, b)] = pathway
-                for summary in activation_summaries(pathway, b, never):
-                    by_qoi[summary.qoi_id].append(summary)
-            for qid in base.vertices:
-                s = ensemble_summarize(by_qoi[qid])
+                summaries.append(activation_summaries(pathway, never))
+            # (B, 2, r) -> first and total days, each (B, r)
+            firsts, totals = np.array(summaries).swapaxes(0, 1)
+            mean_first, se_first = ensemble_summarize(firsts)
+            mean_total, se_total = ensemble_summarize(totals)
+            for l, qid in enumerate(base.vertices):
                 rows.append(
                     SummaryRow(
-                        mass=mass,
-                        experiment=label,
-                        qoi_id=qid,
-                        n_members=s.n_members,
-                        mean_first=s.mean_first,
-                        se_first=s.se_first,
-                        mean_total=s.mean_total,
-                        se_total=s.se_total,
+                        mass, label, qid, plan.n_members,
+                        float(mean_first[l]), float(se_first[l]),
+                        float(mean_total[l]), float(se_total[l]),
                     )
                 )
     return ExperimentResult(rows=rows, pathways=pathways, member_seeds=member_seeds)

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateBaselineError
+from .grid import ZONE_ORDER
 from .qoi import FIELD_NAMES
 
 # Absolute hysteresis thresholds for the tracer QOIs (field units).
 SO2_BOUNDS = (4.0e-10, 8.0e-10)
 SUL_BOUNDS = (4.0e-10, 8.0e-10)
 AOD_BOUNDS = (0.0075, 0.015)
-
-ZONE_LABELS = ("e", "s", "t", "p")
 
 
 def topological_sort(vertices: list[str], edges: list[tuple[str, str]]) -> list[str]:
@@ -76,14 +75,14 @@ class BaseDag:
 
 def base_dag_canonical() -> BaseDag:
     """16 vertices, 24 edges: per-zone chemistry chains plus poleward chains."""
-    vertices = tuple(f"{f}({z})" for f in FIELD_NAMES for z in ZONE_LABELS)
+    vertices = tuple(f"{f}({z})" for f in FIELD_NAMES for z in ZONE_ORDER)
     edges = []
     chain = ("SO2", "SUL", "AOD", "T")
-    for z in ZONE_LABELS:
+    for z in ZONE_ORDER:
         for a, b in zip(chain[:-1], chain[1:]):
             edges.append((f"{a}({z})", f"{b}({z})"))
     for f in FIELD_NAMES:
-        for za, zb in zip(ZONE_LABELS[:-1], ZONE_LABELS[1:]):
+        for za, zb in zip(ZONE_ORDER[:-1], ZONE_ORDER[1:]):
             edges.append((f"{f}({za})", f"{f}({zb})"))
     return BaseDag(vertices=vertices, edges=tuple(edges))
 
@@ -303,7 +302,7 @@ def compute_pathway(
 def canonical_tests(t_l: float, t_u: float) -> dict[str, BoundsTest]:
     """Absolute tracer tests plus z-score temperature tests for one experiment."""
     tests: dict[str, BoundsTest] = {}
-    for z in ZONE_LABELS:
+    for z in ZONE_ORDER:
         tests[f"SO2({z})"] = AbsoluteHysteresis(*SO2_BOUNDS)
         tests[f"SUL({z})"] = AbsoluteHysteresis(*SUL_BOUNDS)
         tests[f"AOD({z})"] = AbsoluteHysteresis(*AOD_BOUNDS)

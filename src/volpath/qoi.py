@@ -16,6 +16,7 @@ from .grid import (
     LevelRange,
     SphericalGrid,
     STRATOSPHERE_RANGE,
+    ZONE_ORDER,
     ZoneSpec,
     canonical_zones,
     level_mask,
@@ -59,7 +60,7 @@ def registry_canonical() -> list[QoiSpec]:
     zones = canonical_zones()
     specs = []
     for field in FIELD_NAMES:
-        for label in ("e", "s", "t", "p"):
+        for label in ZONE_ORDER:
             lr = None if field == "AOD" else STRATOSPHERE_RANGE
             specs.append(
                 QoiSpec(id=f"{field}({label})", field=field, zone=zones[label], level_range=lr)

@@ -7,14 +7,9 @@ Standard deviations and standard errors use the sample (n-1) divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-
-#: First-activation convention for a QOI that never activates (days).
-NEVER_ACTIVE_DAY = 1200.0
 
 
 class BaselineStats:
@@ -52,12 +47,14 @@ class BaselineStats:
         return np.sqrt(self.m2 / (self.n - 1))
 
     @classmethod
-    def from_arrays(cls, qoi_id: str, n: int, mean: np.ndarray, std: np.ndarray) -> "BaselineStats":
-        """Rebuild from serialized mean/std arrays."""
+    def from_arrays(cls, qoi_id: str, n: int, mean, std=None, m2=None) -> "BaselineStats":
+        """Rebuild from serialized arrays: exactly from m2, or to rounding from sample std."""
         stats = cls(qoi_id, len(mean) - 1)
         stats.n = n
-        stats.mean = np.asarray(mean, dtype=float).copy()
-        stats.m2 = np.asarray(std, dtype=float) ** 2 * max(n - 1, 0)
+        stats.mean = np.array(mean, dtype=float)
+        if m2 is None:  # files written before m2 was stored carry the std
+            m2 = np.asarray(std, dtype=float) ** 2 * max(n - 1, 0)
+        stats.m2 = np.array(m2, dtype=float)
         return stats
 
 
@@ -83,57 +80,24 @@ def baseline_merge(a: BaselineStats, b: BaselineStats) -> BaselineStats:
     return out
 
 
-@dataclass(frozen=True)
-class ActivationSummary:
-    """Per-member, per-QOI activation timing."""
-
-    qoi_id: str
-    member_index: int
-    first_active: float  # days; never-active convention value if never active
-    total_active: float  # days
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    qoi_id: str
-    n_members: int
-    mean_first: float
-    se_first: float
-    mean_total: float
-    se_total: float
-
-
-def first_activation(
-    taus: np.ndarray, dt: float, never_value: float = NEVER_ACTIVE_DAY
-) -> float:
-    """Simulation day of the first active step; never_value if none."""
+def first_activation(taus: np.ndarray, dt: float, never_value: float):
+    """Day of the first active step along axis 0 (per column of a matrix); never_value if none."""
     taus = np.asarray(taus, dtype=bool)
-    idx = np.flatnonzero(taus)
-    if idx.size == 0:
-        return never_value
-    return float(idx[0] * dt)
+    return np.where(taus.any(axis=0), taus.argmax(axis=0) * dt, never_value)[()]
 
 
-def total_active(taus: np.ndarray, dt: float) -> float:
-    """Cumulative days active: dt times the number of active steps."""
-    return float(np.count_nonzero(np.asarray(taus, dtype=bool)) * dt)
+def total_active(taus: np.ndarray, dt: float):
+    """Days active along axis 0: dt times the number of active steps."""
+    return np.count_nonzero(np.asarray(taus, dtype=bool), axis=0) * dt
 
 
-def ensemble_summarize(summaries: list[ActivationSummary]) -> EnsembleSummary:
-    """Means and standard errors of first/total activation across members."""
-    if len(summaries) < 2:
+def ensemble_summarize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard error (sample std / sqrt(B)) of (B, r) member values."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    if n < 2:
         raise ConfigurationError("ensemble summary needs >= 2 members")
-    ids = {s.qoi_id for s in summaries}
-    if len(ids) != 1:
-        raise ConfigurationError(f"mixed QOIs in one summary: {sorted(ids)}")
-    firsts = np.array([s.first_active for s in summaries])
-    totals = np.array([s.total_active for s in summaries])
-    n = len(summaries)
-    return EnsembleSummary(
-        qoi_id=summaries[0].qoi_id,
-        n_members=n,
-        mean_first=float(firsts.mean()),
-        se_first=float(firsts.std(ddof=1) / np.sqrt(n)),
-        mean_total=float(totals.mean()),
-        se_total=float(totals.std(ddof=1) / np.sqrt(n)),
-    )
+    # a contiguous (r, B) copy reduces each column in the same order as a 1-D
+    # array of its B values; an axis-0 reduction sums in another order once B >= 9
+    columns = np.ascontiguousarray(values.T)
+    return columns.mean(axis=1), columns.std(axis=1, ddof=1) / np.sqrt(n)

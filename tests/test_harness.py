@@ -75,7 +75,7 @@ class TestTrackerHook:
         result = run_member(params, eruption, grid, derive_seed(1, "eruption", 0), hook)
         assert set(result.series) == {s.id for s in registry_canonical()}
         assert all(len(v) == params.n_steps + 1 for v in result.series.values())
-        assert result.pathway is None and result.summaries == []
+        assert result.pathway is None
 
     def test_tests_require_base_dag(self, tiny_setup):
         grid, params, _ = tiny_setup

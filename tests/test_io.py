@@ -1,6 +1,7 @@
 """Config parsing, serialization round trips, DOT rendering, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from volpath.export import (
     export_dot,
     pathway_from_dict,
     pathway_to_dict,
+    read_baselines_json,
     read_pathway_json,
     series_csv_text,
     summary_csv_text,
+    write_baselines_json,
     write_pathway_json,
 )
 from volpath.harness import BenchRow, SummaryRow
@@ -106,6 +109,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config({"surrogate": {"overrides": {"gravity": 9.8}}})
 
+    def test_empty_file_means_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert config_digest(load_config(path)) == config_digest(parse_config({}))
+
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = load_config(write_config(tmp_path))
         b = load_config(write_config(tmp_path))
@@ -154,15 +162,28 @@ class TestPathwaySerialization:
 
 
 class TestBaselineSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        # a default-length run: rebuilding m2 from a stored std changes bits here
+        rng = np.random.default_rng(0)
+        stats = BaselineStats("T(e)", 4800)
+        for _ in range(10):
+            stats.update(240.0 + rng.standard_normal(4801))
+        write_baselines_json(tmp_path / "b.json", {"T(e)": stats})
+        back = read_baselines_json(tmp_path / "b.json")["T(e)"]
+        assert back.n == 10
+        assert np.array_equal(back.mean, stats.mean)
+        assert np.array_equal(back.m2, stats.m2)
+        assert np.array_equal(back.std(), stats.std())
+
+    def test_reads_files_that_store_std(self):
         rng = np.random.default_rng(0)
         stats = BaselineStats("T(e)", 20)
         for _ in range(4):
             stats.update(rng.standard_normal(21))
-        doc = baselines_to_dict({"T(e)": stats})
+        doc = {"T(e)": {"n_members": 4, "mean": list(stats.mean), "std": list(stats.std())}}
         back = baselines_from_dict(doc)["T(e)"]
         assert back.n == 4
-        assert np.allclose(back.mean, stats.mean, rtol=1e-15)
+        assert np.array_equal(back.mean, stats.mean)
         assert np.allclose(back.std(), stats.std(), rtol=1e-12)
 
 
@@ -291,10 +312,59 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["member_seeds"]) == 4
 
+    def test_experiment_from_written_baseline_is_identical(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out, again = tmp_path / "out", tmp_path / "again"
+        assert main(["experiment", str(cfg)]) == 0
+        baseline = str(out / "baselines.json")
+        assert main(["experiment", str(cfg), "--baseline", baseline, "--out", str(again)]) == 0
+        rerun = sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        first = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert first == sorted(rerun + [Path("baselines.json")])
+        for rel in rerun:
+            assert (again / rel).read_bytes() == (out / rel).read_bytes(), rel
+
     def test_experiment_label_filter(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["experiment", str(cfg), "--experiments", "Ex1"]) == 0
         assert main(["experiment", str(cfg), "--experiments", "Ex9"]) == 2
+
+    def test_unknown_experiment_label_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["experiment", str(cfg), "--experiments", "Ex1,Ex9"]) == 2
+        assert "'Ex9'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"grid": {"nlat": "abc"}}, "grid.nlat"),
+            ({"grid": {"nlatt": 8}}, "grid.nlatt"),
+            ({"grid": [1, 2]}, "grid"),
+            ({"eruption": {"mass": "abc"}}, "eruption.mass"),
+            ({"eruption": {"injection_levels": [25.0]}}, "eruption.injection_levels"),
+            ({"plan": {"masses": 5}}, "plan.masses"),
+            ({"plan": {"masses": [5.0, -5.0]}}, "plan.masses"),
+            ({"plan": {"experiments": {"Ex1": 0.5}}}, "plan.experiments.Ex1"),
+            ({"plan": {"n_members": 2.7}}, "plan.n_members"),
+            ({"surrogate": {"overrides": {"n_steps": 10.5}}}, "surrogate.overrides.n_steps"),
+            ({"surrogate": {"overrides": {"k_heat": "warm"}}}, "surrogate.overrides.k_heat"),
+            ({"snapshot_days": [5000.0]}, "snapshot_days"),
+            ({"outputs": "out"}, "outputs"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, patch, key):
+        raw = tiny_config_dict(tmp_path)
+        for section, value in patch.items():
+            if isinstance(value, dict) and isinstance(raw.get(section), dict):
+                value = {**raw[section], **value}
+            raw[section] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["experiment", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+        assert not (tmp_path / "out").exists()
 
     def test_export_dot_round_trip(self, tmp_path):
         pw_path = tmp_path / "pathway.json"

@@ -5,9 +5,7 @@ import pytest
 
 from volpath.errors import ConfigurationError, DataError
 from volpath.stats import (
-    ActivationSummary,
     BaselineStats,
-    NEVER_ACTIVE_DAY,
     baseline_merge,
     ensemble_summarize,
     first_activation,
@@ -111,40 +109,47 @@ class TestBaselineMerge:
 class TestActivationTimes:
     def test_hand_examples(self):
         taus = np.array([0, 0, 1, 1, 0, 1])
-        assert first_activation(taus, dt=0.5) == 1.0
+        assert first_activation(taus, dt=0.5, never_value=10.0) == 1.0
         assert total_active(taus, dt=0.5) == 1.5
-        assert first_activation(np.zeros(6), dt=0.5) == NEVER_ACTIVE_DAY
         assert first_activation(np.zeros(6), dt=0.5, never_value=10.0) == 10.0
         assert total_active(np.zeros(6), dt=0.5) == 0.0
+        # a matrix reduces each column (vertex) along the step axis
+        matrix = np.stack([taus, np.zeros(6), taus[::-1]], axis=1)
+        assert first_activation(matrix, 0.5, 10.0).tolist() == [1.0, 10.0, 0.0]
+        assert total_active(matrix, 0.5).tolist() == [1.5, 0.0, 1.5]
 
     def test_matches_index_scan(self):
         rng = np.random.default_rng(6)
+        never = 80.0
         for _ in range(100):
-            taus = rng.random(80) < 0.1
+            taus = rng.random((80, 5)) < 0.1
             dt = float(rng.uniform(0.1, 2.0))
-            hits = [m for m, t in enumerate(taus) if t]
-            expected_first = hits[0] * dt if hits else NEVER_ACTIVE_DAY
-            assert first_activation(taus, dt) == expected_first
-            assert total_active(taus, dt) == len(hits) * dt
+            firsts, totals = first_activation(taus, dt, never), total_active(taus, dt)
+            for column, first, total in zip(taus.T, firsts, totals):
+                hits = [m for m, t in enumerate(column) if t]
+                assert first_activation(column, dt, never) == first
+                assert first == (hits[0] * dt if hits else never)
+                assert total_active(column, dt) == total == len(hits) * dt
 
 
 class TestEnsembleSummary:
     def test_hand_example(self):
-        summaries = [
-            ActivationSummary("q", 0, first_active=100.0, total_active=10.0),
-            ActivationSummary("q", 1, first_active=200.0, total_active=30.0),
-        ]
-        s = ensemble_summarize(summaries)
-        assert s.qoi_id == "q" and s.n_members == 2
-        assert s.mean_first == 150.0
-        assert s.se_first == pytest.approx(50.0)
-        assert s.mean_total == 20.0
-        assert s.se_total == pytest.approx(10.0)
+        # two members (rows), two QOIs (columns)
+        mean, se = ensemble_summarize(np.array([[100.0, 10.0], [200.0, 30.0]]))
+        assert mean.tolist() == [150.0, 20.0]
+        assert se == pytest.approx([50.0, 10.0])
 
     def test_validation(self):
-        one = [ActivationSummary("q", 0, 1.0, 1.0)]
         with pytest.raises(ConfigurationError):
-            ensemble_summarize(one)
-        mixed = one + [ActivationSummary("r", 1, 1.0, 1.0)]
-        with pytest.raises(ConfigurationError):
-            ensemble_summarize(mixed)
+            ensemble_summarize(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("members", [2, 3, 9, 10, 17])
+    def test_bit_equal_to_one_dimensional_reductions(self, members):
+        # summary.csv is compared byte for byte against 1-D reductions of each
+        # column; an axis-0 reduction sums in another order once members >= 9
+        values = np.random.default_rng(members).uniform(0.0, 1200.0, (members, 64))
+        mean, se = ensemble_summarize(values)
+        for column, m, s in zip(values.T, mean, se):
+            column = column.copy()
+            assert m == column.mean()
+            assert s == column.std(ddof=1) / np.sqrt(members)

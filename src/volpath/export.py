@@ -159,13 +159,39 @@ def baselines_to_dict(baselines: dict[str, BaselineStats]) -> dict:
     }
 
 
-def baselines_from_dict(doc: dict) -> dict[str, BaselineStats]:
-    return {
-        qid: BaselineStats.from_arrays(
-            qid, entry["n_members"], entry["mean"], std=entry.get("std"), m2=entry.get("m2")
+def _baseline_entry(qid: str, entry) -> BaselineStats:
+    """One QOI's stats from a baselines file; a malformed field raises naming QOI and field."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"baseline {qid}: entry must be a mapping")
+    # files written before m2 was stored carry std instead
+    spread = "std" if "std" in entry and "m2" not in entry else "m2"
+    for key in ("n_members", "mean", spread):
+        if key not in entry:
+            raise ConfigurationError(f"baseline {qid}: missing field {key!r}")
+    n = entry["n_members"]
+    if type(n) is not int or n < 0:
+        raise ConfigurationError(f"baseline {qid}: 'n_members' must be an integer >= 0")
+    arrays = {}
+    for key in ("mean", spread):
+        try:
+            values = np.array(entry[key], dtype=float)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 1 or values.size == 0:
+            raise ConfigurationError(f"baseline {qid}: {key!r} must be a non-empty list of numbers")
+        arrays[key] = values
+    if arrays["mean"].size != arrays[spread].size:
+        raise ConfigurationError(
+            f"baseline {qid}: 'mean' has {arrays['mean'].size} steps, "
+            f"{spread!r} has {arrays[spread].size}"
         )
-        for qid, entry in doc.items()
-    }
+    return BaselineStats.from_arrays(qid, n, arrays["mean"], **{spread: arrays[spread]})
+
+
+def baselines_from_dict(doc: dict) -> dict[str, BaselineStats]:
+    if not isinstance(doc, dict):
+        raise ConfigurationError("baselines file must hold a mapping of QOI ids to entries")
+    return {qid: _baseline_entry(qid, entry) for qid, entry in doc.items()}
 
 
 def write_baselines_json(path: str | Path, baselines: dict[str, BaselineStats]) -> None:
@@ -176,7 +202,11 @@ def read_baselines_json(path: str | Path) -> dict[str, BaselineStats]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"baseline file not found: {path}")
-    return baselines_from_dict(json.loads(path.read_text()))
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"baseline file {path} is not valid JSON: {exc}") from None
+    return baselines_from_dict(doc)
 
 
 def write_manifest_json(path: str | Path, manifest: dict) -> None:

@@ -32,9 +32,9 @@ from .surrogate import (
     EruptionSpec,
     ModelParams,
     RunSeed,
+    Stepper,
     initialize,
     make_rng,
-    step,
 )
 
 DEFAULT_EXPERIMENTS = (
@@ -146,12 +146,17 @@ def run_member(
     seed: RunSeed,
     hook: TrackerHook,
 ) -> MemberResult:
-    """One simulation with the in-situ hook; keeps a single state in memory."""
+    """One simulation with the in-situ hook; keeps a single state in memory.
+
+    The state is advanced in place, so hook.observe sees it only for the
+    duration of each call.
+    """
+    stepper = Stepper(params, eruption, grid)
     rng = make_rng(seed)
     state = initialize(params, grid, rng=rng)
     hook.observe(state)
     for _ in range(params.n_steps):
-        state = step(state, params, eruption, grid, rng)
+        stepper.advance(state, rng)
         hook.observe(state)
     return MemberResult(series=hook.series_by_id(), pathway=hook.pathway())
 
@@ -288,12 +293,16 @@ def bench_overhead(
     repetitions: int = 3,
     n_steps: int = 50,
 ) -> list[BenchRow]:
-    """Per-step wall time with the hook disabled vs enabled at each QOI count."""
+    """Per-step wall time with the hook disabled vs enabled at each QOI count.
+
+    Both passes advance the state with a Stepper, as run_member does.
+    """
     eruption = EruptionSpec(mass=10.0, day=0.0)
     bench_params = replace(params, n_steps=n_steps)
     seed = RunSeed(seed=0, member_index=0)
 
     def timed_run(specs: list[QoiSpec] | None) -> float:
+        stepper = Stepper(bench_params, eruption, grid)
         rng = make_rng(seed)
         state = initialize(bench_params, grid, rng=rng)
         hook = (
@@ -303,7 +312,7 @@ def bench_overhead(
             hook.observe(state)
         start = time.perf_counter()
         for _ in range(n_steps):
-            state = step(state, bench_params, eruption, grid, rng)
+            stepper.advance(state, rng)
             if hook is not None:
                 hook.observe(state)
         return (time.perf_counter() - start) / n_steps

@@ -2,7 +2,8 @@
 
 Reductions are normalized (mean-valued) so QOI magnitudes match the field
 magnitudes the activation thresholds are written against.  RegistryEvaluator
-folds both means of each spec into one flat weight vector.
+folds both means of each spec into one flat weight vector and keeps only the
+span of it that holds the spec's nonzero weights.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from .grid import (
 from .surrogate import ModelState
 
 FIELD_NAMES = ("SO2", "SUL", "AOD", "T")
+
+# Weight spans start and end on multiples of this many elements (or at the
+# end of the field).  Then every product keeps the accumulator lane it has in
+# the full-length BLAS dot product, and the zero weights outside the span
+# only ever added exact zeros, so the span product equals the full one bit
+# for bit; bounds aligned to 16 elements did not (tests/test_qoi.py checks).
+SPAN_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,20 @@ def registry_canonical() -> list[QoiSpec]:
     return specs
 
 
+def _span(w: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The part of a flat weight vector from its first to its last nonzero, aligned."""
+    nonzero = np.flatnonzero(w)
+    lo = nonzero[0] // SPAN_ALIGN * SPAN_ALIGN
+    hi = min(-(-(nonzero[-1] + 1) // SPAN_ALIGN) * SPAN_ALIGN, w.size)
+    return slice(lo, hi), w[lo:hi].copy()
+
+
 class RegistryEvaluator:
     """Cached-weight evaluator for a fixed registry on a fixed grid.
 
-    Each spec collapses to a single flat weight vector, so per-step evaluation
-    is one dot product per QOI and allocates nothing proportional to the grid.
+    Each spec collapses to a single flat weight vector, cut to the span that
+    covers its zone rows and levels, so per-step evaluation is one short dot
+    product per QOI and allocates nothing proportional to the grid.
     """
 
     def __init__(self, grid: SphericalGrid, specs: list[QoiSpec]):
@@ -85,16 +102,15 @@ class RegistryEvaluator:
             if total == 0.0:
                 raise ConfigurationError(f"zone {spec.zone.label!r} is empty for {spec.id}")
             wz = wz / total
-            if spec.level_range is None:
-                self._weights.append((spec.field, wz.ravel()))
-            else:
+            w = wz
+            if spec.level_range is not None:
                 mask = level_mask(grid, spec.level_range)
                 if not mask.any():
                     raise ConfigurationError(f"empty level range for {spec.id}")
                 wk = np.where(mask, grid.dp, 0.0)
                 wk = wk / wk[mask].sum()
-                w3 = wz[:, :, None] * wk[None, None, :]
-                self._weights.append((spec.field, w3.ravel()))
+                w = wz[:, :, None] * wk[None, None, :]
+            self._weights.append((spec.field, *_span(w.ravel())))
 
     @property
     def ids(self) -> list[str]:
@@ -103,8 +119,8 @@ class RegistryEvaluator:
     def evaluate_state(self, state: ModelState) -> np.ndarray:
         """Vector of all QOI values for one state, in registry order."""
         out = np.empty(len(self.specs))
-        for i, (field, w) in enumerate(self._weights):
-            out[i] = w @ _field_of(state, field).ravel()
+        for i, (field, span, w) in enumerate(self._weights):
+            out[i] = w @ _field_of(state, field).ravel()[span]
         if not np.isfinite(out).all():
             bad = self.specs[int(np.argmax(~np.isfinite(out)))].id
             raise NumericalFailureError(

@@ -150,58 +150,118 @@ def initialize(
     )
 
 
-def convert_mass_to_mixing_ratio(
-    mass_tg: float,
-    grid: SphericalGrid,
-    cell_mask: np.ndarray,
-    lev_mask: np.ndarray,
-) -> np.ndarray:
-    """3D mixing-ratio increment whose mass integral over the selection is mass_tg.
-
-    The increment is a uniform mixing ratio over the selected cells/levels, so
-    the injected mass distributes across levels proportionally to dp.
-    """
-    if not cell_mask.any() or not lev_mask.any():
-        raise ConfigurationError("injection selection is empty")
-    w_cells = grid.area_weight[cell_mask].sum()
-    dp_sum = grid.dp[lev_mask].sum()
-    denom = w_cells * dp_sum * AIR_MASS_PER_HPA_KG
-    q = mass_tg * TG_TO_KG / denom
-    inc = np.zeros((grid.nlat, grid.nlon, grid.nlev))
-    sel3 = cell_mask[:, :, None] & lev_mask[None, None, :]
-    inc[sel3] = q
-    return inc
-
-
 def total_sulfur_kg(state: ModelState, grid: SphericalGrid) -> float:
     """Global sulfur mass (SO2 + SO4) in kg."""
     col = np.tensordot(state.so2 + state.so4, grid.dp, axes=([2], [0]))
     return float((col * grid.area_weight).sum() * AIR_MASS_PER_HPA_KG)
 
 
-def _advect_poleward(
-    fields: list[np.ndarray],
-    grid: SphericalGrid,
-    lev_idx: np.ndarray,
-    i_src: int,
-    frac: float,
-) -> None:
-    """Conservative first-order upwind northward transport, in place.
+class Stepper:
+    """Advances the states of one run in place.
 
-    Moves a fraction frac of each donor cell's mass to its northern neighbor,
-    for rows i_src..nlat-2 on the selected levels.  The polar row only
-    receives; nothing leaves through the cap.
+    Everything that does not change from step to step is computed once, when
+    the stepper is built: the injection level slice, the source row, the
+    injection mixing ratio, the chemistry and removal factors, the transport
+    weights, the noise band of each row and a scratch buffer.  Building
+    raises the transport CFL error and the empty-injection error before any
+    step runs.
     """
-    if frac == 0.0 or i_src >= grid.nlat - 1:
-        return
-    w = grid.area_weight[:, :, None] * grid.dp[lev_idx][None, None, :]
-    for f in fields:
-        q = f[:, :, lev_idx]
-        mass = q * w
-        donor = frac * mass[i_src:-1]
-        mass[i_src:-1] -= donor
-        mass[i_src + 1 :] += donor
-        f[:, :, lev_idx] = mass / w
+
+    def __init__(self, params: ModelParams, eruption: EruptionSpec, grid: SphericalGrid):
+        self.params = params
+        self.eruption = eruption
+        dt = params.dt
+        levels = np.flatnonzero(level_mask(grid, eruption.injection_levels))
+        # level_mask selects a pressure interval, so its levels are contiguous
+        self.levels = slice(levels[0], levels[-1] + 1) if levels.size else slice(0, 0)
+        self.i_src = lat_row_index(grid, eruption.lat)
+        self.inject = 0.0
+        if eruption.mass > 0.0:
+            if not levels.size:
+                raise ConfigurationError("injection selection is empty")
+            # a uniform mixing ratio over the source row and the injection
+            # levels, so the injected mass distributes across levels as dp
+            w_cells = grid.area_weight[self.i_src].sum()
+            denom = w_cells * grid.dp[self.levels].sum() * AIR_MASS_PER_HPA_KG
+            self.inject = eruption.mass * TG_TO_KG / denom
+
+        self.convert = 1.0 - np.exp(-dt / params.tau_chem)
+        self.decay = None if params.tau_decay is None else np.exp(-dt / params.tau_decay)
+
+        self.frac = params.v_transport * dt / grid.dlat
+        if self.frac > 1.0:
+            raise ConfigurationError(
+                f"transport CFL fraction {self.frac:.3f} > 1; reduce dt or v_transport"
+            )
+        self.transport = self.frac != 0.0 and self.i_src < grid.nlat - 1
+        self.w = grid.area_weight[:, :, None] * grid.dp[self.levels][None, None, :]
+
+        self.dp = grid.dp
+        self.heat = dt * params.k_heat
+        self.noise_scale = params.noise_amp * np.sqrt(dt)
+        self.bands = noise_band_of_rows(grid)
+        self.buf = np.empty((grid.nlat, grid.nlon, grid.nlev))
+
+    def _advect_poleward(self, f: np.ndarray) -> None:
+        """Conservative first-order upwind northward transport of one tracer, in place.
+
+        Moves a fraction frac of each donor cell's mass to its northern
+        neighbor, for rows i_src..nlat-2 on the injection levels.  The polar
+        row only receives; nothing leaves through the cap.
+        """
+        i = self.i_src
+        q = f[:, :, self.levels]
+        mass = q * self.w
+        donor = self.frac * mass[i:-1]
+        mass[i:-1] -= donor
+        mass[i + 1 :] += donor
+        np.divide(mass, self.w, out=q)
+
+    def advance(self, state: ModelState, rng: np.random.Generator) -> None:
+        """Advance state by one step in place: fields, band noise, step index and time."""
+        params, eruption, buf = self.params, self.eruption, self.buf
+        dt = params.dt
+        so2, so4, temp = state.so2, state.so4, state.temperature
+
+        # 1. injection
+        if eruption.mass > 0.0 and state.time <= eruption.day < state.time + dt:
+            so2[self.i_src, :, self.levels] += self.inject
+
+        # 2. chemistry: exact exponential transfer, then SO4 removal
+        transferred = np.multiply(so2, self.convert, out=buf)
+        so2 -= transferred
+        so4 += transferred
+        if self.decay is not None:
+            so4 *= self.decay
+
+        # 3. poleward transport north of the eruption latitude
+        if self.transport:
+            self._advect_poleward(so2)
+            self._advect_poleward(so4)
+
+        # 4. AOD from the column sulfate burden
+        state.aod = params.k_aod * np.tensordot(so4, self.dp, axes=([2], [0]))
+
+        # 5. temperature: relaxation dt * (-(T - t_eq) / tau_relax), heating in
+        # the injection levels, band noise
+        np.subtract(temp, params.t_eq, out=buf)
+        np.negative(buf, out=buf)
+        np.divide(buf, params.tau_relax, out=buf)
+        np.multiply(dt, buf, out=buf)
+        temp += buf
+        temp[:, :, self.levels] += self.heat * state.aod[:, :, None]
+        innovations = self.noise_scale * rng.standard_normal(N_NOISE_BANDS)
+        state.band_noise = params.noise_memory * state.band_noise + innovations
+        temp += state.band_noise[self.bands][:, None, None]
+
+        m_next = state.step_index + 1
+        checks = so2.sum() + so4.sum() + temp.sum() + state.aod.sum()
+        if not np.isfinite(checks):
+            raise NumericalFailureError(
+                f"non-finite field values at step {m_next}", step_index=m_next
+            )
+        state.step_index = m_next
+        state.time = state.time + dt
 
 
 def step(
@@ -211,61 +271,16 @@ def step(
     grid: SphericalGrid,
     rng: np.random.Generator,
 ) -> ModelState:
-    """Advance one step; returns a new state, the input is not modified."""
-    dt = params.dt
-    so2 = state.so2.copy()
-    so4 = state.so4.copy()
-    temp = state.temperature.copy()
+    """Advance one step; returns a new state, the input is not modified.
 
-    lev_flags = level_mask(grid, eruption.injection_levels)
-    lev_idx = np.nonzero(lev_flags)[0]
-
-    # 1. injection
-    if eruption.mass > 0.0 and state.time <= eruption.day < state.time + dt:
-        cell_mask = np.zeros((grid.nlat, grid.nlon), dtype=bool)
-        cell_mask[lat_row_index(grid, eruption.lat), :] = True
-        so2 += convert_mass_to_mixing_ratio(eruption.mass, grid, cell_mask, lev_flags)
-
-    # 2. chemistry: exact exponential transfer, then SO4 removal
-    convert = 1.0 - np.exp(-dt / params.tau_chem)
-    transferred = so2 * convert
-    so2 -= transferred
-    so4 += transferred
-    if params.tau_decay is not None:
-        so4 *= np.exp(-dt / params.tau_decay)
-
-    # 3. poleward transport north of the eruption latitude
-    frac = params.v_transport * dt / grid.dlat
-    if frac > 1.0:
-        raise ConfigurationError(
-            f"transport CFL fraction {frac:.3f} > 1; reduce dt or v_transport"
-        )
-    i_src = lat_row_index(grid, eruption.lat)
-    _advect_poleward([so2, so4], grid, lev_idx, i_src, frac)
-
-    # 4. AOD from the column sulfate burden
-    aod = params.k_aod * np.tensordot(so4, grid.dp, axes=([2], [0]))
-
-    # 5. temperature: heating in stratospheric levels, relaxation, band noise
-    temp += dt * (-(temp - params.t_eq) / params.tau_relax)
-    temp[:, :, lev_idx] += dt * params.k_heat * aod[:, :, None]
-    innovations = params.noise_amp * np.sqrt(dt) * rng.standard_normal(N_NOISE_BANDS)
-    band_noise = params.noise_memory * state.band_noise + innovations
-    temp += band_noise[noise_band_of_rows(grid)][:, None, None]
-
-    m_next = state.step_index + 1
-    checks = so2.sum() + so4.sum() + temp.sum() + aod.sum()
-    if not np.isfinite(checks):
-        raise NumericalFailureError(
-            f"non-finite field values at step {m_next}", step_index=m_next
-        )
-
-    return ModelState(
-        so2=so2,
-        so4=so4,
-        temperature=temp,
-        aod=aod,
-        step_index=m_next,
-        time=state.time + dt,
-        band_noise=band_noise,
+    Builds a Stepper on every call; a run of many steps builds one and calls
+    its advance instead.
+    """
+    new = replace(
+        state,
+        so2=state.so2.copy(),
+        so4=state.so4.copy(),
+        temperature=state.temperature.copy(),
     )
+    Stepper(params, eruption, grid).advance(new, rng)
+    return new

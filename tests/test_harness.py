@@ -1,5 +1,10 @@
 """Experiment harness: seeds, member runs, ensembles, and the overhead bench."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +110,35 @@ class TestTrackerHook:
             assert np.array_equal(results[0].series[qid], results[1].series[qid])
 
 
+def series_digest_at(threads: int) -> str:
+    """sha256 of a default-grid member's QOI series, run in a process with this many BLAS threads."""
+    code = (
+        "import hashlib\n"
+        "from volpath.grid import build_grid\n"
+        "from volpath.harness import TrackerHook, derive_seed, run_member\n"
+        "from volpath.qoi import registry_canonical\n"
+        "from volpath.surrogate import EruptionSpec, ModelParams\n"
+        "grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)\n"
+        "params = ModelParams(n_steps=200)\n"
+        "hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)\n"
+        "eruption = EruptionSpec(mass=10.0, day=2.0)\n"
+        "run_member(params, eruption, grid, derive_seed(0, 'eruption', 0), hook)\n"
+        "print(hashlib.sha256(hook.series.tobytes()).hexdigest())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_series_identical_at_one_and_two_blas_threads():
+    # every QOI dot product stays below the length at which OpenBLAS splits it
+    # across threads, so the thread count cannot reorder its sum
+    assert series_digest_at(1) == series_digest_at(2)
+
+
 class TestBaselineEnsemble:
     def test_tracers_zero_and_temperature_spread(self, tiny_setup):
         grid, params, _ = tiny_setup
@@ -147,10 +181,10 @@ class TestExperimentGrid:
         grid, params, _ = tiny_setup
         plan = ExperimentPlan(masses=(5.0,), n_members=2, baseline_members=2, seed=11)
 
-        def failing_step(state, *args):
+        def failing_advance(self, state, rng):
             raise NumericalFailureError("non-finite SO2", step_index=7)
 
-        monkeypatch.setattr(harness, "step", failing_step)
+        monkeypatch.setattr(harness.Stepper, "advance", failing_advance)
         with pytest.raises(NumericalFailureError) as info:
             run_experiment_grid(plan, params, grid, baselines={})
         seed = derive_seed(11, "eruption", 0).seed

@@ -291,6 +291,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "baseline for T(e) has 11 steps, the run needs 21" in err
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"T(e)": {"n_members": 2}}, ["T(e)", "'mean'"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0, 240.0]}}, ["T(e)", "'m2'"]),
+            ({"T(e)": {"mean": [240.0], "m2": [0.0]}}, ["T(e)", "'n_members'"]),
+            ({"T(e)": {"n_members": "2", "mean": [240.0], "m2": [0.0]}}, ["T(e)", "'n_members'"]),
+            ({"T(e)": {"n_members": 2, "mean": "abc", "m2": [0.0]}}, ["T(e)", "'mean'"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.5]}},
+             ["T(e)", "'mean' has 2 steps, 'm2' has 1"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [[0.5]]}}, ["T(e)", "'std'"]),
+            ({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"]),
+            ([1, 2], ["mapping"]),
+            ("{not json", ["not valid JSON"]),
+        ],
+    )
+    def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, doc, named):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "baselines.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["experiment", str(cfg), "--baseline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        for text in named:
+            assert text in err
+
     def test_experiment_grid_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_days=[0.0, 5.0])
         out = tmp_path / "out"

@@ -1,5 +1,10 @@
 """QOI reductions: hand-checked values, invariances, and the canonical registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,33 @@ def qoi_oracle(spec, state, grid):
         f = np.tensordot(f[:, :, mask], dp, axes=([2], [0])) / dp.sum()
     w = zone_weights(grid, spec.zone)
     return float((f * w).sum() / w.sum())
+
+
+def full_weights(grid, spec):
+    """The spec's normalized weights over every cell of its field, zeros outside the zone."""
+    wz = zone_weights(grid, spec.zone)
+    wz = wz / wz.sum()
+    if spec.level_range is None:
+        return wz.ravel()
+    mask = level_mask(grid, spec.level_range)
+    wk = np.where(mask, grid.dp, 0.0)
+    wk = wk / wk[mask].sum()
+    return (wz[:, :, None] * wk[None, None, :]).ravel()
+
+
+def span_mismatches(grid, specs, n_states, seed=0):
+    """How many evaluate_state values differ from the full-length dot product, bitwise."""
+    ev = RegistryEvaluator(grid, specs)
+    weights = [full_weights(grid, s) for s in specs]
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for _ in range(n_states):
+        state = random_state(grid, rng)
+        fields = {"SO2": state.so2, "SUL": state.so4, "AOD": state.aod, "T": state.temperature}
+        got = ev.evaluate_state(state)
+        for value, spec, w in zip(got, specs, weights):
+            bad += value != w @ fields[spec.field].ravel()
+    return bad
 
 
 def field_state(grid, temperature=None, aod=None):
@@ -173,3 +205,40 @@ class TestRegistryEvaluator:
         spec = QoiSpec(id="T(e)", field="T", zone=zone, level_range=LevelRange(1.5, 1.6))
         with pytest.raises(ConfigurationError):
             RegistryEvaluator(small_grid, [spec])
+
+
+def extra_specs():
+    """Specs with zones and level ranges other than the canonical ones."""
+    return [
+        QoiSpec("T(g)", "T", ZoneSpec("g", -90.0, 90.0), LevelRange(1.0, 1000.0)),
+        QoiSpec("SUL(n)", "SUL", ZoneSpec("n", 0.0, 90.0), LevelRange(100.0, 600.0)),
+        QoiSpec("SO2(x)", "SO2", ZoneSpec("x", -60.0, -10.0), LevelRange(400.0, 999.0)),
+        QoiSpec("AOD(s)", "AOD", ZoneSpec("s", -90.0, -30.0), None),
+    ]
+
+
+class TestSpanEvaluation:
+    # Fields here stay under the ~10,000 elements above which OpenBLAS splits a
+    # dot product across threads, so the full-length product is the same at
+    # any thread count.
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (13, 7, 11), (16, 33, 7), (9, 5, 13)])
+    def test_equals_full_weight_dot_bitwise(self, dims):
+        grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
+        specs = [s for s in registry_canonical() + extra_specs()
+                 if zone_weights(grid, s.zone).any()]
+        assert span_mismatches(grid, specs, n_states=10) == 0
+
+    def test_default_grid_single_thread(self):
+        # The default grid's full-length products exceed that size, so they are
+        # compared at one thread in a fresh process.
+        code = (
+            "import sys; sys.path.insert(0, 'tests'); from test_qoi import *\n"
+            "grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)\n"
+            "print(span_mismatches(grid, registry_canonical() + extra_specs(), 5))\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"

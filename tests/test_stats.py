@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volpath.errors import ConfigurationError, DataError
 from volpath.stats import (
@@ -104,6 +105,35 @@ class TestBaselineMerge:
             baseline_merge(BaselineStats("a", 9), BaselineStats("b", 9))
         with pytest.raises(ConfigurationError):
             baseline_merge(BaselineStats("a", 9), BaselineStats("a", 8))
+
+
+@st.composite
+def member_splits(draw):
+    """Random members (integer multiples of a random scale) and random split points."""
+    n_members = draw(st.integers(1, 12))
+    n_steps = draw(st.integers(0, 5))
+    ints = st.lists(st.integers(-50, 50), min_size=n_steps + 1, max_size=n_steps + 1)
+    scale = draw(st.floats(1e-3, 1e3))
+    # integer multiples keep the variance, when nonzero, within a bounded
+    # factor of the squared magnitude, so a relative tolerance is meaningful
+    members = scale * np.array(draw(st.lists(ints, min_size=n_members, max_size=n_members)))
+    cuts = sorted(draw(st.lists(st.integers(0, n_members), max_size=4)))
+    return members, scale, [0, *cuts, n_members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_splits())
+def test_merge_of_split_members_equals_sequential(instance):
+    members, scale, bounds = instance
+    n_steps = members.shape[1] - 1
+    sequential = fill(BaselineStats("q", n_steps), members)
+    merged = BaselineStats("q", n_steps)
+    for a, b in zip(bounds[:-1], bounds[1:]):  # empty parts included
+        merged = baseline_merge(merged, fill(BaselineStats("q", n_steps), members[a:b]))
+    assert merged.n == sequential.n == len(members)
+    # absolute floors at 1e-12 of the data's magnitude, for means that cancel to ~0
+    assert np.allclose(merged.mean, sequential.mean, rtol=1e-12, atol=1e-12 * 50 * scale)
+    assert np.allclose(merged.m2, sequential.m2, rtol=1e-12, atol=1e-12 * scale**2)
 
 
 class TestActivationTimes:

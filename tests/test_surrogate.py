@@ -3,19 +3,70 @@
 import numpy as np
 import pytest
 
+from conftest import random_state
 from volpath.errors import ConfigurationError, NumericalFailureError
-from volpath.grid import build_grid
+from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask
 from volpath.surrogate import (
     AIR_MASS_PER_HPA_KG,
+    N_NOISE_BANDS,
     EruptionSpec,
     ModelParams,
+    ModelState,
     RunSeed,
+    Stepper,
     TG_TO_KG,
     initialize,
     make_rng,
+    noise_band_of_rows,
     step,
     total_sulfur_kg,
 )
+
+
+def step_oracle(state, params, eruption, grid, rng):
+    """Reference step: every quantity recomputed, fresh arrays for every result.
+
+    Fancy level indexing and out-of-place arithmetic, in the order of the
+    model's formulas; Stepper.advance must reproduce it bit for bit.
+    """
+    dt = params.dt
+    so2, so4, temp = state.so2.copy(), state.so4.copy(), state.temperature.copy()
+    lev_flags = level_mask(grid, eruption.injection_levels)
+    lev_idx = np.nonzero(lev_flags)[0]
+    i_src = lat_row_index(grid, eruption.lat)
+    if eruption.mass > 0.0 and state.time <= eruption.day < state.time + dt:
+        cells = np.zeros((grid.nlat, grid.nlon), dtype=bool)
+        cells[i_src, :] = True
+        denom = grid.area_weight[cells].sum() * grid.dp[lev_flags].sum() * AIR_MASS_PER_HPA_KG
+        inc = np.zeros_like(so2)
+        inc[cells[:, :, None] & lev_flags[None, None, :]] = eruption.mass * TG_TO_KG / denom
+        so2 += inc
+    transferred = so2 * (1.0 - np.exp(-dt / params.tau_chem))
+    so2 -= transferred
+    so4 += transferred
+    if params.tau_decay is not None:
+        so4 *= np.exp(-dt / params.tau_decay)
+    frac = params.v_transport * dt / grid.dlat
+    if frac != 0.0 and i_src < grid.nlat - 1:
+        w = grid.area_weight[:, :, None] * grid.dp[lev_idx][None, None, :]
+        for f in (so2, so4):
+            mass = f[:, :, lev_idx] * w
+            donor = frac * mass[i_src:-1]
+            mass[i_src:-1] -= donor
+            mass[i_src + 1 :] += donor
+            f[:, :, lev_idx] = mass / w
+    aod = params.k_aod * np.tensordot(so4, grid.dp, axes=([2], [0]))
+    temp += dt * (-(temp - params.t_eq) / params.tau_relax)
+    temp[:, :, lev_idx] += dt * params.k_heat * aod[:, :, None]
+    innovations = params.noise_amp * np.sqrt(dt) * rng.standard_normal(N_NOISE_BANDS)
+    band_noise = params.noise_memory * state.band_noise + innovations
+    temp += band_noise[noise_band_of_rows(grid)][:, None, None]
+    return ModelState(so2, so4, temp, aod, state.step_index + 1, state.time + dt, band_noise)
+
+
+def state_arrays(state):
+    return (state.so2, state.so4, state.temperature, state.aod, state.band_noise,
+            np.array([state.step_index, state.time]))
 
 
 def run_series(params, eruption, grid, seed, collect=None):
@@ -201,3 +252,66 @@ class TestFailureDetection:
         with pytest.raises(NumericalFailureError) as exc_info:
             step(state, fast_params, EruptionSpec(mass=0.0), small_grid, rng)
         assert exc_info.value.step_index == 1
+
+
+class TestStepper:
+    @pytest.mark.parametrize(
+        "params, eruption",
+        [
+            (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=2.0)),
+            (ModelParams(n_steps=60), EruptionSpec(mass=0.0)),
+            # fast relaxation toward 0 K: increments as large as the
+            # temperatures, so a reordered relaxation changes their last bits
+            (ModelParams(n_steps=60, t_eq=0.0, tau_relax=0.7, v_transport=2.0),
+             EruptionSpec(mass=10.0, day=2.0)),
+            (ModelParams(n_steps=60, tau_decay=None), EruptionSpec(mass=10.0, day=0.0)),
+            (ModelParams(n_steps=60, v_transport=0.0), EruptionSpec(mass=10.0, day=1.0)),
+            # the source row is the polar row, which has no northern neighbor
+            (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=1.0, lat=89.0)),
+            (ModelParams(n_steps=60), EruptionSpec(
+                mass=10.0, day=1.0, lat=-40.0, injection_levels=LevelRange(20.0, 400.0))),
+        ],
+    )
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (13, 7, 11)])
+    def test_advance_matches_step_loop_and_oracle(self, params, eruption, dims):
+        grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
+        stepper = Stepper(params, eruption, grid)
+        rngs = [make_rng(RunSeed(3, 1)) for _ in range(3)]
+        # nonzero tracers and temperatures far from t_eq use every mantissa bit,
+        # so a reordered operation shows in the last bit
+        in_place, stepped, oracle = (random_state(grid, np.random.default_rng(5))
+                                     for _ in range(3))
+        for _ in range(params.n_steps):
+            stepper.advance(in_place, rngs[0])
+            stepped = step(stepped, params, eruption, grid, rngs[1])
+            oracle = step_oracle(oracle, params, eruption, grid, rngs[2])
+            for a, b, c in zip(state_arrays(in_place), state_arrays(stepped),
+                               state_arrays(oracle)):
+                assert np.array_equal(a, c) and np.array_equal(b, c)
+        assert in_place.step_index == params.n_steps
+
+    def test_step_leaves_input_unchanged(self, small_grid, fast_params):
+        eruption = EruptionSpec(mass=10.0, day=0.0)
+        rng = make_rng(RunSeed(1))
+        state = initialize(fast_params, small_grid, rng=rng)
+        before = [a.copy() for a in state_arrays(state)]
+        new = step(state, fast_params, eruption, small_grid, rng)
+        for a, b in zip(state_arrays(state), before):
+            assert np.array_equal(a, b)
+        assert new.step_index == 1 and new.so2.any()
+        for a, b in zip(state_arrays(state)[:5], state_arrays(new)[:5]):
+            assert not np.shares_memory(a, b)
+
+    def test_cfl_error_before_any_step(self, small_grid):
+        params = ModelParams(v_transport=200.0, n_steps=4)
+        with pytest.raises(ConfigurationError, match="CFL"):
+            Stepper(params, EruptionSpec(mass=0.0), small_grid)
+
+    def test_empty_injection_selection_rejected_when_built(self, small_grid):
+        # the eruption day lies past the run, so no step would reach the injection
+        params = ModelParams(n_steps=4)
+        empty = LevelRange(1.5, 1.6)
+        with pytest.raises(ConfigurationError, match="injection selection is empty"):
+            Stepper(params, EruptionSpec(mass=10.0, day=90.0, injection_levels=empty),
+                    small_grid)
+        Stepper(params, EruptionSpec(mass=0.0, injection_levels=empty), small_grid)

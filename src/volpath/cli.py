@@ -16,6 +16,7 @@ from pathlib import Path
 from .config import ExperimentConfig, build_manifest, config_digest, load_config
 from .errors import ConfigurationError, VolpathError
 from .export import (
+    atomic_write_text,
     export_dot,
     read_baselines_json,
     read_pathway_json,
@@ -34,7 +35,7 @@ from .harness import (
     run_experiment_grid,
     run_member,
 )
-from .pathway import InactiveTest, base_dag_canonical, canonical_tests
+from .pathway import InactiveTest, base_dag_canonical, canonical_tests, compute_pathway
 from .qoi import registry_canonical
 
 logger = logging.getLogger("volpath")
@@ -65,20 +66,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if qid.startswith("T("):
                 tests[qid] = InactiveTest()
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
-    hook = TrackerHook(
-        grid,
-        registry_canonical(),
-        cfg.params.n_steps,
-        cfg.params.dt,
-        base=base_dag_canonical(),
-        tests=tests,
-        baselines=baselines,
-    )
+    hook = TrackerHook(grid, registry_canonical(), cfg.params.n_steps, cfg.params.dt)
     result = run_member(cfg.params, cfg.eruption, grid, seed, hook)
+    pathway = compute_pathway(
+        base_dag_canonical(), result.series, tests, baselines, cfg.params.dt
+    )
 
     digest = config_digest(cfg)
     write_series_csv(out / "series.csv", result.series, cfg.params.dt)
-    write_pathway_json(out / "pathway.json", result.pathway, digest)
+    write_pathway_json(out / "pathway.json", pathway, digest)
     manifest = build_manifest(cfg, seeds={"member": seed.seed})
     write_manifest_json(out / "manifest.json", manifest)
     logger.info("wrote series.csv, pathway.json, manifest.json to %s", out)
@@ -124,10 +120,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for mass in cfg.plan.masses:
             pathway = result.pathways[(mass, first_label, 0)]
             for day in cfg.snapshot_days:
-                dot = export_dot(pathway, day)
-                (out / "snapshots").mkdir(parents=True, exist_ok=True)
                 path = out / "snapshots" / f"dag_m{mass:g}_{first_label}_day{day:g}.dot"
-                path.write_text(dot)
+                atomic_write_text(path, export_dot(pathway, day))
     seeds = {f"{mass:g}/{b}": s.seed for (mass, b), s in result.member_seeds.items()}
     write_manifest_json(out / "manifest.json", build_manifest(cfg, seeds=seeds))
     return 0
@@ -137,7 +131,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     pathway = read_pathway_json(args.pathway)
     dot = export_dot(pathway, args.day, active_only=args.active_only)
     if args.out:
-        Path(args.out).write_text(dot)
+        atomic_write_text(args.out, dot)
     else:
         sys.stdout.write(dot)
     return 0
@@ -145,7 +139,12 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    counts = [int(c) for c in args.counts.split(",")]
+    counts = []
+    for entry in args.counts.split(","):
+        try:
+            counts.append(int(entry))
+        except ValueError:
+            raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
     grid = cfg.build_grid()
     rows = bench_overhead(
         counts, cfg.params, grid, repetitions=args.repetitions, n_steps=args.steps

@@ -188,13 +188,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
         "preset": cfg.preset,
         "params": asdict(cfg.params),
         "eruption": asdict(cfg.eruption),
-        "plan": {
-            "masses": list(cfg.plan.masses),
-            "experiments": [list(e) for e in cfg.plan.experiments],
-            "n_members": cfg.plan.n_members,
-            "baseline_members": cfg.plan.baseline_members,
-            "seed": cfg.plan.seed,
-        },
+        "plan": asdict(cfg.plan),
         "snapshot_days": list(cfg.snapshot_days),
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))

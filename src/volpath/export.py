@@ -47,16 +47,34 @@ def pathway_to_dict(pathway: PathwayDag, manifest_digest: str | None = None) -> 
 
 
 def pathway_from_dict(doc: dict) -> PathwayDag:
-    base = BaseDag(
-        vertices=tuple(doc["vertices"]),
-        edges=tuple((a, b) for a, b in doc["edges"]),
-    )
-    activation = np.array(
-        [[c == "1" for c in row] for row in doc["activation"]], dtype=bool
-    )
-    if activation.ndim != 2 or activation.shape[1] != base.r:
-        raise ConfigurationError("activation matrix does not match the base DAG")
-    return PathwayDag(base=base, activation=activation, dt=float(doc["dt_days"]))
+    """A pathway from its JSON form; a malformed field raises naming the field."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("pathway file must hold a mapping")
+    for key in ("vertices", "edges", "dt_days", "activation"):
+        if key not in doc:
+            raise ConfigurationError(f"pathway: missing field {key!r}")
+    vertices, edges = doc["vertices"], doc["edges"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ConfigurationError("pathway: 'vertices' must be a list of QOI ids")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
+    ):
+        raise ConfigurationError("pathway: 'edges' must be a list of [from, to] vertex pairs")
+    base = BaseDag(vertices=tuple(vertices), edges=tuple((a, b) for a, b in edges))
+    dt = doc["dt_days"]
+    if type(dt) not in (int, float) or not 0 < dt < np.inf:
+        raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
+    rows = doc["activation"]
+    if not isinstance(rows, list) or not rows:
+        raise ConfigurationError("pathway: 'activation' must be a non-empty list of rows")
+    for m, row in enumerate(rows):
+        if not isinstance(row, str) or len(row) != base.r or not set(row) <= {"0", "1"}:
+            raise ConfigurationError(
+                f"pathway: 'activation' row {m} must be {base.r} characters "
+                f"of 0 and 1, got {row!r}"
+            )
+    activation = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+    return PathwayDag(base=base, activation=activation, dt=float(dt))
 
 
 def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: str | None = None) -> None:
@@ -67,7 +85,11 @@ def read_pathway_json(path: str | Path) -> PathwayDag:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"pathway file not found: {path}")
-    return pathway_from_dict(json.loads(path.read_text()))
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"pathway file {path} is not valid JSON: {exc}") from None
+    return pathway_from_dict(doc)
 
 
 def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> str:

@@ -17,15 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import SphericalGrid
-from .pathway import (
-    BaseDag,
-    BoundsTest,
-    PathwayAccumulator,
-    PathwayDag,
-    base_dag_canonical,
-    canonical_tests,
-    compute_pathway,
-)
+from .pathway import PathwayDag, base_dag_canonical, canonical_tests, compute_pathway
 from .qoi import QoiSpec, RegistryEvaluator, registry_canonical
 from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
 from .surrogate import (
@@ -80,53 +72,27 @@ def derive_seed(plan_seed: int, role: str, member_index: int) -> RunSeed:
 class TrackerHook:
     """In-situ observer invoked once per model step (and once at the initial state).
 
-    Extracts the QOI vector via cached reductions and, when tests are
-    configured, feeds it to PathwayAccumulator.observe as a one-row block (the
-    method compute_pathway calls once on a whole series).  No 3D field is ever
-    retained.
+    Extracts the QOI vector via cached reductions into a (QOIs, n_steps + 1)
+    series; pathways are built afterwards from that series by compute_pathway.
+    No 3D field is ever retained.  dt is unused: it is kept only because
+    perfbench's worker subclasses the hook and calls it as (grid, specs,
+    n_steps, dt).
     """
 
-    def __init__(
-        self,
-        grid: SphericalGrid,
-        specs: list[QoiSpec],
-        n_steps: int,
-        dt: float,
-        base: BaseDag | None = None,
-        tests: dict[str, BoundsTest] | None = None,
-        baselines: dict[str, BaselineStats] | None = None,
-    ):
+    def __init__(self, grid: SphericalGrid, specs: list[QoiSpec], n_steps: int, dt: float):
         self.evaluator = RegistryEvaluator(grid, specs)
-        self.dt = dt
         self.series = np.zeros((len(specs), n_steps + 1))
-        self.accumulator = None
-        if tests is not None:
-            if base is None:
-                raise ConfigurationError("tests require a base DAG")
-            if list(base.vertices) != self.evaluator.ids:
-                raise ConfigurationError("base DAG vertices do not match the registry")
-            self.accumulator = PathwayAccumulator(
-                base, tests, baselines, n_steps=n_steps, dt=dt
-            )
 
     def observe(self, state) -> None:
-        m = state.step_index
-        values = self.evaluator.evaluate_state(state)
-        self.series[:, m] = values
-        if self.accumulator is not None:
-            self.accumulator.observe(values[None, :], m)
+        self.series[:, state.step_index] = self.evaluator.evaluate_state(state)
 
     def series_by_id(self) -> dict[str, np.ndarray]:
         return {qid: self.series[i] for i, qid in enumerate(self.evaluator.ids)}
-
-    def pathway(self) -> PathwayDag | None:
-        return self.accumulator.result() if self.accumulator is not None else None
 
 
 @dataclass
 class MemberResult:
     series: dict[str, np.ndarray]
-    pathway: PathwayDag | None
 
 
 def activation_summaries(
@@ -158,7 +124,7 @@ def run_member(
     for _ in range(params.n_steps):
         stepper.advance(state, rng)
         hook.observe(state)
-    return MemberResult(series=hook.series_by_id(), pathway=hook.pathway())
+    return MemberResult(series=hook.series_by_id())
 
 
 def run_baseline_ensemble(
@@ -168,11 +134,7 @@ def run_baseline_ensemble(
     eruption_template: EruptionSpec | None = None,
 ) -> dict[str, BaselineStats]:
     """Eruption-free ensemble; per-step mean/std for every canonical QOI."""
-    template = eruption_template or EruptionSpec()
-    quiet = EruptionSpec(
-        mass=0.0, day=template.day, lat=template.lat,
-        injection_levels=template.injection_levels,
-    )
+    quiet = replace(eruption_template or EruptionSpec(), mass=0.0)
     specs = registry_canonical()
     stats = {s.id: BaselineStats(s.id, params.n_steps) for s in specs}
     for b in range(plan.baseline_members):
@@ -221,10 +183,7 @@ def run_experiment_grid(
     member_seeds: dict[tuple[float, int], RunSeed] = {}
 
     for mass in plan.masses:
-        eruption = EruptionSpec(
-            mass=mass, day=template.day, lat=template.lat,
-            injection_levels=template.injection_levels,
-        )
+        eruption = replace(template, mass=mass)
         per_member_series = []
         for b in range(plan.n_members):
             seed = derive_seed(plan.seed, "eruption", b)

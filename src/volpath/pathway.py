@@ -3,8 +3,9 @@
 A bounds test classifies one QOI per step as active (1) or inactive (0) with a
 hold band between its lower and upper thresholds; the per-step active vertex
 sets induce subgraphs of the static base-DAG, recorded as an activation matrix.
-Every test type runs through one vectorized kernel, `hysteresis`, over a block
-of steps: one row per step in situ, the whole series offline.
+The QOI series are extracted in situ; `compute_pathway` builds the matrix from
+the recorded series, running every test type through one vectorized kernel,
+`hysteresis`.
 """
 
 from __future__ import annotations
@@ -189,92 +190,6 @@ def materialize_dag(
     return pathway_step(pathway.base, pathway.activation[m])
 
 
-class PathwayAccumulator:
-    """Activation tracker fed blocks of consecutive steps.
-
-    In-situ observation feeds one row per model step; offline recomputation
-    feeds a whole saved series as one block.  Both z-score against the same
-    per-step baseline matrices and run the same kernel, so their taus are
-    identical.
-    """
-
-    def __init__(
-        self,
-        base: BaseDag,
-        tests: dict[str, BoundsTest],
-        baselines: dict[str, "object"] | None = None,
-        *,
-        n_steps: int,
-        dt: float = 1.0,
-    ):
-        missing = [v for v in base.vertices if v not in tests]
-        if missing:
-            raise ConfigurationError(f"no bounds test for vertices: {missing}")
-        baselines = baselines or {}
-        self.base = base
-        self.dt = dt
-        self.lower = np.empty(base.r)
-        self.upper = np.empty(base.r)
-        self.zscored = np.zeros(base.r, dtype=bool)
-        # absolute and inactive tests score the raw value: (value - 0) / 1
-        self.mean = np.zeros((n_steps + 1, base.r))
-        self.std = np.ones((n_steps + 1, base.r))
-        for l, v in enumerate(base.vertices):
-            test = tests[v]
-            if isinstance(test, AbsoluteHysteresis):
-                self.lower[l], self.upper[l] = test.lower, test.upper
-            elif isinstance(test, ZScoreHysteresis):
-                self.lower[l], self.upper[l] = test.t_l, test.t_u
-                if v not in baselines:
-                    raise ConfigurationError(f"z-score test for {v} has no baseline")
-                bl = baselines[v]
-                if bl.mean.size < n_steps + 1:
-                    raise ConfigurationError(
-                        f"baseline for {v} has {bl.mean.size} steps, "
-                        f"the run needs {n_steps + 1}"
-                    )
-                self.mean[:, l] = bl.mean[: n_steps + 1]
-                self.std[:, l] = bl.std()[: n_steps + 1]
-                self.zscored[l] = True
-            else:
-                # InactiveTest: any score but NaN is <= inf; NaN holds the initial 0
-                self.lower[l] = self.upper[l] = np.inf
-        # step 0 is forced inactive, so its sigma is never checked or used
-        self.std[:1] = 1.0
-        bad = np.argwhere(self.std <= 0.0)
-        self._degenerate = (int(bad[0, 0]), base.vertices[bad[0, 1]]) if len(bad) else None
-        self._matrix = np.zeros((n_steps + 1, base.r), dtype=bool)
-        self._m = 0
-
-    def observe(self, values: np.ndarray, m0: int) -> np.ndarray:
-        """Taus of steps m0 .. m0+k-1 from their (k, r) values in base vertex order."""
-        if m0 != self._m:
-            raise ConfigurationError(f"expected step {self._m}, got {m0}")
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != self.base.r:
-            raise ConfigurationError(f"expected (k, {self.base.r}) values, got {values.shape}")
-        end = m0 + len(values)
-        if self._degenerate is not None and self._degenerate[0] < end:
-            m, v = self._degenerate
-            raise DegenerateBaselineError(
-                f"baseline sigma for {v} is not positive at step {m}; "
-                "z-score test is not well-defined"
-            )
-        scores = (values - self.mean[m0:end]) / self.std[m0:end]
-        if m0 == 0:
-            scores[:1, self.zscored] = -np.inf
-            initial = np.zeros(self.base.r, dtype=bool)
-        else:
-            initial = self._matrix[m0 - 1]
-        taus = hysteresis(scores, self.lower, self.upper, initial)
-        self._matrix[m0:end] = taus
-        self._m = end
-        return taus
-
-    def result(self) -> PathwayDag:
-        return PathwayDag(base=self.base, activation=self._matrix[: self._m].copy(), dt=self.dt)
-
-
 def compute_pathway(
     base: BaseDag,
     series: dict[str, np.ndarray],
@@ -282,21 +197,60 @@ def compute_pathway(
     baselines: dict[str, "object"] | None = None,
     dt: float = 1.0,
 ) -> PathwayDag:
-    """Run the activation algorithm over full saved series.
+    """Run the activation algorithm over full recorded series (one per vertex).
 
-    One PathwayAccumulator.observe call on the whole series, so the taus equal
-    those of the in-situ path, which feeds the same method one step at a time.
+    Z-score tests score (value - mean_m) / sigma_m against per-step baseline
+    matrices and are forced inactive at m = 0; absolute and inactive tests
+    score the raw value.  One hysteresis call covers every vertex and step.
     """
-    lengths = {len(series[v]) for v in base.vertices if v in series}
-    missing = [v for v in base.vertices if v not in series]
-    if missing:
-        raise ConfigurationError(f"no series for vertices: {missing}")
+    for what, given in (("series", series), ("bounds test", tests)):
+        missing = [v for v in base.vertices if v not in given]
+        if missing:
+            raise ConfigurationError(f"no {what} for vertices: {missing}")
+    lengths = {len(series[v]) for v in base.vertices}
     if len(lengths) != 1:
         raise ConfigurationError(f"series lengths differ: {sorted(lengths)}")
     n = lengths.pop()
-    acc = PathwayAccumulator(base, tests, baselines, n_steps=n - 1, dt=dt)
-    acc.observe(np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1), 0)
-    return acc.result()
+    baselines = baselines or {}
+    lower = np.empty(base.r)
+    upper = np.empty(base.r)
+    zscored = np.zeros(base.r, dtype=bool)
+    # absolute and inactive tests score the raw value: (value - 0) / 1
+    mean = np.zeros((n, base.r))
+    std = np.ones((n, base.r))
+    for l, v in enumerate(base.vertices):
+        test = tests[v]
+        if isinstance(test, AbsoluteHysteresis):
+            lower[l], upper[l] = test.lower, test.upper
+        elif isinstance(test, ZScoreHysteresis):
+            lower[l], upper[l] = test.t_l, test.t_u
+            if v not in baselines:
+                raise ConfigurationError(f"z-score test for {v} has no baseline")
+            bl = baselines[v]
+            if bl.mean.size < n:
+                raise ConfigurationError(
+                    f"baseline for {v} has {bl.mean.size} steps, the run needs {n}"
+                )
+            mean[:, l] = bl.mean[:n]
+            std[:, l] = bl.std()[:n]
+            zscored[l] = True
+        else:
+            # InactiveTest: any score but NaN is <= inf; NaN holds the initial 0
+            lower[l] = upper[l] = np.inf
+    # step 0 is forced inactive, so its sigma is never checked or used
+    std[:1] = 1.0
+    bad = np.argwhere(std <= 0.0)
+    if len(bad):
+        m, l = bad[0]
+        raise DegenerateBaselineError(
+            f"baseline sigma for {base.vertices[l]} is not positive at step {m}; "
+            "z-score test is not well-defined"
+        )
+    values = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
+    scores = (values - mean) / std
+    scores[:1, zscored] = -np.inf
+    taus = hysteresis(scores, lower, upper, initial=np.zeros(base.r, dtype=bool))
+    return PathwayDag(base=base, activation=taus, dt=dt)
 
 
 def canonical_tests(t_l: float, t_u: float) -> dict[str, BoundsTest]:

@@ -22,7 +22,6 @@ from volpath.harness import (
     run_member,
     synthetic_registry,
 )
-from volpath.pathway import base_dag_canonical, canonical_tests
 from volpath.qoi import registry_canonical
 from volpath.surrogate import EruptionSpec, ModelParams
 
@@ -80,24 +79,6 @@ class TestTrackerHook:
         result = run_member(params, eruption, grid, derive_seed(1, "eruption", 0), hook)
         assert set(result.series) == {s.id for s in registry_canonical()}
         assert all(len(v) == params.n_steps + 1 for v in result.series.values())
-        assert result.pathway is None
-
-    def test_tests_require_base_dag(self, tiny_setup):
-        grid, params, _ = tiny_setup
-        with pytest.raises(ConfigurationError):
-            TrackerHook(
-                grid, registry_canonical(), params.n_steps, params.dt,
-                tests=canonical_tests(0.5, 1.0),
-            )
-
-    def test_base_must_match_registry(self, tiny_setup):
-        grid, params, _ = tiny_setup
-        specs = registry_canonical()[:4]
-        with pytest.raises(ConfigurationError):
-            TrackerHook(
-                grid, specs, params.n_steps, params.dt,
-                base=base_dag_canonical(), tests=canonical_tests(0.5, 1.0),
-            )
 
     def test_run_member_deterministic(self, tiny_setup):
         grid, params, eruption = tiny_setup

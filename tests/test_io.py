@@ -32,7 +32,13 @@ from volpath.export import (
     write_pathway_json,
 )
 from volpath.harness import BenchRow, SummaryRow
-from volpath.pathway import BaseDag, PathwayDag
+from volpath.pathway import (
+    BaseDag,
+    PathwayDag,
+    base_dag_canonical,
+    canonical_tests,
+    compute_pathway,
+)
 from volpath.stats import BaselineStats
 from volpath.surrogate import PRESET_ID
 
@@ -120,6 +126,12 @@ class TestConfig:
         assert config_digest(a) == config_digest(b)
         c = parse_config(tiny_config_dict(tmp_path, eruption={"mass": 20.0}))
         assert config_digest(a) != config_digest(c)
+
+    def test_default_digest_pinned(self):
+        # a change to the digest's payload would orphan every written config_digest
+        assert config_digest(parse_config({})) == (
+            "7500fdc9b7c80366e12447c230df1ff52b4f59c75ddbd1baa840aa443ca35399"
+        )
 
     def test_manifest_is_deterministic(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -282,6 +294,23 @@ class TestCli:
             "simulate", str(cfg), "--baseline", str(out / "baselines.json"),
         ]) == 0
 
+    def test_simulate_pathway_equals_compute_pathway_over_written_series(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["baseline", str(cfg)]) == 0
+        assert main(["simulate", str(cfg), "--baseline", str(out / "baselines.json")]) == 0
+        header, *lines = (out / "series.csv").read_text().strip().split("\n")
+        values = np.array([[float(x) for x in line.split(",")[2:]] for line in lines])
+        series = {qid: values[:, i] for i, qid in enumerate(header.split(",")[2:])}
+        expected = compute_pathway(
+            base_dag_canonical(), series, canonical_tests(0.5, 0.75),
+            read_baselines_json(out / "baselines.json"), load_config(cfg).params.dt,
+        )
+        written = read_pathway_json(out / "pathway.json")
+        assert written.dt == expected.dt
+        assert np.array_equal(written.activation, expected.activation)
+        assert written.vertex_series("SO2(e)").any()
+
     def test_baseline_shorter_than_run_exits_2(self, tmp_path, capsys):
         short = write_config(tmp_path, surrogate={"overrides": {"n_steps": 10}})
         assert main(["baseline", str(short), "--out", str(tmp_path / "bl")]) == 0
@@ -402,6 +431,45 @@ class TestCli:
         assert "digraph" in dot_path.read_text()
         assert main(["export-dot", str(pw_path), "--day", "999"]) == 1
 
+    def test_export_dot_creates_output_directory(self, tmp_path):
+        pw_path = tmp_path / "pathway.json"
+        write_pathway_json(pw_path, tiny_pathway())
+        dot_path = tmp_path / "new" / "dir" / "x.dot"
+        assert main(["export-dot", str(pw_path), "--day", "1", "--out", str(dot_path)]) == 0
+        assert dot_path.read_text() == export_dot(tiny_pathway(), 1.0)
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            ("{not json", "not valid JSON"),
+            ([1, 2], "mapping"),
+            ({"dt_days": None}, "'dt_days'"),
+            ({"dt_days": "0.5"}, "'dt_days'"),
+            ({"dt_days": 0.0}, "'dt_days'"),
+            ({"vertices": None}, "'vertices'"),
+            ({"vertices": "ABC"}, "'vertices'"),
+            ({"edges": [["A"]]}, "'edges'"),
+            ({"activation": ["000", "10", "110", "011"]}, "'activation' row 1"),
+            ({"activation": ["000", "1x0", "110", "011"]}, "'activation' row 1"),
+            ({"activation": ["000", "100", "110", 11]}, "'activation' row 3"),
+            ({"activation": []}, "'activation'"),
+        ],
+    )
+    def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):
+        path = tmp_path / "pathway.json"
+        if isinstance(patch, dict):
+            doc = pathway_to_dict(tiny_pathway())
+            doc.update(patch)
+            # None marks a field left out of the file
+            doc = {k: v for k, v in doc.items() if v is not None}
+            patch = json.dumps(doc)
+        elif not isinstance(patch, str):
+            patch = json.dumps(patch)
+        path.write_text(patch)
+        assert main(["export-dot", str(path), "--day", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and named in err
+
     def test_bench_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main([
@@ -410,3 +478,10 @@ class TestCli:
         text = (tmp_path / "out" / "bench.csv").read_text()
         assert text.startswith("qoi_count,")
         assert len(text.strip().split("\n")) == 3
+
+    def test_bench_bad_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["bench", str(cfg), "--counts", "7,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--counts" in err and "'x'" in err
+        assert not (tmp_path / "out").exists()

@@ -10,7 +10,6 @@ from volpath.pathway import (
     AbsoluteHysteresis,
     BaseDag,
     InactiveTest,
-    PathwayAccumulator,
     PathwayDag,
     SO2_BOUNDS,
     SUL_BOUNDS,
@@ -197,7 +196,7 @@ class TestBoundsTestBranches:
     def test_missing_baseline_rejected(self):
         base = BaseDag(vertices=("T",), edges=())
         with pytest.raises(ConfigurationError, match="no baseline"):
-            PathwayAccumulator(base, {"T": ZScoreHysteresis(0.5, 1.0)}, n_steps=3)
+            compute_pathway(base, {"T": np.zeros(4)}, {"T": ZScoreHysteresis(0.5, 1.0)})
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
@@ -276,7 +275,7 @@ class TestComputePathway:
     def test_missing_series_rejected(self):
         base, tests, series, _ = hand_series()
         del series["B"]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no series for vertices"):
             compute_pathway(base, series, tests)
 
     def test_length_mismatch_rejected(self):
@@ -288,7 +287,7 @@ class TestComputePathway:
     def test_missing_test_rejected(self):
         base, tests, series, _ = hand_series()
         del tests["B"]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no bounds test"):
             compute_pathway(base, series, tests)
 
     def test_random_instances_match_oracles(self):
@@ -359,31 +358,12 @@ class TestComputePathway:
             assert np.all(taus[small] >= taus[large])
 
 
-class TestAccumulator:
-    def test_streaming_equals_offline(self):
-        base, tests, series, _ = hand_series()
-        offline = compute_pathway(base, series, tests, dt=0.5)
-        acc = PathwayAccumulator(base, tests, n_steps=5, dt=0.5)
-        stacked = np.stack([series["A"], series["B"]], axis=1)
-        for m in range(6):
-            acc.observe(stacked[m : m + 1], m)
-        assert np.array_equal(acc.result().activation, offline.activation)
-
-    def test_out_of_order_step_rejected(self):
-        base, tests, _, _ = hand_series()
-        acc = PathwayAccumulator(base, tests, n_steps=5)
-        with pytest.raises(ConfigurationError):
-            acc.observe(np.zeros((1, 2)), 1)
-        with pytest.raises(ConfigurationError):
-            acc.observe(np.zeros(2), 0)
-
-
 values_st = st.floats(-3.0, 3.0, allow_nan=False, width=32)
 
 
 @st.composite
-def block_instances(draw):
-    """Random absolute and z-score columns, thresholds, baselines and a block split."""
+def series_instances(draw):
+    """Random absolute and z-score columns, thresholds and baselines."""
     n = draw(st.integers(1, 40))
     n_abs = draw(st.integers(0, 3))
     n_z = draw(st.integers(0 if n_abs else 1, 3))
@@ -406,14 +386,12 @@ def block_instances(draw):
             sigma = np.array(draw(st.lists(sigmas, min_size=n, max_size=n)))
             values = mu + sigma * values  # z equals the drawn value, ties included
         cols.append((kind, lo, hi, values, mu, sigma))
-    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=5)) if n > 1 else []))
-    return n, cols, [0, *cuts, n]
+    return cols
 
 
 @settings(max_examples=200, deadline=None)
-@given(block_instances())
-def test_blocks_equal_whole_series_and_oracles(instance):
-    n, cols, bounds = instance
+@given(series_instances())
+def test_whole_series_equals_oracles(cols):
     vertices = tuple(f"v{i}" for i in range(len(cols)))
     base = BaseDag(vertices=vertices, edges=())
     tests, baselines, series, oracle = {}, {}, {}, {}
@@ -427,12 +405,6 @@ def test_blocks_equal_whole_series_and_oracles(instance):
             stats = BaselineStats.from_arrays(v, 5, mu, sigma)
             baselines[v] = stats
             oracle[v] = taus_oracle_zscore(values, stats.mean, stats.std(), lo, hi)
-    whole = compute_pathway(base, series, tests, baselines)
-    acc = PathwayAccumulator(base, tests, baselines, n_steps=n - 1)
-    stacked = np.stack([series[v] for v in vertices], axis=1)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        acc.observe(stacked[a:b], a)
-    blocks = acc.result()
-    assert np.array_equal(blocks.activation, whole.activation)
+    pw = compute_pathway(base, series, tests, baselines)
     for v in vertices:
-        assert list(whole.vertex_series(v).astype(int)) == oracle[v]
+        assert list(pw.vertex_series(v).astype(int)) == oracle[v]

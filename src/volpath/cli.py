@@ -37,6 +37,7 @@ from .harness import (
 )
 from .pathway import InactiveTest, base_dag_canonical, canonical_tests, compute_pathway
 from .qoi import registry_canonical
+from .stats import BaselineStats
 
 logger = logging.getLogger("volpath")
 
@@ -47,7 +48,29 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_run_baselines(path: str, n_steps: int) -> dict[str, BaselineStats]:
+    """The baseline file, checked against the run before any member is simulated.
+
+    Every T QOI is z-scored against its entry, which must cover the run's
+    n_steps + 1 steps (compute_pathway reads the first ones).
+    """
+    baselines = read_baselines_json(path)
+    for spec in registry_canonical():
+        if spec.field != "T":
+            continue
+        if spec.id not in baselines:
+            raise ConfigurationError(f"baseline file {path} has no entry for {spec.id}")
+        steps = baselines[spec.id].mean.size
+        if steps < n_steps + 1:
+            raise ConfigurationError(
+                f"baseline for {spec.id} has {steps} steps, the run needs {n_steps + 1}"
+            )
+    return baselines
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.member < 0:
+        raise ConfigurationError(f"--member must be >= 0, got {args.member}")
     cfg = load_config(args.config)
     if args.mass is not None:
         cfg = replace(cfg, eruption=replace(cfg.eruption, mass=args.mass))
@@ -59,7 +82,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tests = canonical_tests(*cfg.plan.experiments[0][1:])
     baselines = None
     if args.baseline:
-        baselines = read_baselines_json(args.baseline)
+        baselines = _read_run_baselines(args.baseline, cfg.params.n_steps)
     else:
         # no baseline: temperature tests cannot be z-scored, leave T inactive
         for qid in list(tests):
@@ -104,7 +127,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     grid = cfg.build_grid()
 
     if args.baseline:
-        baselines = read_baselines_json(args.baseline)
+        baselines = _read_run_baselines(args.baseline, cfg.params.n_steps)
     else:
         baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
         write_baselines_json(out / "baselines.json", baselines)
@@ -138,6 +161,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repetitions < 1:
+        raise ConfigurationError(f"--repetitions must be >= 1, got {args.repetitions}")
     cfg = load_config(args.config)
     counts = []
     for entry in args.counts.split(","):

@@ -3,8 +3,11 @@ and the QOI-count overhead benchmark.
 
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
-the same in-situ-extracted series.  Member seeds are derived from the plan
-seed with a stable hash so any cell of the grid can be reproduced alone.
+the same in-situ-extracted series.  The members of one mass run in lockstep
+on one shared tracer trajectory (run_lockstep); run_member is the paper's
+single-member in-situ path, with its hook called every step.  Member seeds
+are derived from the plan seed with a stable hash so any cell of the grid
+can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -127,6 +130,53 @@ def run_member(
     return MemberResult(series=hook.series_by_id())
 
 
+def run_lockstep(
+    params: ModelParams,
+    eruption: EruptionSpec,
+    grid: SphericalGrid,
+    seeds: list[RunSeed],
+) -> list[dict[str, np.ndarray]]:
+    """The canonical QOI series of one eruption's members, stepped in lockstep.
+
+    The tracers draw no random numbers, so every member has the same SO2,
+    SO4 and AOD trajectory.  It is stepped and its 12 QOIs reduced once per
+    step, in member 0's state, and every member's series holds the same
+    read-only tracer rows; each member steps and reduces only its own
+    temperature, on its own rng.  Each series equals, bit for bit, the one
+    run_member records for the same seed.  A failure names the member, mass
+    and seed; one in the shared tracers names member 0.
+    """
+    specs = registry_canonical()
+    tracer_evaluator = RegistryEvaluator(grid, [s for s in specs if s.field != "T"])
+    t_evaluator = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
+    stepper = Stepper(params, eruption, grid)
+    rngs = [make_rng(seed) for seed in seeds]
+    states = [initialize(params, grid, rng=rng) for rng in rngs]
+    # member 0's state carries the shared tracers; the others' stay at zero
+    tracers = states[0]
+    tracer_series = np.empty((len(tracer_evaluator.specs), params.n_steps + 1))
+    t_series = np.empty((len(seeds), len(t_evaluator.specs), params.n_steps + 1))
+    for m in range(params.n_steps + 1):
+        for b, (state, rng) in enumerate(zip(states, rngs)):
+            try:
+                if b == 0:
+                    if m:
+                        stepper.advance(state, rng)
+                    tracer_series[:, m] = tracer_evaluator.evaluate_state(state)
+                elif m:
+                    stepper.advance_temperature(state, tracers.aod, rng)
+                t_series[b, :, m] = t_evaluator.evaluate_state(state)
+            except Exception as exc:
+                # the same object, so attributes such as step_index survive
+                seed = seeds[b].seed
+                exc.args = (f"member {b} (mass {eruption.mass} Tg, seed {seed}) failed: {exc}",)
+                raise
+    tracer_series.flags.writeable = False
+    shared = dict(zip(tracer_evaluator.ids, tracer_series))
+    # the registry is field-major with T last, so each dict keeps registry order
+    return [{**shared, **dict(zip(t_evaluator.ids, rows))} for rows in t_series]
+
+
 def run_baseline_ensemble(
     plan: ExperimentPlan,
     params: ModelParams,
@@ -135,13 +185,10 @@ def run_baseline_ensemble(
 ) -> dict[str, BaselineStats]:
     """Eruption-free ensemble; per-step mean/std for every canonical QOI."""
     quiet = replace(eruption_template or EruptionSpec(), mass=0.0)
-    specs = registry_canonical()
-    stats = {s.id: BaselineStats(s.id, params.n_steps) for s in specs}
-    for b in range(plan.baseline_members):
-        seed = derive_seed(plan.seed, "baseline", b)
-        hook = TrackerHook(grid, specs, params.n_steps, params.dt)
-        result = run_member(params, quiet, grid, seed, hook)
-        for qid, values in result.series.items():
+    seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
+    stats = {s.id: BaselineStats(s.id, params.n_steps) for s in registry_canonical()}
+    for series in run_lockstep(params, quiet, grid, seeds):
+        for qid, values in series.items():
             stats[qid].update(values)
     return stats
 
@@ -175,7 +222,6 @@ def run_experiment_grid(
 ) -> ExperimentResult:
     """Eruption ensembles at every mass, analyzed under every threshold experiment."""
     template = eruption_template or EruptionSpec()
-    specs = registry_canonical()
     base = base_dag_canonical()
     never = params.dt * params.n_steps
     rows: list[SummaryRow] = []
@@ -183,19 +229,9 @@ def run_experiment_grid(
     member_seeds: dict[tuple[float, int], RunSeed] = {}
 
     for mass in plan.masses:
-        eruption = replace(template, mass=mass)
-        per_member_series = []
-        for b in range(plan.n_members):
-            seed = derive_seed(plan.seed, "eruption", b)
-            member_seeds[(mass, b)] = seed
-            hook = TrackerHook(grid, specs, params.n_steps, params.dt)
-            try:
-                result = run_member(params, eruption, grid, seed, hook)
-            except Exception as exc:
-                # the same object, so attributes such as step_index survive
-                exc.args = (f"member {b} (mass {mass} Tg, seed {seed.seed}) failed: {exc}",)
-                raise
-            per_member_series.append(result.series)
+        seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
+        member_seeds.update(((mass, b), seed) for b, seed in enumerate(seeds))
+        per_member_series = run_lockstep(params, replace(template, mass=mass), grid, seeds)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)
             summaries = []

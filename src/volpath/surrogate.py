@@ -10,6 +10,11 @@ The model advances a state (SO2, SO4, T, AOD) one step at a time:
   5. temperature: AOD-driven stratospheric heating, Newtonian relaxation
      toward an equilibrium temperature, and AR(1) band noise.
 
+Stepper.advance runs the step as two halves.  advance_tracers does 1-4 and
+draws no random numbers; advance_temperature does 5 from a given AOD with
+the run's own random stream.  Members of an ensemble differ only in their
+seed, so they can share one tracer half and step only their temperatures.
+
 The tracer subsystem is linear in the injected mass, so doubling the
 eruption doubles every SO2/SO4/AOD value at every step.
 """
@@ -218,17 +223,25 @@ class Stepper:
         np.divide(mass, self.w, out=q)
 
     def advance(self, state: ModelState, rng: np.random.Generator) -> None:
-        """Advance state by one step in place: fields, band noise, step index and time."""
-        params, eruption, buf = self.params, self.eruption, self.buf
-        dt = params.dt
-        so2, so4, temp = state.so2, state.so4, state.temperature
+        """Advance state by one step in place: its tracers, then its temperature."""
+        self.advance_tracers(state)
+        self.advance_temperature(state, state.aod, rng)
+
+    def advance_tracers(self, state: ModelState) -> None:
+        """Advance SO2, SO4 and AOD by one step in place; step index and time stay.
+
+        Draws no random numbers, so runs that differ only in their seed share
+        one tracer trajectory.
+        """
+        params, eruption = self.params, self.eruption
+        so2, so4 = state.so2, state.so4
 
         # 1. injection
-        if eruption.mass > 0.0 and state.time <= eruption.day < state.time + dt:
+        if eruption.mass > 0.0 and state.time <= eruption.day < state.time + params.dt:
             so2[self.i_src, :, self.levels] += self.inject
 
         # 2. chemistry: exact exponential transfer, then SO4 removal
-        transferred = np.multiply(so2, self.convert, out=buf)
+        transferred = np.multiply(so2, self.convert, out=self.buf)
         so2 -= transferred
         so4 += transferred
         if self.decay is not None:
@@ -242,6 +255,20 @@ class Stepper:
         # 4. AOD from the column sulfate burden
         state.aod = params.k_aod * np.tensordot(so4, self.dp, axes=([2], [0]))
 
+        if not np.isfinite(so2.sum() + so4.sum() + state.aod.sum()):
+            raise self._non_finite(state)
+
+    def advance_temperature(
+        self, state: ModelState, aod: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        """Advance temperature and band noise by one step in place, then step index and time.
+
+        aod is the AOD that advance_tracers left for this step: state.aod, or
+        that of another state on the same tracer trajectory.
+        """
+        params, buf, temp = self.params, self.buf, state.temperature
+        dt = params.dt
+
         # 5. temperature: relaxation dt * (-(T - t_eq) / tau_relax), heating in
         # the injection levels, band noise
         np.subtract(temp, params.t_eq, out=buf)
@@ -249,19 +276,22 @@ class Stepper:
         np.divide(buf, params.tau_relax, out=buf)
         np.multiply(dt, buf, out=buf)
         temp += buf
-        temp[:, :, self.levels] += self.heat * state.aod[:, :, None]
+        temp[:, :, self.levels] += self.heat * aod[:, :, None]
         innovations = self.noise_scale * rng.standard_normal(N_NOISE_BANDS)
         state.band_noise = params.noise_memory * state.band_noise + innovations
         temp += state.band_noise[self.bands][:, None, None]
 
-        m_next = state.step_index + 1
-        checks = so2.sum() + so4.sum() + temp.sum() + state.aod.sum()
-        if not np.isfinite(checks):
-            raise NumericalFailureError(
-                f"non-finite field values at step {m_next}", step_index=m_next
-            )
-        state.step_index = m_next
+        if not np.isfinite(temp.sum()):
+            raise self._non_finite(state)
+        state.step_index += 1
         state.time = state.time + dt
+
+    @staticmethod
+    def _non_finite(state: ModelState) -> NumericalFailureError:
+        m_next = state.step_index + 1
+        return NumericalFailureError(
+            f"non-finite field values at step {m_next}", step_index=m_next
+        )
 
 
 def step(

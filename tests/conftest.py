@@ -3,8 +3,24 @@
 import numpy as np
 import pytest
 
-from volpath.grid import build_grid
-from volpath.surrogate import ModelParams, ModelState, N_NOISE_BANDS
+from volpath.grid import LevelRange, build_grid
+from volpath.surrogate import EruptionSpec, ModelParams, ModelState, N_NOISE_BANDS
+
+#: (params, eruption) pairs that reach every branch of a step
+STEPPER_CASES = [
+    (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=2.0)),
+    (ModelParams(n_steps=60), EruptionSpec(mass=0.0)),
+    # fast relaxation toward 0 K: increments as large as the
+    # temperatures, so a reordered relaxation changes their last bits
+    (ModelParams(n_steps=60, t_eq=0.0, tau_relax=0.7, v_transport=2.0),
+     EruptionSpec(mass=10.0, day=2.0)),
+    (ModelParams(n_steps=60, tau_decay=None), EruptionSpec(mass=10.0, day=0.0)),
+    (ModelParams(n_steps=60, v_transport=0.0), EruptionSpec(mass=10.0, day=1.0)),
+    # the source row is the polar row, which has no northern neighbor
+    (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=1.0, lat=89.0)),
+    (ModelParams(n_steps=60), EruptionSpec(
+        mass=10.0, day=1.0, lat=-40.0, injection_levels=LevelRange(20.0, 400.0))),
+]
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volpath import harness
+from conftest import STEPPER_CASES
+from volpath import harness, surrogate
 from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import build_grid
 from volpath.harness import (
@@ -19,6 +20,7 @@ from volpath.harness import (
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
+    run_lockstep,
     run_member,
     synthetic_registry,
 )
@@ -162,16 +164,83 @@ class TestExperimentGrid:
         grid, params, _ = tiny_setup
         plan = ExperimentPlan(masses=(5.0,), n_members=2, baseline_members=2, seed=11)
 
-        def failing_advance(self, state, rng):
+        def failing_advance_tracers(self, state):
             raise NumericalFailureError("non-finite SO2", step_index=7)
 
-        monkeypatch.setattr(harness.Stepper, "advance", failing_advance)
+        monkeypatch.setattr(harness.Stepper, "advance_tracers", failing_advance_tracers)
         with pytest.raises(NumericalFailureError) as info:
             run_experiment_grid(plan, params, grid, baselines={})
         seed = derive_seed(11, "eruption", 0).seed
         assert info.value.step_index == 7
         assert str(info.value) == (
             f"member 0 (mass 5.0 Tg, seed {seed}) failed: non-finite SO2"
+        )
+
+
+def poison_at(monkeypatch, half, member, step):
+    """Make one Stepper half write a NaN into a member's state just before advancing it to step.
+
+    The NaN then fails the half's own finiteness check.
+    """
+    states = []
+
+    def recording_initialize(*args, **kwargs):
+        states.append(surrogate.initialize(*args, **kwargs))
+        return states[-1]
+
+    original = getattr(harness.Stepper, half)
+
+    def poisoned(self, state, *args):
+        if state is states[member] and state.step_index + 1 == step:
+            field = state.so4 if half == "advance_tracers" else state.temperature
+            field[0, 0, 0] = np.nan
+        original(self, state, *args)
+
+    monkeypatch.setattr(harness, "initialize", recording_initialize)
+    monkeypatch.setattr(harness.Stepper, half, poisoned)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
+    @pytest.mark.parametrize("n_members", [2, 3])
+    def test_equals_run_member_per_member(self, params, eruption, n_members):
+        grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
+        seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
+        lockstep = run_lockstep(params, eruption, grid, seeds)
+        assert len(lockstep) == n_members
+        for series, seed in zip(lockstep, seeds):
+            hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
+            expected = run_member(params, eruption, grid, seed, hook).series
+            assert list(series) == list(expected)
+            for qid in expected:
+                assert np.array_equal(series[qid], expected[qid]), qid
+        for qid in lockstep[0]:
+            shared = not qid.startswith("T(")
+            assert (lockstep[0][qid] is lockstep[-1][qid]) == shared, qid
+            assert lockstep[0][qid].flags.writeable != shared, qid
+
+    def test_temperature_failure_names_its_member(self, tiny_setup, monkeypatch):
+        grid, params, eruption = tiny_setup
+        seeds = [derive_seed(4, "eruption", b) for b in range(3)]
+        poison_at(monkeypatch, "advance_temperature", member=1, step=5)
+        with pytest.raises(NumericalFailureError) as info:
+            run_lockstep(params, eruption, grid, seeds)
+        assert info.value.step_index == 5
+        assert str(info.value) == (
+            f"member 1 (mass 10.0 Tg, seed {seeds[1].seed}) failed: "
+            "non-finite field values at step 5"
+        )
+
+    def test_tracer_failure_names_member_0(self, tiny_setup, monkeypatch):
+        grid, params, eruption = tiny_setup
+        seeds = [derive_seed(4, "eruption", b) for b in range(3)]
+        poison_at(monkeypatch, "advance_tracers", member=0, step=12)
+        with pytest.raises(NumericalFailureError) as info:
+            run_lockstep(params, eruption, grid, seeds)
+        assert info.value.step_index == 12
+        assert str(info.value) == (
+            f"member 0 (mass 10.0 Tg, seed {seeds[0].seed}) failed: "
+            "non-finite field values at step 12"
         )
 
 

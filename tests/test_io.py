@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from volpath import cli
 from volpath.cli import main
 from volpath.config import (
     CONVENTIONS,
@@ -320,6 +321,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "baseline for T(e) has 11 steps, the run needs 21" in err
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate"])
+    @pytest.mark.parametrize(
+        "defect, named",
+        [pytest.param("short", "baseline for T(e) has 11 steps, the run needs 41", id="short"),
+         pytest.param("no T(s)", "has no entry for T(s)", id="no-T(s)")],
+    )
+    def test_bad_baseline_rejected_before_any_member_runs(
+        self, tmp_path, capsys, monkeypatch, command, defect, named
+    ):
+        steps = 10 if defect == "short" else 40
+        short = write_config(tmp_path, surrogate={"overrides": {"n_steps": steps}})
+        assert main(["baseline", str(short), "--out", str(tmp_path / "bl")]) == 0
+        path = tmp_path / "bl" / "baselines.json"
+        if defect == "no T(s)":
+            doc = json.loads(path.read_text())
+            del doc["T(s)"]
+            path.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(cli, "run_member", lambda *a, **k: ran.append(a))
+        assert main([command, str(cfg), "--baseline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and named in err
+        assert ran == []
+
     @pytest.mark.parametrize(
         "doc, named",
         [
@@ -484,4 +511,18 @@ class TestCli:
         assert main(["bench", str(cfg), "--counts", "7,x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "--counts" in err and "'x'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_zero_repetitions_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["bench", str(cfg), "--repetitions", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--repetitions" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_negative_member_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg), "--member", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--member" in err
         assert not (tmp_path / "out").exists()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import STEPPER_CASES, random_state
 from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask
 from volpath.surrogate import (
@@ -255,39 +255,25 @@ class TestFailureDetection:
 
 
 class TestStepper:
-    @pytest.mark.parametrize(
-        "params, eruption",
-        [
-            (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=2.0)),
-            (ModelParams(n_steps=60), EruptionSpec(mass=0.0)),
-            # fast relaxation toward 0 K: increments as large as the
-            # temperatures, so a reordered relaxation changes their last bits
-            (ModelParams(n_steps=60, t_eq=0.0, tau_relax=0.7, v_transport=2.0),
-             EruptionSpec(mass=10.0, day=2.0)),
-            (ModelParams(n_steps=60, tau_decay=None), EruptionSpec(mass=10.0, day=0.0)),
-            (ModelParams(n_steps=60, v_transport=0.0), EruptionSpec(mass=10.0, day=1.0)),
-            # the source row is the polar row, which has no northern neighbor
-            (ModelParams(n_steps=60), EruptionSpec(mass=10.0, day=1.0, lat=89.0)),
-            (ModelParams(n_steps=60), EruptionSpec(
-                mass=10.0, day=1.0, lat=-40.0, injection_levels=LevelRange(20.0, 400.0))),
-        ],
-    )
+    @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
     @pytest.mark.parametrize("dims", [(8, 8, 8), (13, 7, 11)])
     def test_advance_matches_step_loop_and_oracle(self, params, eruption, dims):
         grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
         stepper = Stepper(params, eruption, grid)
-        rngs = [make_rng(RunSeed(3, 1)) for _ in range(3)]
+        rngs = [make_rng(RunSeed(3, 1)) for _ in range(4)]
         # nonzero tracers and temperatures far from t_eq use every mantissa bit,
         # so a reordered operation shows in the last bit
-        in_place, stepped, oracle = (random_state(grid, np.random.default_rng(5))
-                                     for _ in range(3))
+        in_place, halves, stepped, oracle = (random_state(grid, np.random.default_rng(5))
+                                             for _ in range(4))
         for _ in range(params.n_steps):
             stepper.advance(in_place, rngs[0])
-            stepped = step(stepped, params, eruption, grid, rngs[1])
-            oracle = step_oracle(oracle, params, eruption, grid, rngs[2])
-            for a, b, c in zip(state_arrays(in_place), state_arrays(stepped),
-                               state_arrays(oracle)):
-                assert np.array_equal(a, c) and np.array_equal(b, c)
+            stepper.advance_tracers(halves)
+            stepper.advance_temperature(halves, halves.aod, rngs[1])
+            stepped = step(stepped, params, eruption, grid, rngs[2])
+            oracle = step_oracle(oracle, params, eruption, grid, rngs[3])
+            for a, h, b, c in zip(state_arrays(in_place), state_arrays(halves),
+                                  state_arrays(stepped), state_arrays(oracle)):
+                assert np.array_equal(a, c) and np.array_equal(h, c) and np.array_equal(b, c)
         assert in_place.step_index == params.n_steps
 
     def test_step_leaves_input_unchanged(self, small_grid, fast_params):

@@ -35,9 +35,15 @@ from .harness import (
     run_experiment_grid,
     run_member,
 )
-from .pathway import InactiveTest, base_dag_canonical, canonical_tests, compute_pathway
+from .pathway import (
+    InactiveTest,
+    ZScoreHysteresis,
+    base_dag_canonical,
+    canonical_tests,
+    compute_pathway,
+    score_tables,
+)
 from .qoi import registry_canonical
-from .stats import BaselineStats
 
 logger = logging.getLogger("volpath")
 
@@ -46,26 +52,6 @@ def _setup_logging() -> None:
     level = os.environ.get("VOLPATH_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _read_run_baselines(path: str, n_steps: int) -> dict[str, BaselineStats]:
-    """The baseline file, checked against the run before any member is simulated.
-
-    Every T QOI is z-scored against its entry, which must cover the run's
-    n_steps + 1 steps (compute_pathway reads the first ones).
-    """
-    baselines = read_baselines_json(path)
-    for spec in registry_canonical():
-        if spec.field != "T":
-            continue
-        if spec.id not in baselines:
-            raise ConfigurationError(f"baseline file {path} has no entry for {spec.id}")
-        steps = baselines[spec.id].mean.size
-        if steps < n_steps + 1:
-            raise ConfigurationError(
-                f"baseline for {spec.id} has {steps} steps, the run needs {n_steps + 1}"
-            )
-    return baselines
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -79,21 +65,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.output_dir)
     grid = cfg.build_grid()
 
+    base = base_dag_canonical()
     tests = canonical_tests(*cfg.plan.experiments[0][1:])
     baselines = None
     if args.baseline:
-        baselines = _read_run_baselines(args.baseline, cfg.params.n_steps)
+        baselines = read_baselines_json(args.baseline)
+        score_tables(base, tests, baselines, cfg.params.n_steps)
     else:
-        # no baseline: temperature tests cannot be z-scored, leave T inactive
-        for qid in list(tests):
-            if qid.startswith("T("):
-                tests[qid] = InactiveTest()
+        # no baseline: z-score tests cannot be scored, leave them inactive
+        tests = {
+            qid: InactiveTest() if isinstance(test, ZScoreHysteresis) else test
+            for qid, test in tests.items()
+        }
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
     hook = TrackerHook(grid, registry_canonical(), cfg.params.n_steps, cfg.params.dt)
     result = run_member(cfg.params, cfg.eruption, grid, seed, hook)
-    pathway = compute_pathway(
-        base_dag_canonical(), result.series, tests, baselines, cfg.params.dt
-    )
+    pathway = compute_pathway(base, result.series, tests, baselines, cfg.params.dt)
 
     digest = config_digest(cfg)
     write_series_csv(out / "series.csv", result.series, cfg.params.dt)
@@ -127,9 +114,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     grid = cfg.build_grid()
 
     if args.baseline:
-        baselines = _read_run_baselines(args.baseline, cfg.params.n_steps)
+        baselines = read_baselines_json(args.baseline)
     else:
         baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
+    # every experiment z-scores the same vertices, so one check covers them all
+    tests = canonical_tests(*cfg.plan.experiments[0][1:])
+    score_tables(base_dag_canonical(), tests, baselines, cfg.params.n_steps)
+    if not args.baseline:
         write_baselines_json(out / "baselines.json", baselines)
 
     result = run_experiment_grid(cfg.plan, cfg.params, grid, baselines, cfg.eruption)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -133,11 +133,12 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     params = replace(PRESET_PARAMS, **overrides)
 
     eruption_raw = _mapping("eruption", raw.get("eruption"))
-    levels = eruption_raw.get("injection_levels", [25.0, 75.0])
+    defaults = EruptionSpec()
+    levels = eruption_raw.get("injection_levels", list(astuple(defaults.injection_levels)))
     eruption = EruptionSpec(
-        mass=_real("eruption.mass", eruption_raw.get("mass", 10.0)),
-        day=_real("eruption.day", eruption_raw.get("day", 90.0)),
-        lat=_real("eruption.lat", eruption_raw.get("lat", 15.1)),
+        mass=_real("eruption.mass", eruption_raw.get("mass", defaults.mass)),
+        day=_real("eruption.day", eruption_raw.get("day", defaults.day)),
+        lat=_real("eruption.lat", eruption_raw.get("lat", defaults.lat)),
         injection_levels=LevelRange(*_reals("eruption.injection_levels", levels, 2)),
     )
 

@@ -17,8 +17,8 @@ class NumericalFailureError(VolpathError):
         self.step_index = step_index
 
 
-class DegenerateBaselineError(VolpathError):
-    """A z-score test was asked to normalize by a zero standard deviation."""
+class DegenerateBaselineError(ConfigurationError):
+    """A z-score baseline with sigma <= 0 after step 0; bad input, so the CLI exits 2."""
 
 
 class DataError(VolpathError):

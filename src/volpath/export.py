@@ -201,6 +201,10 @@ def _baseline_entry(qid: str, entry) -> BaselineStats:
             values = None
         if values is None or values.ndim != 1 or values.size == 0:
             raise ConfigurationError(f"baseline {qid}: {key!r} must be a non-empty list of numbers")
+        # json reads NaN and Infinity; m2 and std are never negative
+        if not (np.isfinite(values).all() and (key == "mean" or (values >= 0).all())):
+            bound = "" if key == "mean" else " >= 0"
+            raise ConfigurationError(f"baseline {qid}: {key!r} must hold finite numbers{bound}")
         arrays[key] = values
     if arrays["mean"].size != arrays[spread].size:
         raise ConfigurationError(

@@ -190,27 +190,22 @@ def materialize_dag(
     return pathway_step(pathway.base, pathway.activation[m])
 
 
-def compute_pathway(
+def score_tables(
     base: BaseDag,
-    series: dict[str, np.ndarray],
     tests: dict[str, BoundsTest],
-    baselines: dict[str, "object"] | None = None,
-    dt: float = 1.0,
-) -> PathwayDag:
-    """Run the activation algorithm over full recorded series (one per vertex).
+    baselines: dict[str, "object"] | None,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds (r,) each, score mean and sigma (n_steps + 1, r) each, z-scored flags (r,).
 
-    Z-score tests score (value - mean_m) / sigma_m against per-step baseline
-    matrices and are forced inactive at m = 0; absolute and inactive tests
-    score the raw value.  One hysteresis call covers every vertex and step.
+    Absolute and inactive tests score the raw value.  Every z-score baseline
+    is checked against the run here: present, n_steps + 1 steps long, from at
+    least two members, and sigma > 0 on steps 1..n_steps.
     """
-    for what, given in (("series", series), ("bounds test", tests)):
-        missing = [v for v in base.vertices if v not in given]
-        if missing:
-            raise ConfigurationError(f"no {what} for vertices: {missing}")
-    lengths = {len(series[v]) for v in base.vertices}
-    if len(lengths) != 1:
-        raise ConfigurationError(f"series lengths differ: {sorted(lengths)}")
-    n = lengths.pop()
+    missing = [v for v in base.vertices if v not in tests]
+    if missing:
+        raise ConfigurationError(f"no bounds test for vertices: {missing}")
+    n = n_steps + 1
     baselines = baselines or {}
     lower = np.empty(base.r)
     upper = np.empty(base.r)
@@ -225,13 +220,14 @@ def compute_pathway(
         elif isinstance(test, ZScoreHysteresis):
             lower[l], upper[l] = test.t_l, test.t_u
             if v not in baselines:
-                raise ConfigurationError(f"z-score test for {v} has no baseline")
+                raise ConfigurationError(f"z-score test for {v} has no baseline entry")
             bl = baselines[v]
             if bl.mean.size < n:
                 raise ConfigurationError(
                     f"baseline for {v} has {bl.mean.size} steps, the run needs {n}"
                 )
             mean[:, l] = bl.mean[:n]
+            # std() raises unless the baseline has at least two members
             std[:, l] = bl.std()[:n]
             zscored[l] = True
         else:
@@ -246,6 +242,29 @@ def compute_pathway(
             f"baseline sigma for {base.vertices[l]} is not positive at step {m}; "
             "z-score test is not well-defined"
         )
+    return lower, upper, mean, std, zscored
+
+
+def compute_pathway(
+    base: BaseDag,
+    series: dict[str, np.ndarray],
+    tests: dict[str, BoundsTest],
+    baselines: dict[str, "object"] | None = None,
+    dt: float = 1.0,
+) -> PathwayDag:
+    """Run the activation algorithm over full recorded series (one per vertex).
+
+    Z-score tests score (value - mean_m) / sigma_m against per-step baseline
+    matrices and are forced inactive at m = 0; absolute and inactive tests
+    score the raw value.  One hysteresis call covers every vertex and step.
+    """
+    missing = [v for v in base.vertices if v not in series]
+    if missing:
+        raise ConfigurationError(f"no series for vertices: {missing}")
+    lengths = {len(series[v]) for v in base.vertices}
+    if len(lengths) != 1:
+        raise ConfigurationError(f"series lengths differ: {sorted(lengths)}")
+    lower, upper, mean, std, zscored = score_tables(base, tests, baselines, lengths.pop() - 1)
     values = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
     scores = (values - mean) / std
     scores[:1, zscored] = -np.inf

@@ -1,8 +1,7 @@
 """Baseline ensemble statistics and activation-time summaries.
 
-Per-step mean/variance use the single-pass Welford recurrence with the Chan
-parallel-merge formula for combining members processed independently.
-Standard deviations and standard errors use the sample (n-1) divisor.
+Per-step mean/variance use the single-pass Welford recurrence.  Standard
+deviations and standard errors use the sample (n-1) divisor.
 """
 
 from __future__ import annotations
@@ -56,28 +55,6 @@ class BaselineStats:
             m2 = np.asarray(std, dtype=float) ** 2 * max(n - 1, 0)
         stats.m2 = np.array(m2, dtype=float)
         return stats
-
-
-def baseline_merge(a: BaselineStats, b: BaselineStats) -> BaselineStats:
-    """Combine two accumulators as if their members were processed sequentially."""
-    if a.qoi_id != b.qoi_id:
-        raise ConfigurationError(f"merging mismatched QOIs {a.qoi_id!r} and {b.qoi_id!r}")
-    if a.mean.shape != b.mean.shape:
-        raise ConfigurationError(f"{a.qoi_id}: merging mismatched step ranges")
-    out = BaselineStats(a.qoi_id, a.mean.size - 1)
-    n = a.n + b.n
-    out.n = n
-    if a.n == 0:
-        out.mean = b.mean.copy()
-        out.m2 = b.m2.copy()
-    elif b.n == 0:
-        out.mean = a.mean.copy()
-        out.m2 = a.m2.copy()
-    else:
-        delta = b.mean - a.mean
-        out.mean = a.mean + delta * (b.n / n)
-        out.m2 = a.m2 + b.m2 + delta**2 * (a.n * b.n / n)
-    return out
 
 
 def first_activation(taus: np.ndarray, dt: float, never_value: float):

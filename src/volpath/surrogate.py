@@ -123,21 +123,12 @@ def noise_band_of_rows(grid: SphericalGrid) -> np.ndarray:
     return band
 
 
-def initialize(
-    params: ModelParams,
-    grid: SphericalGrid,
-    seed: RunSeed | None = None,
-    rng: np.random.Generator | None = None,
-) -> ModelState:
+def initialize(params: ModelParams, grid: SphericalGrid, rng: np.random.Generator) -> ModelState:
     """Zero tracers and AOD; temperature = t_eq plus a small seeded perturbation.
 
-    Pass an existing rng to keep the perturbation and the subsequent stepping
-    noise on one stream; passing a RunSeed creates the stream internally.
+    The perturbation is drawn from the run's rng, which then goes on to drive
+    the stepping noise, so a run uses one stream.
     """
-    if rng is None:
-        if seed is None:
-            raise ConfigurationError("initialize needs a RunSeed or an rng")
-        rng = make_rng(seed)
     shape3 = (grid.nlat, grid.nlon, grid.nlev)
     perturb = params.noise_amp * 0.01 * rng.standard_normal(shape3)
     # Start the band noise from its stationary distribution so runs begin in
@@ -153,12 +144,6 @@ def initialize(
         time=0.0,
         band_noise=band_noise,
     )
-
-
-def total_sulfur_kg(state: ModelState, grid: SphericalGrid) -> float:
-    """Global sulfur mass (SO2 + SO4) in kg."""
-    col = np.tensordot(state.so2 + state.so4, grid.dp, axes=([2], [0]))
-    return float((col * grid.area_weight).sum() * AIR_MASS_PER_HPA_KG)
 
 
 class Stepper:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from volpath.errors import ConfigurationError
 from volpath.grid import LevelRange, build_grid
-from volpath.surrogate import EruptionSpec, ModelParams, ModelState, N_NOISE_BANDS
+from volpath.stats import BaselineStats
+from volpath.surrogate import (
+    AIR_MASS_PER_HPA_KG,
+    EruptionSpec,
+    ModelParams,
+    ModelState,
+    N_NOISE_BANDS,
+)
 
 #: (params, eruption) pairs that reach every branch of a step
 STEPPER_CASES = [
@@ -47,6 +55,34 @@ def random_state(grid, rng, step_index=0):
         time=step_index * 0.25,
         band_noise=np.zeros(N_NOISE_BANDS),
     )
+
+
+def total_sulfur_kg(state, grid):
+    """Oracle: global sulfur mass (SO2 + SO4) in kg."""
+    col = np.tensordot(state.so2 + state.so4, grid.dp, axes=([2], [0]))
+    return float((col * grid.area_weight).sum() * AIR_MASS_PER_HPA_KG)
+
+
+def baseline_merge(a, b):
+    """Oracle: the Chan merge of two accumulators, as if their members ran sequentially."""
+    if a.qoi_id != b.qoi_id:
+        raise ConfigurationError(f"merging mismatched QOIs {a.qoi_id!r} and {b.qoi_id!r}")
+    if a.mean.shape != b.mean.shape:
+        raise ConfigurationError(f"{a.qoi_id}: merging mismatched step ranges")
+    out = BaselineStats(a.qoi_id, a.mean.size - 1)
+    n = a.n + b.n
+    out.n = n
+    if a.n == 0:
+        out.mean = b.mean.copy()
+        out.m2 = b.m2.copy()
+    elif b.n == 0:
+        out.mean = a.mean.copy()
+        out.m2 = a.m2.copy()
+    else:
+        delta = b.mean - a.mean
+        out.mean = a.mean + delta * (b.n / n)
+        out.m2 = a.m2 + b.m2 + delta**2 * (a.n * b.n / n)
+    return out
 
 
 def criterion_line(n, title, passed):

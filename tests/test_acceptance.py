@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import criterion_line
+from conftest import baseline_merge, criterion_line, total_sulfur_kg
 from volpath.export import export_dot, pathway_to_dict, summary_csv_text
 from volpath.grid import build_grid
 from volpath.harness import (
@@ -39,7 +39,6 @@ from volpath.pathway import (
 from volpath.qoi import registry_canonical
 from volpath.stats import (
     BaselineStats,
-    baseline_merge,
     first_activation,
     total_active,
 )
@@ -51,7 +50,6 @@ from volpath.surrogate import (
     initialize,
     make_rng,
     step,
-    total_sulfur_kg,
 )
 
 NEVER = PRESET_PARAMS.dt * PRESET_PARAMS.n_steps  # 1200 days

@@ -325,7 +325,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "defect, named",
         [pytest.param("short", "baseline for T(e) has 11 steps, the run needs 41", id="short"),
-         pytest.param("no T(s)", "has no entry for T(s)", id="no-T(s)")],
+         pytest.param("no T(s)", "T(s) has no baseline entry", id="no-T(s)"),
+         pytest.param("sigma 0", "baseline sigma for T(p) is not positive at step 5",
+                      id="sigma-0"),
+         pytest.param("one member", "T(e): sample std needs >= 2 members, have 1",
+                      id="one-member")],
     )
     def test_bad_baseline_rejected_before_any_member_runs(
         self, tmp_path, capsys, monkeypatch, command, defect, named
@@ -334,10 +338,14 @@ class TestCli:
         short = write_config(tmp_path, surrogate={"overrides": {"n_steps": steps}})
         assert main(["baseline", str(short), "--out", str(tmp_path / "bl")]) == 0
         path = tmp_path / "bl" / "baselines.json"
+        doc = json.loads(path.read_text())
         if defect == "no T(s)":
-            doc = json.loads(path.read_text())
             del doc["T(s)"]
-            path.write_text(json.dumps(doc))
+        elif defect == "sigma 0":
+            doc["T(p)"]["m2"][5] = 0.0
+        elif defect == "one member":
+            doc["T(e)"]["n_members"] = 1
+        path.write_text(json.dumps(doc))
         cfg = write_config(tmp_path)
         ran = []
         monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
@@ -346,6 +354,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and named in err
         assert ran == []
+
+    def test_degenerate_computed_baseline_rejected_before_any_member_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # without noise every baseline member is the same, so sigma is 0
+        cfg = write_config(tmp_path, surrogate={"overrides": {"n_steps": 40, "noise_amp": 0}})
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
+        assert main(["experiment", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "baseline sigma for T(e) is not positive at step 1" in err
+        assert ran == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "doc, named",
@@ -361,17 +383,31 @@ class TestCli:
             ({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"]),
             ([1, 2], ["mapping"]),
             ("{not json", ["not valid JSON"]),
+            # json reads NaN and Infinity
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("nan")]}},
+             ["T(e)", "'m2' must hold finite numbers >= 0"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("inf")]}},
+             ["T(e)", "'m2' must hold finite numbers >= 0"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [-0.5]}},
+             ["T(e)", "'m2' must hold finite numbers >= 0"]),
+            ({"T(e)": {"n_members": 2, "mean": [float("nan")], "m2": [0.5]}},
+             ["T(e)", "'mean' must hold finite numbers"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [-0.1]}},
+             ["T(e)", "'std' must hold finite numbers >= 0"]),
         ],
     )
-    def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, doc, named):
+    def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, monkeypatch, doc, named):
         cfg = write_config(tmp_path)
         path = tmp_path / "baselines.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
         assert main(["experiment", str(cfg), "--baseline", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         for text in named:
             assert text in err
+        assert ran == []
 
     def test_experiment_grid_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snapshot_days=[0.0, 5.0])

@@ -1,9 +1,11 @@
-"""Package layout: imports flow one way between modules, and none hide in functions."""
+"""Package layout: one-way imports, none inside functions, and a caller for every public name."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from test_benchmark_targets import load_targets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "volpath"
 
@@ -53,3 +55,29 @@ def test_no_function_local_imports(path):
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                     f"{path.stem}.{fn.name} imports at line {node.lineno}"
                 )
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that nothing in src/ uses belongs in tests/ as an oracle.
+
+    Names the benchmark traces count as used.
+    """
+    trees = [parse(path) for path in MODULES]
+    used = {qualname.split(".")[0] for names in load_targets().values() for qualname in names}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in zip(MODULES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import baseline_merge
 from volpath.errors import ConfigurationError, DataError
 from volpath.stats import (
     BaselineStats,
-    baseline_merge,
     ensemble_summarize,
     first_activation,
     total_active,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import STEPPER_CASES, random_state
+from conftest import STEPPER_CASES, random_state, total_sulfur_kg
 from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask
 from volpath.surrogate import (
@@ -19,7 +19,6 @@ from volpath.surrogate import (
     make_rng,
     noise_band_of_rows,
     step,
-    total_sulfur_kg,
 )
 
 
@@ -125,15 +124,11 @@ class TestDeterminism:
         b, _ = run_series(fast_params, eruption, small_grid, RunSeed(42, 1))
         assert not np.array_equal(a.temperature, b.temperature)
 
-    def test_initialize_needs_seed_or_rng(self, small_grid, fast_params):
-        with pytest.raises(ConfigurationError):
-            initialize(fast_params, small_grid)
-
     def test_band_noise_starts_at_stationary_scale(self, small_grid):
         params = ModelParams(n_steps=1)
         draws = np.array(
             [
-                initialize(params, small_grid, seed=RunSeed(i)).band_noise
+                initialize(params, small_grid, rng=make_rng(RunSeed(i))).band_noise
                 for i in range(200)
             ]
         )

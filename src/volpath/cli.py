@@ -154,6 +154,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise ConfigurationError(f"--repetitions must be >= 1, got {args.repetitions}")
+    if args.steps < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
     cfg = load_config(args.config)
     counts = []
     for entry in args.counts.split(","):

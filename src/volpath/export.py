@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> st
 
     Base edges outside E_m render dashed gray unless active_only is set.
     """
+    if not np.isfinite(day):
+        raise IndexError(f"day {day} is not a finite number")
     m = int(round(day / pathway.dt))
     if not 0 <= m <= pathway.n_steps:
         raise IndexError(
@@ -105,7 +108,9 @@ def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> st
     v_m, e_m = materialize_dag(pathway, m)
     active = set(v_m)
     active_edges = set(e_m)
-    lines = [f'digraph pathway_day_{day:g} {{'.replace(".", "_")]
+    # an unquoted DOT ID holds only word characters: '.', '-' and '+' become '_'
+    graph_id = re.sub(r"\W", "_", f"pathway_day_{day:g}")
+    lines = [f"digraph {graph_id} {{"]
     lines.append("  rankdir=LR;")
     for v in pathway.base.vertices:
         if v in active:

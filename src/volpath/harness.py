@@ -1,13 +1,14 @@
-"""Experiment orchestration: member runs, baseline ensembles, threshold sweeps,
-and the QOI-count overhead benchmark.
+"""Experiment orchestration: member runs, baseline ensembles, the mass x
+threshold grid, and the QOI-count overhead benchmark.
 
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
-the same in-situ-extracted series.  The members of one mass run in lockstep
-on one shared tracer trajectory (run_lockstep); run_member is the paper's
-single-member in-situ path, with its hook called every step.  Member seeds
-are derived from the plan seed with a stable hash so any cell of the grid
-can be reproduced alone.
+the same in-situ-extracted series.  run_lockstep is the one loop that
+advances runs: it steps one eruption's members on one shared tracer
+trajectory and calls each member's hook every step.  run_member (the paper's
+single-member in-situ path), the ensembles and the overhead benchmark all go
+through it.  Member seeds are derived from the plan seed with a stable hash
+so any cell of the grid can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -108,6 +109,40 @@ def activation_summaries(
     )
 
 
+def run_lockstep(
+    params: ModelParams,
+    eruption: EruptionSpec,
+    grid: SphericalGrid,
+    seeds: list[RunSeed],
+    hooks: list[TrackerHook],
+) -> None:
+    """Step one eruption's members together; hooks[b] observes member b at steps 0..n_steps.
+
+    The one loop that advances runs.  The tracers draw no random numbers, so
+    member 0 steps the shared SO2, SO4 and AOD in its own state, and the others
+    step only their temperature, from member 0's AOD, on their own rng.  States
+    are advanced in place, so a hook sees one only during its call.  A failure
+    names the member, mass and seed; one in the shared tracers names member 0.
+    """
+    stepper = Stepper(params, eruption, grid)
+    rngs = [make_rng(seed) for seed in seeds]
+    states = [initialize(params, grid, rng=rng) for rng in rngs]
+    for m in range(params.n_steps + 1):
+        members = zip(seeds, states, rngs, hooks, strict=True)
+        for b, (seed, state, rng, hook) in enumerate(members):
+            try:
+                if m and b == 0:
+                    stepper.advance(state, rng)
+                elif m:
+                    stepper.advance_temperature(state, states[0].aod, rng)
+                hook.observe(state)
+            except Exception as exc:
+                # the same object, so attributes such as step_index survive
+                who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
+                exc.args = (f"{who} failed: {exc}",)
+                raise
+
+
 def run_member(
     params: ModelParams,
     eruption: EruptionSpec,
@@ -115,22 +150,12 @@ def run_member(
     seed: RunSeed,
     hook: TrackerHook,
 ) -> MemberResult:
-    """One simulation with the in-situ hook; keeps a single state in memory.
-
-    The state is advanced in place, so hook.observe sees it only for the
-    duration of each call.
-    """
-    stepper = Stepper(params, eruption, grid)
-    rng = make_rng(seed)
-    state = initialize(params, grid, rng=rng)
-    hook.observe(state)
-    for _ in range(params.n_steps):
-        stepper.advance(state, rng)
-        hook.observe(state)
+    """One simulation with the in-situ hook called every step: a one-member run_lockstep."""
+    run_lockstep(params, eruption, grid, [seed], [hook])
     return MemberResult(series=hook.series_by_id())
 
 
-def run_lockstep(
+def canonical_series(
     params: ModelParams,
     eruption: EruptionSpec,
     grid: SphericalGrid,
@@ -138,43 +163,24 @@ def run_lockstep(
 ) -> list[dict[str, np.ndarray]]:
     """The canonical QOI series of one eruption's members, stepped in lockstep.
 
-    The tracers draw no random numbers, so every member has the same SO2,
-    SO4 and AOD trajectory.  It is stepped and its 12 QOIs reduced once per
-    step, in member 0's state, and every member's series holds the same
-    read-only tracer rows; each member steps and reduces only its own
-    temperature, on its own rng.  Each series equals, bit for bit, the one
-    run_member records for the same seed.  A failure names the member, mass
-    and seed; one in the shared tracers names member 0.
+    Member 0's hook reduces all 16 canonical QOIs; the others' reduce only the
+    4 T-QOIs, since their tracers are member 0's.  Every member's series holds
+    member 0's tracer rows as shared read-only views, and equals, bit for bit,
+    the one run_member records for the same seed.
     """
     specs = registry_canonical()
-    tracer_evaluator = RegistryEvaluator(grid, [s for s in specs if s.field != "T"])
-    t_evaluator = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
-    stepper = Stepper(params, eruption, grid)
-    rngs = [make_rng(seed) for seed in seeds]
-    states = [initialize(params, grid, rng=rng) for rng in rngs]
-    # member 0's state carries the shared tracers; the others' stay at zero
-    tracers = states[0]
-    tracer_series = np.empty((len(tracer_evaluator.specs), params.n_steps + 1))
-    t_series = np.empty((len(seeds), len(t_evaluator.specs), params.n_steps + 1))
-    for m in range(params.n_steps + 1):
-        for b, (state, rng) in enumerate(zip(states, rngs)):
-            try:
-                if b == 0:
-                    if m:
-                        stepper.advance(state, rng)
-                    tracer_series[:, m] = tracer_evaluator.evaluate_state(state)
-                elif m:
-                    stepper.advance_temperature(state, tracers.aod, rng)
-                t_series[b, :, m] = t_evaluator.evaluate_state(state)
-            except Exception as exc:
-                # the same object, so attributes such as step_index survive
-                seed = seeds[b].seed
-                exc.args = (f"member {b} (mass {eruption.mass} Tg, seed {seed}) failed: {exc}",)
-                raise
-    tracer_series.flags.writeable = False
-    shared = dict(zip(tracer_evaluator.ids, tracer_series))
+    t_specs = [s for s in specs if s.field == "T"]
+    hooks = [
+        TrackerHook(grid, t_specs if b else specs, params.n_steps, params.dt)
+        for b in range(len(seeds))
+    ]
+    run_lockstep(params, eruption, grid, seeds, hooks)
+    first = hooks[0].series_by_id()
+    shared = {s.id: first[s.id] for s in specs if s.field != "T"}
+    for row in shared.values():
+        row.flags.writeable = False
     # the registry is field-major with T last, so each dict keeps registry order
-    return [{**shared, **dict(zip(t_evaluator.ids, rows))} for rows in t_series]
+    return [first] + [{**shared, **hook.series_by_id()} for hook in hooks[1:]]
 
 
 def run_baseline_ensemble(
@@ -187,7 +193,7 @@ def run_baseline_ensemble(
     quiet = replace(eruption_template or EruptionSpec(), mass=0.0)
     seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
     stats = {s.id: BaselineStats(s.id, params.n_steps) for s in registry_canonical()}
-    for series in run_lockstep(params, quiet, grid, seeds):
+    for series in canonical_series(params, quiet, grid, seeds):
         for qid, values in series.items():
             stats[qid].update(values)
     return stats
@@ -231,7 +237,7 @@ def run_experiment_grid(
     for mass in plan.masses:
         seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
         member_seeds.update(((mass, b), seed) for b, seed in enumerate(seeds))
-        per_member_series = run_lockstep(params, replace(template, mass=mass), grid, seeds)
+        per_member_series = canonical_series(params, replace(template, mass=mass), grid, seeds)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)
             summaries = []
@@ -288,31 +294,23 @@ def bench_overhead(
     repetitions: int = 3,
     n_steps: int = 50,
 ) -> list[BenchRow]:
-    """Per-step wall time with the hook disabled vs enabled at each QOI count.
+    """Per-step wall time of one run_member with the hook disabled vs enabled at each QOI count.
 
-    Both passes advance the state with a Stepper, as run_member does.
+    The hook-off pass runs a hook over no QOIs.  Each time covers the whole
+    run_member call, member set-up included, divided by n_steps.
     """
     eruption = EruptionSpec(mass=10.0, day=0.0)
     bench_params = replace(params, n_steps=n_steps)
     seed = RunSeed(seed=0, member_index=0)
 
-    def timed_run(specs: list[QoiSpec] | None) -> float:
-        stepper = Stepper(bench_params, eruption, grid)
-        rng = make_rng(seed)
-        state = initialize(bench_params, grid, rng=rng)
-        hook = (
-            TrackerHook(grid, specs, n_steps, bench_params.dt) if specs is not None else None
-        )
-        if hook is not None:
-            hook.observe(state)
+    def timed_run(specs: list[QoiSpec]) -> float:
+        hook = TrackerHook(grid, specs, n_steps, bench_params.dt)
         start = time.perf_counter()
-        for _ in range(n_steps):
-            stepper.advance(state, rng)
-            if hook is not None:
-                hook.observe(state)
+        run_member(bench_params, eruption, grid, seed, hook)
         return (time.perf_counter() - start) / n_steps
 
-    baseline = np.mean([timed_run(None) for _ in range(repetitions)])
+    timed_run([])  # warm-up, so first-call costs do not land in the hook-off time
+    baseline = np.mean([timed_run([]) for _ in range(repetitions)])
     rows = []
     for count in qoi_counts:
         specs = synthetic_registry(count)

@@ -82,8 +82,10 @@ class EruptionSpec:
     injection_levels: LevelRange = STRATOSPHERE_RANGE
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ConfigurationError("eruption mass must be >= 0")
+        if not (np.isfinite(self.mass) and self.mass >= 0):
+            raise ConfigurationError(
+                f"eruption mass must be a finite number >= 0, got {self.mass}"
+            )
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from volpath.harness import (
     ExperimentPlan,
     TrackerHook,
     bench_overhead,
+    canonical_series,
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
-    run_lockstep,
     run_member,
     synthetic_registry,
 )
@@ -206,7 +206,7 @@ class TestLockstep:
     def test_equals_run_member_per_member(self, params, eruption, n_members):
         grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
         seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
-        lockstep = run_lockstep(params, eruption, grid, seeds)
+        lockstep = canonical_series(params, eruption, grid, seeds)
         assert len(lockstep) == n_members
         for series, seed in zip(lockstep, seeds):
             hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
@@ -224,7 +224,7 @@ class TestLockstep:
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
         poison_at(monkeypatch, "advance_temperature", member=1, step=5)
         with pytest.raises(NumericalFailureError) as info:
-            run_lockstep(params, eruption, grid, seeds)
+            canonical_series(params, eruption, grid, seeds)
         assert info.value.step_index == 5
         assert str(info.value) == (
             f"member 1 (mass 10.0 Tg, seed {seeds[1].seed}) failed: "
@@ -236,7 +236,7 @@ class TestLockstep:
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
         poison_at(monkeypatch, "advance_tracers", member=0, step=12)
         with pytest.raises(NumericalFailureError) as info:
-            run_lockstep(params, eruption, grid, seeds)
+            canonical_series(params, eruption, grid, seeds)
         assert info.value.step_index == 12
         assert str(info.value) == (
             f"member 0 (mass 10.0 Tg, seed {seeds[0].seed}) failed: "

@@ -1,13 +1,14 @@
 """Config parsing, serialization round trips, DOT rendering, and the CLI."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from volpath import cli
+from volpath import cli, harness
 from volpath.cli import main
 from volpath.config import (
     CONVENTIONS,
@@ -32,7 +33,7 @@ from volpath.export import (
     write_baselines_json,
     write_pathway_json,
 )
-from volpath.harness import BenchRow, SummaryRow
+from volpath.harness import BenchRow, SummaryRow, derive_seed
 from volpath.pathway import (
     BaseDag,
     PathwayDag,
@@ -250,6 +251,18 @@ class TestDot:
     def test_day_out_of_range(self):
         with pytest.raises(IndexError):
             export_dot(tiny_pathway(), day=100.0)
+
+    @pytest.mark.parametrize(
+        "day, graph_id",
+        [(-0.1, "pathway_day__0_1"), (1e-05, "pathway_day_1e_05"),
+         (30.5, "pathway_day_30_5"), (100.0, "pathway_day_100")],
+    )
+    def test_graph_id_is_a_dot_id(self, day, graph_id):
+        base = BaseDag(vertices=("A",), edges=())
+        pathway = PathwayDag(base=base, activation=np.zeros((401, 1), dtype=bool), dt=0.25)
+        first = export_dot(pathway, day).split("\n")[0]
+        assert first == f"digraph {graph_id} {{"
+        assert re.fullmatch(r"[A-Za-z_]\w*", graph_id)
 
 
 class TestAtomicWrite:
@@ -484,7 +497,7 @@ class TestCli:
         assert err.startswith("configuration error:") and key in err
         assert not (tmp_path / "out").exists()
 
-    def test_export_dot_round_trip(self, tmp_path):
+    def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
         write_pathway_json(pw_path, tiny_pathway())
         dot_path = tmp_path / "snap.dot"
@@ -493,6 +506,11 @@ class TestCli:
         ]) == 0
         assert "digraph" in dot_path.read_text()
         assert main(["export-dot", str(pw_path), "--day", "999"]) == 1
+        assert "outside [0, 3]" in capsys.readouterr().err
+        for day in ("nan", "inf", "-inf"):
+            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: day {float(day)} is not a finite number\n", day
 
     def test_export_dot_creates_output_directory(self, tmp_path):
         pw_path = tmp_path / "pathway.json"
@@ -554,6 +572,9 @@ class TestCli:
         assert main(["bench", str(cfg), "--repetitions", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "--repetitions" in err
+        assert main(["bench", str(cfg), "--steps", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: --steps must be >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_simulate_negative_member_exits_2(self, tmp_path, capsys):
@@ -561,4 +582,35 @@ class TestCli:
         assert main(["simulate", str(cfg), "--member", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "--member" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_simulate_non_finite_mass_exits_2(self, tmp_path, capsys, monkeypatch, mass):
+        cfg = write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run_member", lambda *a, **k: ran.append(a))
+        assert main(["simulate", str(cfg), "--mass", mass]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"configuration error: eruption mass must be a finite number >= 0, got {mass}\n"
+        )
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_failure_names_its_member(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        original = harness.Stepper.advance_temperature
+
+        def poisoned(self, state, aod, rng):
+            if state.step_index + 1 == 7:
+                state.temperature[0, 0, 0] = np.nan
+            original(self, state, aod, rng)
+
+        monkeypatch.setattr(harness.Stepper, "advance_temperature", poisoned)
+        assert main(["simulate", str(cfg), "--member", "3"]) == 1
+        seed = derive_seed(11, "eruption", 3).seed
+        assert capsys.readouterr().err == (
+            f"error: member 3 (mass 10.0 Tg, seed {seed}) failed: "
+            "non-finite field values at step 7\n"
+        )
         assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
-"""Package layout: one-way imports, none inside functions, and a caller for every public name."""
+"""Package layout: one-way imports, none inside functions, a caller for every public name,
+and one loop that steps runs."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,36 @@ def test_every_public_name_has_a_caller():
         and node.name not in used
     ]
     assert unused == []
+
+
+#: The functions allowed to call a Stepper method: the one loop that steps
+#: runs, the one-step function and the method that runs both halves
+STEPPING = {"harness.run_lockstep", "surrogate.step", "surrogate.Stepper.advance"}
+STEPPER_METHODS = {"advance", "advance_tracers", "advance_temperature"}
+
+
+def stepper_calls(path):
+    """(innermost enclosing function or class, line) of each call to a Stepper method."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in STEPPER_METHODS:
+                    calls.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(parse(path), path.stem)
+    return calls
+
+
+def test_one_loop_steps_runs():
+    calls = [call for path in MODULES for call in stepper_calls(path)]
+    strays = [f"{scope} (line {line})" for scope, line in calls if scope not in STEPPING]
+    assert strays == [], "only harness.run_lockstep may step a run"
+    assert "harness.run_lockstep" in {scope for scope, _ in calls}

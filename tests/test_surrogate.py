@@ -102,8 +102,9 @@ class TestParams:
             ModelParams(**kwargs)
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EruptionSpec(mass=-1.0)
+        for mass in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite number >= 0"):
+                EruptionSpec(mass=mass)
 
 
 class TestDeterminism:

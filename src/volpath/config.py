@@ -14,6 +14,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .grid import LevelRange, SphericalGrid, build_grid
 from .harness import DEFAULT_EXPERIMENTS, ExperimentPlan
+from .pathway import step_at_day
 from .surrogate import (
     AIR_MASS_PER_HPA_KG,
     EruptionSpec,
@@ -92,6 +93,15 @@ def _reals(where: str, value, count: int | None = None) -> tuple[float, ...]:
     return tuple(_real(f"{where}[{i}]", x) for i, x in enumerate(value))
 
 
+def _field(where: str, template, key: str, value):
+    """value, once the checks of template's dataclass accept it as key; an error names where."""
+    try:
+        replace(template, **{key: value})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return value
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment configuration file; an empty file means the defaults."""
     path = Path(path)
@@ -125,18 +135,21 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         where = f"surrogate.overrides.{key}"
         kind = ModelParams.__dataclass_fields__[key].type
         if kind == "int":
-            overrides[key] = _integer(where, value)
+            value = _integer(where, value)
         elif value is not None or "None" not in kind:
             number = _real(where, value)
             # a number stays as written: config_digest hashes it
-            overrides[key] = value if isinstance(value, (int, float)) else number
+            value = value if isinstance(value, (int, float)) else number
+        # ModelParams checks each field on its own, so one override at a time finds the key
+        overrides[key] = _field(where, PRESET_PARAMS, key, value)
     params = replace(PRESET_PARAMS, **overrides)
 
     eruption_raw = _mapping("eruption", raw.get("eruption"))
     defaults = EruptionSpec()
     levels = eruption_raw.get("injection_levels", list(astuple(defaults.injection_levels)))
+    mass = _real("eruption.mass", eruption_raw.get("mass", defaults.mass))
     eruption = EruptionSpec(
-        mass=_real("eruption.mass", eruption_raw.get("mass", defaults.mass)),
+        mass=_field("eruption.mass", defaults, "mass", mass),
         day=_real("eruption.day", eruption_raw.get("day", defaults.day)),
         lat=_real("eruption.lat", eruption_raw.get("lat", defaults.lat)),
         injection_levels=LevelRange(*_reals("eruption.injection_levels", levels, 2)),
@@ -165,11 +178,10 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     snapshot_days = _reals("snapshot_days", raw.get("snapshot_days", []))
     for day in snapshot_days:
         # the step export_dot will look up
-        m = int(round(day / params.dt))
-        if not 0 <= m <= params.n_steps:
-            raise ConfigurationError(
-                f"snapshot_days: day {day} maps to step {m}, outside [0, {params.n_steps}]"
-            )
+        try:
+            step_at_day(day, params.dt, params.n_steps)
+        except IndexError as exc:
+            raise ConfigurationError(f"snapshot_days: {exc}") from None
 
     return ExperimentConfig(
         grid=grid,

@@ -1,7 +1,12 @@
 """Serialization: pathway JSON, DOT snapshots, CSV tables, baseline stats.
 
-Every writer goes through an atomic write-then-rename so no partial file is
-left behind on an error path.
+A pathway file stores its activation matrix as n_steps plus, per vertex in
+vertex order, the sorted, disjoint, non-adjacent [start, end) step ranges in
+which the vertex is active, so each matrix has exactly one encoding.  Only
+this module knows the format.  The reader checks every field before it builds
+the matrix, and still reads the legacy form of one '0'/'1' row string per
+step.  Every writer goes through an atomic write-then-rename so no partial
+file is left behind on an error path.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .harness import BenchRow, SummaryRow
-from .pathway import BaseDag, PathwayDag, materialize_dag
+from .pathway import BaseDag, PathwayDag, materialize_dag, step_at_day
 from .stats import BaselineStats
 
 
@@ -34,26 +39,89 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def _intervals(activation: np.ndarray) -> list[list[list[int]]]:
+    """Each column's [start, end) runs of True, as one list per column."""
+    steps, r = activation.shape
+    padded = np.zeros((steps + 2, r), dtype=np.int8)
+    padded[1:-1] = activation
+    # per column, in step order, the nonzero differences alternate rise, fall
+    column, step = np.nonzero(np.diff(padded, axis=0).T)
+    bounds = step.reshape(-1, 2)
+    first = np.searchsorted(column[::2], np.arange(r + 1))
+    return [bounds[first[l]:first[l + 1]].tolist() for l in range(r)]
+
+
 def pathway_to_dict(pathway: PathwayDag, manifest_digest: str | None = None) -> dict:
-    rows = ["".join("1" if t else "0" for t in row) for row in pathway.activation]
     doc = {
         "vertices": list(pathway.base.vertices),
         "edges": [list(e) for e in pathway.base.edges],
         "dt_days": pathway.dt,
-        "activation": rows,
+        "n_steps": pathway.n_steps,
+        "intervals": _intervals(pathway.activation),
     }
     if manifest_digest is not None:
         doc["config_digest"] = manifest_digest
     return doc
 
 
+def _activation_from_rows(base: BaseDag, rows) -> np.ndarray:
+    """The legacy form: one string of r '0'/'1' characters per step."""
+    if not isinstance(rows, list) or not rows:
+        raise ConfigurationError("pathway: 'activation' must be a non-empty list of rows")
+    for m, row in enumerate(rows):
+        if not isinstance(row, str) or len(row) != base.r or not set(row) <= {"0", "1"}:
+            raise ConfigurationError(
+                f"pathway: 'activation' row {m} must be {base.r} characters "
+                f"of 0 and 1, got {row!r}"
+            )
+    return np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+
+
+def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
+    """(n_steps + 1, r) taus from each vertex's sorted, disjoint, non-adjacent runs."""
+    if type(n_steps) is not int or n_steps < 0:
+        raise ConfigurationError(f"pathway: 'n_steps' must be an integer >= 0, got {n_steps!r}")
+    if not isinstance(intervals, list) or len(intervals) != base.r:
+        raise ConfigurationError(
+            f"pathway: 'intervals' must hold {base.r} lists, one per vertex"
+        )
+    activation = np.zeros((n_steps + 1, base.r), dtype=bool)
+    for l, (v, runs) in enumerate(zip(base.vertices, intervals)):
+        where = f"pathway: 'intervals' of vertex {v!r}"
+        if not isinstance(runs, list) or not all(
+            isinstance(run, list) and len(run) == 2 and all(type(x) is int for x in run)
+            for run in runs
+        ):
+            raise ConfigurationError(f"{where} must be a list of [start, end] integer pairs")
+        previous_end = -1
+        for start, end in runs:
+            if start < 0:
+                raise ConfigurationError(f"{where}: [{start}, {end}] starts before step 0")
+            if end > n_steps + 1:
+                raise ConfigurationError(
+                    f"{where}: [{start}, {end}] ends after n_steps + 1 = {n_steps + 1}"
+                )
+            if start >= end:
+                raise ConfigurationError(f"{where}: [{start}, {end}] is empty")
+            if start <= previous_end:
+                raise ConfigurationError(
+                    f"{where}: [{start}, {end}] does not start after the previous "
+                    f"interval's end {previous_end}"
+                )
+            activation[start:end, l] = True
+            previous_end = end
+    return activation
+
+
 def pathway_from_dict(doc: dict) -> PathwayDag:
     """A pathway from its JSON form; a malformed field raises naming the field."""
     if not isinstance(doc, dict):
         raise ConfigurationError("pathway file must hold a mapping")
-    for key in ("vertices", "edges", "dt_days", "activation"):
+    for key in ("vertices", "edges", "dt_days"):
         if key not in doc:
             raise ConfigurationError(f"pathway: missing field {key!r}")
+    if ("intervals" in doc) == ("activation" in doc):
+        raise ConfigurationError("pathway: needs exactly one of 'intervals' and 'activation'")
     vertices, edges = doc["vertices"], doc["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ConfigurationError("pathway: 'vertices' must be a list of QOI ids")
@@ -65,21 +133,18 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
     dt = doc["dt_days"]
     if type(dt) not in (int, float) or not 0 < dt < np.inf:
         raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
-    rows = doc["activation"]
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("pathway: 'activation' must be a non-empty list of rows")
-    for m, row in enumerate(rows):
-        if not isinstance(row, str) or len(row) != base.r or not set(row) <= {"0", "1"}:
-            raise ConfigurationError(
-                f"pathway: 'activation' row {m} must be {base.r} characters "
-                f"of 0 and 1, got {row!r}"
-            )
-    activation = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+    if "activation" in doc:
+        activation = _activation_from_rows(base, doc["activation"])
+    elif "n_steps" not in doc:
+        raise ConfigurationError("pathway: missing field 'n_steps'")
+    else:
+        activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
     return PathwayDag(base=base, activation=activation, dt=float(dt))
 
 
 def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: str | None = None) -> None:
-    atomic_write_text(path, json.dumps(pathway_to_dict(pathway, manifest_digest), indent=1))
+    doc = pathway_to_dict(pathway, manifest_digest)
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":")))
 
 
 def read_pathway_json(path: str | Path) -> PathwayDag:
@@ -98,13 +163,7 @@ def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> st
 
     Base edges outside E_m render dashed gray unless active_only is set.
     """
-    if not np.isfinite(day):
-        raise IndexError(f"day {day} is not a finite number")
-    m = int(round(day / pathway.dt))
-    if not 0 <= m <= pathway.n_steps:
-        raise IndexError(
-            f"day {day} maps to step {m}, outside [0, {pathway.n_steps}]"
-        )
+    m = step_at_day(day, pathway.dt, pathway.n_steps)
     v_m, e_m = materialize_dag(pathway, m)
     active = set(v_m)
     active_edges = set(e_m)

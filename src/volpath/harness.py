@@ -80,11 +80,19 @@ class TrackerHook:
     series; pathways are built afterwards from that series by compute_pathway.
     No 3D field is ever retained.  dt is unused: it is kept only because
     perfbench's worker subclasses the hook and calls it as (grid, specs,
-    n_steps, dt).
+    n_steps, dt).  Hooks over the same specs may share one evaluator, built
+    over grid and specs, since evaluation keeps no state between calls.
     """
 
-    def __init__(self, grid: SphericalGrid, specs: list[QoiSpec], n_steps: int, dt: float):
-        self.evaluator = RegistryEvaluator(grid, specs)
+    def __init__(
+        self,
+        grid: SphericalGrid,
+        specs: list[QoiSpec],
+        n_steps: int,
+        dt: float,
+        evaluator: RegistryEvaluator | None = None,
+    ):
+        self.evaluator = evaluator or RegistryEvaluator(grid, specs)
         self.series = np.zeros((len(specs), n_steps + 1))
 
     def observe(self, state) -> None:
@@ -163,16 +171,17 @@ def canonical_series(
 ) -> list[dict[str, np.ndarray]]:
     """The canonical QOI series of one eruption's members, stepped in lockstep.
 
-    Member 0's hook reduces all 16 canonical QOIs; the others' reduce only the
-    4 T-QOIs, since their tracers are member 0's.  Every member's series holds
-    member 0's tracer rows as shared read-only views, and equals, bit for bit,
-    the one run_member records for the same seed.
+    Member 0's hook reduces all 16 canonical QOIs; the others' share one
+    evaluator of only the 4 T-QOIs, since their tracers are member 0's.  Every
+    member's series holds member 0's tracer rows as shared read-only views, and
+    equals, bit for bit, the one run_member records for the same seed.
     """
     specs = registry_canonical()
     t_specs = [s for s in specs if s.field == "T"]
-    hooks = [
-        TrackerHook(grid, t_specs if b else specs, params.n_steps, params.dt)
-        for b in range(len(seeds))
+    t_evaluator = RegistryEvaluator(grid, t_specs)
+    hooks = [TrackerHook(grid, specs, params.n_steps, params.dt)] + [
+        TrackerHook(grid, t_specs, params.n_steps, params.dt, evaluator=t_evaluator)
+        for _ in seeds[1:]
     ]
     run_lockstep(params, eruption, grid, seeds, hooks)
     first = hooks[0].series_by_id()

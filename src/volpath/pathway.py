@@ -164,10 +164,6 @@ class PathwayDag:
     def n_steps(self) -> int:
         return self.activation.shape[0] - 1
 
-    def vertex_series(self, qoi_id: str) -> np.ndarray:
-        l = self.base.vertices.index(qoi_id)
-        return self.activation[:, l]
-
 
 def pathway_step(
     base: BaseDag, taus: np.ndarray
@@ -188,6 +184,18 @@ def materialize_dag(
     if not 0 <= m <= pathway.n_steps:
         raise IndexError(f"step {m} outside [0, {pathway.n_steps}]")
     return pathway_step(pathway.base, pathway.activation[m])
+
+
+def step_at_day(day: float, dt: float, n_steps: int) -> int:
+    """The step nearest day; raises IndexError unless it lies in [0, n_steps]."""
+    if not np.isfinite(day):
+        raise IndexError(f"day {day} is not a finite number")
+    # day / dt overflows to inf for days near the float maximum
+    step = day / dt
+    m = int(round(step)) if np.isfinite(step) else step
+    if not 0 <= m <= n_steps:
+        raise IndexError(f"day {day} maps to step {m}, outside [0, {n_steps}]")
+    return m
 
 
 def score_tables(

@@ -63,6 +63,11 @@ def total_sulfur_kg(state, grid):
     return float((col * grid.area_weight).sum() * AIR_MASS_PER_HPA_KG)
 
 
+def vertex_series(pathway, qoi_id):
+    """One vertex's taus over steps 0..M: the activation column of qoi_id."""
+    return pathway.activation[:, pathway.base.vertices.index(qoi_id)]
+
+
 def baseline_merge(a, b):
     """Oracle: the Chan merge of two accumulators, as if their members ran sequentially."""
     if a.qoi_id != b.qoi_id:

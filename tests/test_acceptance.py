@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import baseline_merge, criterion_line, total_sulfur_kg
+from conftest import baseline_merge, criterion_line, total_sulfur_kg, vertex_series
 from volpath.export import export_dot, pathway_to_dict, summary_csv_text
 from volpath.grid import build_grid
 from volpath.harness import (
@@ -139,7 +139,7 @@ def test_criterion_01_bounds_test_exactness():
     def ztaus(zs):
         values = mu + sigma * np.asarray(zs, dtype=float)
         pw = compute_pathway(zbase, {"q": values}, {"q": ztest}, baselines)
-        return list(pw.vertex_series("q").astype(int))
+        return list(vertex_series(pw, "q").astype(int))
 
     assert ztaus([99.0, 99.0, 99.0]) == [0, 1, 1]  # m = 0 is always inactive
     for prev, z, expected in [
@@ -274,7 +274,7 @@ def test_criterion_05_zero_tracer(default_grid, grid_run):
             assert np.all(series == 0.0), qid
     for qid in pathway.base.vertices:
         if not qid.startswith("T("):
-            assert not pathway.vertex_series(qid).any(), qid
+            assert not vertex_series(pathway, qid).any(), qid
 
 
 def assert_ordered_beyond_se(rows, attr, direction):
@@ -316,8 +316,8 @@ def test_criterion_07_threshold_sensitivity(grid_run):
         # active steps in every member.
         for b in range(plan.n_members):
             for tighter, looser in zip(labels[:-1], labels[1:]):
-                tau_small = result.pathways[(10.0, tighter, b)].vertex_series(qid)
-                tau_large = result.pathways[(10.0, looser, b)].vertex_series(qid)
+                tau_small = vertex_series(result.pathways[(10.0, tighter, b)], qid)
+                tau_large = vertex_series(result.pathways[(10.0, looser, b)], qid)
                 assert np.all(tau_small >= tau_large), (qid, b, tighter, looser)
 
 
@@ -329,7 +329,7 @@ def test_criterion_08_activation_wave(grid_run):
         pw = result.pathways[(10.0, "Ex2", b)]
         for field in ("SUL", "AOD"):
             firsts = [
-                first_activation(pw.vertex_series(f"{field}({z})"), dt, NEVER)
+                first_activation(vertex_series(pw, f"{field}({z})"), dt, NEVER)
                 for z in ("e", "s", "t", "p")
             ]
             if all(f < NEVER for f in firsts):
@@ -353,7 +353,7 @@ def test_criterion_09_so2_polar_rarity(grid_run):
     dt = PRESET_PARAMS.dt
     never_count = sum(
         first_activation(
-            result.pathways[(10.0, "Ex2", b)].vertex_series("SO2(p)"), dt, NEVER
+            vertex_series(result.pathways[(10.0, "Ex2", b)], "SO2(p)"), dt, NEVER
         )
         >= NEVER
         for b in range(plan.n_members)

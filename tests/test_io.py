@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import vertex_series
 from volpath import cli, harness
 from volpath.cli import main
 from volpath.config import (
@@ -75,6 +78,14 @@ def tiny_pathway():
         [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=bool
     )
     return PathwayDag(base=base, activation=activation, dt=0.5)
+
+
+def legacy_pathway_dict(pathway):
+    """A pathway in the legacy file form: one '0'/'1' string per step."""
+    doc = pathway_to_dict(pathway)
+    del doc["n_steps"], doc["intervals"]
+    doc["activation"] = ["".join("1" if t else "0" for t in row) for row in pathway.activation]
+    return doc
 
 
 class TestConfig:
@@ -154,7 +165,8 @@ class TestPathwaySerialization:
         assert back.dt == pw.dt
         assert np.array_equal(back.activation, pw.activation)
         assert doc["config_digest"] == "abc"
-        assert doc["activation"] == ["000", "100", "110", "011"]
+        assert doc["n_steps"] == 3
+        assert doc["intervals"] == [[[1, 3]], [[2, 4]], [[3, 4]]]
 
     def test_file_round_trip(self, tmp_path):
         pw = tiny_pathway()
@@ -169,10 +181,36 @@ class TestPathwaySerialization:
             read_pathway_json(tmp_path / "missing.json")
 
     def test_shape_mismatch_rejected(self):
-        doc = pathway_to_dict(tiny_pathway())
+        doc = legacy_pathway_dict(tiny_pathway())
         doc["activation"] = ["01", "10"]
         with pytest.raises(ConfigurationError):
             pathway_from_dict(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        activation=st.tuples(st.integers(1, 13), st.integers(0, 5)).flatmap(
+            lambda shape: st.one_of(
+                arrays(bool, shape),
+                st.just(np.zeros(shape, dtype=bool)),
+                st.just(np.ones(shape, dtype=bool)),
+            )
+        )
+    )
+    def test_intervals_round_trip(self, tmp_path_factory, activation):
+        vertices = tuple(f"v{l}" for l in range(activation.shape[1]))
+        base = BaseDag(vertices=vertices, edges=tuple(zip(vertices, vertices[1:])))
+        pw = PathwayDag(base=base, activation=activation, dt=0.25)
+        doc = pathway_to_dict(pw)
+        path = tmp_path_factory.mktemp("pw") / "pathway.json"
+        write_pathway_json(path, pw, "abc")
+        back = read_pathway_json(path)
+        for decoded in (pathway_from_dict(doc), back, pathway_from_dict(legacy_pathway_dict(pw))):
+            assert decoded.activation.dtype == bool
+            assert np.array_equal(decoded.activation, activation)
+            assert decoded.base == base and decoded.dt == 0.25
+        again = path.with_name("again.json")
+        write_pathway_json(again, back, "abc")
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestBaselineSerialization:
@@ -323,7 +361,7 @@ class TestCli:
         written = read_pathway_json(out / "pathway.json")
         assert written.dt == expected.dt
         assert np.array_equal(written.activation, expected.activation)
-        assert written.vertex_series("SO2(e)").any()
+        assert vertex_series(written, "SO2(e)").any()
 
     def test_baseline_shorter_than_run_exits_2(self, tmp_path, capsys):
         short = write_config(tmp_path, surrogate={"overrides": {"n_steps": 10}})
@@ -482,6 +520,10 @@ class TestCli:
             ({"surrogate": {"overrides": {"k_heat": "warm"}}}, "surrogate.overrides.k_heat"),
             ({"snapshot_days": [5000.0]}, "snapshot_days"),
             ({"outputs": "out"}, "outputs"),
+            ({"snapshot_days": [1e308]}, "snapshot_days"),
+            ({"eruption": {"mass": -3}}, "eruption.mass"),
+            ({"surrogate": {"overrides": {"dt": -1}}}, "surrogate.overrides.dt"),
+            ({"surrogate": {"overrides": {"noise_memory": 1.0}}}, "surrogate.overrides.noise_memory"),
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, patch, key):
@@ -507,6 +549,10 @@ class TestCli:
         assert "digraph" in dot_path.read_text()
         assert main(["export-dot", str(pw_path), "--day", "999"]) == 1
         assert "outside [0, 3]" in capsys.readouterr().err
+        for day, step in (("1e308", "inf"), ("-1e308", "-inf")):
+            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: day {float(day)} maps to step {step}, outside [0, 3]\n", day
         for day in ("nan", "inf", "-inf"):
             assert main(["export-dot", str(pw_path), f"--day={day}"]) == 1
             err = capsys.readouterr().err
@@ -530,16 +576,47 @@ class TestCli:
             ({"vertices": None}, "'vertices'"),
             ({"vertices": "ABC"}, "'vertices'"),
             ({"edges": [["A"]]}, "'edges'"),
+            # the legacy form: one row string per step
             ({"activation": ["000", "10", "110", "011"]}, "'activation' row 1"),
             ({"activation": ["000", "1x0", "110", "011"]}, "'activation' row 1"),
             ({"activation": ["000", "100", "110", 11]}, "'activation' row 3"),
             ({"activation": []}, "'activation'"),
+            # the interval form
+            ({"n_steps": None}, "missing field 'n_steps'"),
+            ({"n_steps": 3.0}, "'n_steps'"),
+            ({"n_steps": "3"}, "'n_steps'"),
+            ({"n_steps": True}, "'n_steps'"),
+            ({"n_steps": -1}, "'n_steps'"),
+            ({"intervals": None}, "exactly one of 'intervals' and 'activation'"),
+            ({"intervals": "1-3"}, "'intervals' must hold 3 lists"),
+            ({"intervals": [[[1, 3]], [[2, 4]]]}, "'intervals' must hold 3 lists"),
+            ({"intervals": [[[1, 3.0]], [[2, 4]], [[3, 4]]]}, "'intervals' of vertex 'A'"),
+            ({"intervals": [[[1, 3]], [[2, "4"]], [[3, 4]]]}, "'intervals' of vertex 'B'"),
+            ({"intervals": [[[1, 3]], [[2, 4]], [[3, True]]]}, "'intervals' of vertex 'C'"),
+            ({"intervals": [[[1, 3]], [[2, 4]], [[3]]]}, "'intervals' of vertex 'C'"),
+            ({"intervals": [[[1, 3]], [2, 4], [[3, 4]]]}, "'intervals' of vertex 'B'"),
+            ({"intervals": [[[-1, 3]], [[2, 4]], [[3, 4]]]},
+             "vertex 'A': [-1, 3] starts before step 0"),
+            ({"intervals": [[[1, 3]], [[2, 5]], [[3, 4]]]},
+             "vertex 'B': [2, 5] ends after n_steps + 1 = 4"),
+            ({"intervals": [[[1, 3]], [[2, 4]], [[3, 3]]]}, "vertex 'C': [3, 3] is empty"),
+            ({"intervals": [[[3, 1]], [[2, 4]], [[3, 4]]]}, "vertex 'A': [3, 1] is empty"),
+            ({"intervals": [[[2, 3], [0, 1]], [[2, 4]], [[3, 4]]]},
+             "vertex 'A': [0, 1] does not start after the previous interval's end 3"),
+            ({"intervals": [[[1, 3]], [[0, 2], [1, 4]], [[3, 4]]]},
+             "vertex 'B': [1, 4] does not start after the previous interval's end 2"),
+            ({"intervals": [[[1, 3]], [[2, 4]], [[0, 1], [1, 4]]]},
+             "vertex 'C': [1, 4] does not start after the previous interval's end 1"),
+            ({"activation": ["000", "100", "110", "011"], "intervals": [[], [], []]},
+             "exactly one of 'intervals' and 'activation'"),
         ],
     )
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):
         path = tmp_path / "pathway.json"
         if isinstance(patch, dict):
-            doc = pathway_to_dict(tiny_pathway())
+            # a patch that sets 'activation' rows starts from a legacy file
+            legacy = "activation" in patch
+            doc = (legacy_pathway_dict if legacy else pathway_to_dict)(tiny_pathway())
             doc.update(patch)
             # None marks a field left out of the file
             doc = {k: v for k, v in doc.items() if v is not None}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import vertex_series
 from volpath.errors import ConfigurationError, DegenerateBaselineError
 from volpath.pathway import (
     AOD_BOUNDS,
@@ -68,7 +69,7 @@ def zscore_taus(zs, t_l, t_u):
     values = mu + sigma * np.asarray(zs, dtype=float)
     base = BaseDag(vertices=("T",), edges=())
     pw = compute_pathway(base, {"T": values}, {"T": ZScoreHysteresis(t_l, t_u)}, baselines)
-    return list(pw.vertex_series("T").astype(int))
+    return list(vertex_series(pw, "T").astype(int))
 
 
 def subgraph_oracle(vertices, edges, active_flags):
@@ -191,7 +192,7 @@ class TestBoundsTestBranches:
             compute_pathway(base, series, tests, baselines([0.0, 1.0, 1.0, 0.0, 1.0]))
         # sigma = 0 at m = 0 alone is fine: step 0 is forced inactive
         pw = compute_pathway(base, series, tests, baselines([0.0, 1.0, 1.0, 1.0, 1.0]))
-        assert list(pw.vertex_series("T").astype(int)) == [0, 1, 1, 1, 1]
+        assert list(vertex_series(pw, "T").astype(int)) == [0, 1, 1, 1, 1]
 
     def test_missing_baseline_rejected(self):
         base = BaseDag(vertices=("T",), edges=())
@@ -267,8 +268,8 @@ class TestComputePathway:
         pw = compute_pathway(base, series, tests, dt=0.5)
         assert pw.n_steps == 5
         assert pw.dt == 0.5
-        assert list(pw.vertex_series("A").astype(int)) == expected["A"]
-        assert list(pw.vertex_series("B").astype(int)) == expected["B"]
+        assert list(vertex_series(pw, "A").astype(int)) == expected["A"]
+        assert list(vertex_series(pw, "B").astype(int)) == expected["B"]
         v2, e2 = materialize_dag(pw, 2)
         assert v2 == ["A", "B"] and e2 == [("A", "B")]
 
@@ -312,7 +313,7 @@ class TestComputePathway:
                 taus[v] = taus_oracle_absolute(series[v], lo, hi)
             pw = compute_pathway(base, series, tests, dt=1.0)
             for v in vertices:
-                assert list(pw.vertex_series(v).astype(int)) == taus[v]
+                assert list(vertex_series(pw, v).astype(int)) == taus[v]
             for m in range(n):
                 flags = [taus[v][m] for v in vertices]
                 assert materialize_dag(pw, m) == subgraph_oracle(vertices, edges, flags)
@@ -330,7 +331,7 @@ class TestComputePathway:
         # from_arrays reconstructs sigma through m2, so compare against std()
         sig = baselines["T"].std()
         expected = taus_oracle_zscore(values, mu, sig, 0.5, 1.0)
-        assert list(pw.vertex_series("T").astype(int)) == expected
+        assert list(vertex_series(pw, "T").astype(int)) == expected
 
     def test_zscore_without_baseline_rejected(self):
         base = BaseDag(vertices=("T",), edges=())
@@ -353,7 +354,7 @@ class TestComputePathway:
             pw = compute_pathway(
                 base, {"T": values}, {"T": ZScoreHysteresis(0.5, t_u)}, baselines
             )
-            taus[t_u] = pw.vertex_series("T")
+            taus[t_u] = vertex_series(pw, "T")
         for small, large in [(0.75, 1.0), (1.0, 1.5), (1.5, 2.0)]:
             assert np.all(taus[small] >= taus[large])
 
@@ -407,4 +408,4 @@ def test_whole_series_equals_oracles(cols):
             oracle[v] = taus_oracle_zscore(values, stats.mean, stats.std(), lo, hi)
     pw = compute_pathway(base, series, tests, baselines)
     for v in vertices:
-        assert list(pw.vertex_series(v).astype(int)) == oracle[v]
+        assert list(vertex_series(pw, v).astype(int)) == oracle[v]

@@ -85,7 +85,10 @@ def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
         raise ConfigurationError(
             f"pathway: 'intervals' must hold {base.r} lists, one per vertex"
         )
-    activation = np.zeros((n_steps + 1, base.r), dtype=bool)
+    try:
+        activation = np.zeros((n_steps + 1, base.r), dtype=bool)
+    except (MemoryError, ValueError):
+        raise ConfigurationError(f"pathway: 'n_steps' {n_steps} is too large to hold") from None
     for l, (v, runs) in enumerate(zip(base.vertices, intervals)):
         where = f"pathway: 'intervals' of vertex {v!r}"
         if not isinstance(runs, list) or not all(

@@ -609,6 +609,9 @@ class TestCli:
              "vertex 'C': [1, 4] does not start after the previous interval's end 1"),
             ({"activation": ["000", "100", "110", "011"], "intervals": [[], [], []]},
              "exactly one of 'intervals' and 'activation'"),
+            # too big for numpy to shape, so nothing is allocated
+            ({"n_steps": 2**62}, "'n_steps' 4611686018427387904 is too large"),
+            ({"n_steps": 10**30}, "'n_steps' 1000000000000000000000000000000 is too large"),
         ],
     )
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):

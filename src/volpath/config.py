@@ -11,9 +11,9 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError
-from .grid import LevelRange, SphericalGrid, build_grid
-from .harness import DEFAULT_EXPERIMENTS, ExperimentPlan
+from .errors import ConfigurationError, checked
+from .grid import LevelRange, SphericalGrid, build_grid, lat_row_index
+from .harness import ExperimentPlan
 from .pathway import step_at_day
 from .surrogate import (
     AIR_MASS_PER_HPA_KG,
@@ -21,6 +21,7 @@ from .surrogate import (
     ModelParams,
     PRESET_ID,
     PRESET_PARAMS,
+    injection_slice,
 )
 
 CONVENTIONS = {
@@ -50,8 +51,8 @@ _KEYS = {
     "grid": ("nlat", "nlon", "nlev", "p_top", "p_surface"),
     "surrogate": ("preset", "overrides"),
     "surrogate.overrides": tuple(ModelParams.__dataclass_fields__),
-    "eruption": ("mass", "day", "lat", "injection_levels"),
-    "plan": ("masses", "experiments", "n_members", "baseline_members", "seed"),
+    "eruption": tuple(EruptionSpec.__dataclass_fields__),
+    "plan": tuple(ExperimentPlan.__dataclass_fields__),
 }
 
 
@@ -93,15 +94,6 @@ def _reals(where: str, value, count: int | None = None) -> tuple[float, ...]:
     return tuple(_real(f"{where}[{i}]", x) for i, x in enumerate(value))
 
 
-def _field(where: str, template, key: str, value):
-    """value, once the checks of template's dataclass accept it as key; an error names where."""
-    try:
-        replace(template, **{key: value})
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
-    return value
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment configuration file; an empty file means the defaults."""
     path = Path(path)
@@ -141,27 +133,30 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
             # a number stays as written: config_digest hashes it
             value = value if isinstance(value, (int, float)) else number
         # ModelParams checks each field on its own, so one override at a time finds the key
-        overrides[key] = _field(where, PRESET_PARAMS, key, value)
+        checked(where, replace, PRESET_PARAMS, **{key: value})
+        overrides[key] = value
     params = replace(PRESET_PARAMS, **overrides)
 
     eruption_raw = _mapping("eruption", raw.get("eruption"))
     defaults = EruptionSpec()
     levels = eruption_raw.get("injection_levels", list(astuple(defaults.injection_levels)))
+    levels = _reals("eruption.injection_levels", levels, 2)
     mass = _real("eruption.mass", eruption_raw.get("mass", defaults.mass))
+    checked("eruption.mass", replace, defaults, mass=mass)
     eruption = EruptionSpec(
-        mass=_field("eruption.mass", defaults, "mass", mass),
+        mass=mass,
         day=_real("eruption.day", eruption_raw.get("day", defaults.day)),
         lat=_real("eruption.lat", eruption_raw.get("lat", defaults.lat)),
-        injection_levels=LevelRange(*_reals("eruption.injection_levels", levels, 2)),
+        injection_levels=checked("eruption.injection_levels", LevelRange, *levels),
     )
 
     plan_raw = _mapping("plan", raw.get("plan"))
-    experiments = plan_raw.get("experiments", {e[0]: list(e[1:]) for e in DEFAULT_EXPERIMENTS})
+    defaults = ExperimentPlan()
+    experiments = plan_raw.get("experiments", {e[0]: list(e[1:]) for e in defaults.experiments})
     if not isinstance(experiments, dict) or not experiments:
         raise ConfigurationError(
             f"plan.experiments must map labels to [T_l, T_u], got {experiments!r}"
         )
-    defaults = ExperimentPlan()
     plan = ExperimentPlan(
         masses=_reals("plan.masses", plan_raw.get("masses", list(defaults.masses))),
         experiments=tuple(
@@ -174,6 +169,12 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         ),
         seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
+
+    # a Stepper's eruption checks, made here so that they name their key before any run
+    built = build_grid(**grid)
+    checked("eruption.lat", lat_row_index, built, eruption.lat)
+    erupting = replace(eruption, mass=max((eruption.mass, *plan.masses)))
+    checked("eruption.injection_levels", injection_slice, built, erupting)
 
     snapshot_days = _reals("snapshot_days", raw.get("snapshot_days", []))
     for day in snapshot_days:
@@ -195,15 +196,9 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    """Stable digest over the configuration's canonical JSON form."""
-    payload = {
-        "grid": cfg.grid,
-        "preset": cfg.preset,
-        "params": asdict(cfg.params),
-        "eruption": asdict(cfg.eruption),
-        "plan": asdict(cfg.plan),
-        "snapshot_days": list(cfg.snapshot_days),
-    }
+    """Stable digest over the configuration's canonical JSON form, output_dir aside."""
+    payload = asdict(cfg)
+    del payload["output_dir"]
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

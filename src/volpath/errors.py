@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one helper that names a bad key."""
 
 
 class VolpathError(Exception):
@@ -23,3 +23,11 @@ class DegenerateBaselineError(ConfigurationError):
 
 class DataError(VolpathError):
     """Non-finite or malformed data fed into an accumulator."""
+
+
+def checked(where: str, check, *args, **kwargs):
+    """check(*args, **kwargs); a ConfigurationError it raises is raised again naming where."""
+    try:
+        return check(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None

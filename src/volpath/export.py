@@ -150,15 +150,19 @@ def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: s
     atomic_write_text(path, json.dumps(doc, separators=(",", ":")))
 
 
-def read_pathway_json(path: str | Path) -> PathwayDag:
+def _read_json(path: str | Path, what: str):
+    """The JSON document in a pathway or baseline file; what names the kind in errors."""
     path = Path(path)
     if not path.exists():
-        raise ConfigurationError(f"pathway file not found: {path}")
+        raise ConfigurationError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"pathway file {path} is not valid JSON: {exc}") from None
-    return pathway_from_dict(doc)
+        raise ConfigurationError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def read_pathway_json(path: str | Path) -> PathwayDag:
+    return pathway_from_dict(_read_json(path, "pathway"))
 
 
 def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> str:
@@ -292,14 +296,7 @@ def write_baselines_json(path: str | Path, baselines: dict[str, BaselineStats]) 
 
 
 def read_baselines_json(path: str | Path) -> dict[str, BaselineStats]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"baseline file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"baseline file {path} is not valid JSON: {exc}") from None
-    return baselines_from_dict(doc)
+    return baselines_from_dict(_read_json(path, "baseline"))
 
 
 def write_manifest_json(path: str | Path, manifest: dict) -> None:

@@ -81,10 +81,8 @@ class SphericalGrid:
     nlon: int
     nlev: int
     lat_edges: np.ndarray
-    lon_edges: np.ndarray
     p_interface: np.ndarray
     lat_centers: np.ndarray
-    lon_centers: np.ndarray
     area_weight: np.ndarray  # (nlat, nlon)
     dp: np.ndarray  # (nlev,)
 
@@ -110,9 +108,7 @@ def build_grid(
             f"pressure bounds require 0 < p_top < p_surface, got ({p_top}, {p_surface})"
         )
     lat_edges = np.linspace(-90.0, 90.0, nlat + 1)
-    lon_edges = np.linspace(0.0, 360.0, nlon + 1)
     lat_centers = 0.5 * (lat_edges[:-1] + lat_edges[1:])
-    lon_centers = 0.5 * (lon_edges[:-1] + lon_edges[1:])
     p_interface = np.linspace(p_top, p_surface, nlev + 1)
     dp = np.diff(p_interface)
 
@@ -127,10 +123,8 @@ def build_grid(
         nlon=nlon,
         nlev=nlev,
         lat_edges=lat_edges,
-        lon_edges=lon_edges,
         p_interface=p_interface,
         lat_centers=lat_centers,
-        lon_centers=lon_centers,
         area_weight=area_weight,
         dp=dp,
     )

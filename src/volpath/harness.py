@@ -19,9 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked
 from .grid import SphericalGrid
-from .pathway import PathwayDag, base_dag_canonical, canonical_tests, compute_pathway
+from .pathway import (
+    PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests, compute_pathway,
+)
 from .qoi import QoiSpec, RegistryEvaluator, registry_canonical
 from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
 from .surrogate import (
@@ -57,8 +59,7 @@ class ExperimentPlan:
         if min(self.masses, default=0.0) < 0:
             raise ConfigurationError(f"plan.masses must be >= 0, got {list(self.masses)}")
         for label, t_l, t_u in self.experiments:
-            if t_l > t_u:
-                raise ConfigurationError(f"plan.experiments.{label}: T_l {t_l} > T_u {t_u}")
+            checked(f"plan.experiments.{label}", ZScoreHysteresis, t_l, t_u)
 
 
 def derive_seed(plan_seed: int, role: str, member_index: int) -> RunSeed:

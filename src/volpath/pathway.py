@@ -69,18 +69,13 @@ class BaseDag:
     def r(self) -> int:
         return len(self.vertices)
 
-    @property
-    def s(self) -> int:
-        return len(self.edges)
-
 
 def base_dag_canonical() -> BaseDag:
     """16 vertices, 24 edges: per-zone chemistry chains plus poleward chains."""
     vertices = tuple(f"{f}({z})" for f in FIELD_NAMES for z in ZONE_ORDER)
     edges = []
-    chain = ("SO2", "SUL", "AOD", "T")
     for z in ZONE_ORDER:
-        for a, b in zip(chain[:-1], chain[1:]):
+        for a, b in zip(FIELD_NAMES[:-1], FIELD_NAMES[1:]):
             edges.append((f"{a}({z})", f"{b}({z})"))
     for f in FIELD_NAMES:
         for za, zb in zip(ZONE_ORDER[:-1], ZONE_ORDER[1:]):
@@ -165,25 +160,19 @@ class PathwayDag:
         return self.activation.shape[0] - 1
 
 
-def pathway_step(
-    base: BaseDag, taus: np.ndarray
+def materialize_dag(
+    pathway: PathwayDag, m: int
 ) -> tuple[list[str], list[tuple[str, str]]]:
-    """Active vertices and the base edges with both endpoints active."""
+    """The step-m subgraph: active vertices and the base edges with both endpoints active."""
+    if not 0 <= m <= pathway.n_steps:
+        raise IndexError(f"step {m} outside [0, {pathway.n_steps}]")
+    base, taus = pathway.base, pathway.activation[m]
     if len(taus) != base.r:
         raise ConfigurationError(f"expected {base.r} taus, got {len(taus)}")
     active = {v for v, t in zip(base.vertices, taus) if t}
     v_m = [v for v in base.vertices if v in active]
     e_m = [e for e in base.edges if e[0] in active and e[1] in active]
     return v_m, e_m
-
-
-def materialize_dag(
-    pathway: PathwayDag, m: int
-) -> tuple[list[str], list[tuple[str, str]]]:
-    """The step-m subgraph (V_m, E_m)."""
-    if not 0 <= m <= pathway.n_steps:
-        raise IndexError(f"step {m} outside [0, {pathway.n_steps}]")
-    return pathway_step(pathway.base, pathway.activation[m])
 
 
 def step_at_day(day: float, dt: float, n_steps: int) -> int:

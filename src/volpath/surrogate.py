@@ -21,12 +21,14 @@ eruption doubles every SO2/SO4/AOD value at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
-from .grid import LevelRange, SphericalGrid, STRATOSPHERE_RANGE, lat_row_index, level_mask
+from .grid import (
+    LevelRange, SphericalGrid, STRATOSPHERE_RANGE, ZONE_BOUNDS, lat_row_index, level_mask,
+)
 
 # Column air-mass constant: kg of air per hPa of pressure thickness for the
 # whole (unit-weight) sphere.  Recorded in run manifests; based on a total
@@ -34,8 +36,8 @@ from .grid import LevelRange, SphericalGrid, STRATOSPHERE_RANGE, lat_row_index, 
 AIR_MASS_PER_HPA_KG = 5.1e15
 TG_TO_KG = 1.0e9
 
-# Noise bands: the four canonical zones plus everything south of -23.5 deg.
-N_NOISE_BANDS = 5
+# Noise bands: the canonical zones plus everything south of them.
+N_NOISE_BANDS = len(ZONE_BOUNDS) + 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class ModelState:
     aod: np.ndarray  # (nlat, nlon) dimensionless
     step_index: int
     time: float  # days
-    band_noise: np.ndarray = field(default_factory=lambda: np.zeros(N_NOISE_BANDS))
+    band_noise: np.ndarray  # (N_NOISE_BANDS,) AR(1) state of each noise band
 
 
 def make_rng(seed: RunSeed) -> np.random.Generator:
@@ -115,14 +117,10 @@ def make_rng(seed: RunSeed) -> np.random.Generator:
 
 
 def noise_band_of_rows(grid: SphericalGrid) -> np.ndarray:
-    """Band index per latitude row: 0 south of -23.5, then e, s, t, p as 1..4."""
-    c = grid.lat_centers
-    band = np.zeros(grid.nlat, dtype=int)
-    band[(c >= -23.5) & (c < 23.5)] = 1
-    band[(c >= 23.5) & (c < 35.0)] = 2
-    band[(c >= 35.0) & (c < 66.5)] = 3
-    band[c >= 66.5] = 4
-    return band
+    """Band index per latitude row: 0 south of the canonical zones, then 1, 2, ... by zone."""
+    # the zones are contiguous, so a row's band counts the zone starts at or south of it
+    starts = [lo for lo, _ in ZONE_BOUNDS.values()]
+    return np.searchsorted(starts, grid.lat_centers, side="right")
 
 
 def initialize(params: ModelParams, grid: SphericalGrid, rng: np.random.Generator) -> ModelState:
@@ -148,6 +146,15 @@ def initialize(params: ModelParams, grid: SphericalGrid, rng: np.random.Generato
     )
 
 
+def injection_slice(grid: SphericalGrid, eruption: EruptionSpec) -> slice:
+    """The levels eruption injects into; raises if it has mass and selects none."""
+    levels = np.flatnonzero(level_mask(grid, eruption.injection_levels))
+    if eruption.mass > 0.0 and not levels.size:
+        raise ConfigurationError("injection selection is empty")
+    # level_mask selects a pressure interval, so its levels are contiguous
+    return slice(levels[0], levels[-1] + 1) if levels.size else slice(0, 0)
+
+
 class Stepper:
     """Advances the states of one run in place.
 
@@ -163,14 +170,10 @@ class Stepper:
         self.params = params
         self.eruption = eruption
         dt = params.dt
-        levels = np.flatnonzero(level_mask(grid, eruption.injection_levels))
-        # level_mask selects a pressure interval, so its levels are contiguous
-        self.levels = slice(levels[0], levels[-1] + 1) if levels.size else slice(0, 0)
+        self.levels = injection_slice(grid, eruption)
         self.i_src = lat_row_index(grid, eruption.lat)
         self.inject = 0.0
         if eruption.mass > 0.0:
-            if not levels.size:
-                raise ConfigurationError("injection selection is empty")
             # a uniform mixing ratio over the source row and the injection
             # levels, so the injected mass distributes across levels as dp
             w_cells = grid.area_weight[self.i_src].sum()

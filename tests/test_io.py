@@ -146,6 +146,18 @@ class TestConfig:
             "7500fdc9b7c80366e12447c230df1ff52b4f59c75ddbd1baa840aa443ca35399"
         )
 
+    def test_mixed_config_digest_pinned(self):
+        # int-valued float overrides are hashed as written, None and tuples as JSON
+        raw = {
+            "surrogate": {"overrides": {"dt": 1, "tau_decay": None, "n_steps": 40}},
+            "snapshot_days": [1, 2.5],
+            "plan": {"experiments": {"A": [0.5, 1]}, "masses": [3]},
+            "eruption": {"mass": 7, "injection_levels": [20, 80]},
+        }
+        assert config_digest(parse_config(raw)) == (
+            "e093f1f77b737adef16ea2f3bd090d2e2e93ea30dac54d38975e29deb5795897"
+        )
+
     def test_manifest_is_deterministic(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         m1 = build_manifest(cfg, seeds={"0": 1})
@@ -524,6 +536,14 @@ class TestCli:
             ({"eruption": {"mass": -3}}, "eruption.mass"),
             ({"surrogate": {"overrides": {"dt": -1}}}, "surrogate.overrides.dt"),
             ({"surrogate": {"overrides": {"noise_memory": 1.0}}}, "surrogate.overrides.noise_memory"),
+            ({"eruption": {"injection_levels": [80.0, 20.0]}}, "eruption.injection_levels"),
+            # selects none of the 8 levels, and the plan's masses erupt
+            ({"eruption": {"injection_levels": [1.5, 1.6]}}, "eruption.injection_levels"),
+            ({"eruption": {"lat": 100.0}}, "eruption.lat"),
+            (
+                {"plan": {"experiments": {"Ex1": [0.5, 1.0], "Ex2": [-1.0, -0.5]}}},
+                "plan.experiments.Ex2",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, patch, key):

@@ -58,19 +58,39 @@ def test_no_function_local_imports(path):
                 )
 
 
-def test_every_public_name_has_a_caller():
-    """A public function or class that nothing in src/ uses belongs in tests/ as an oracle.
+def public_members(cls):
+    """Names of the public methods, properties and annotated fields in a class body."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
 
-    Names the benchmark traces count as used.
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or class member that nothing in src/ uses belongs in tests/
+    as an oracle, or nowhere.
+
+    A member counts as used only where src/ reads it as an attribute: a field
+    that is only ever written is unused.  Names the benchmark traces count as
+    used.
     """
     trees = [parse(path) for path in MODULES]
-    used = {qualname.split(".")[0] for names in load_targets().values() for qualname in names}
+    traced = {qualname for names in load_targets().values() for qualname in names}
+    used = {qualname.split(".")[0] for qualname in traced}
+    read = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     unused = [
@@ -81,7 +101,16 @@ def test_every_public_name_has_a_caller():
         and not node.name.startswith("_")
         and node.name not in used
     ]
+    unread = [
+        f"{path.stem}.{cls.name}.{name}"
+        for path, tree in zip(MODULES, trees)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for name in public_members(cls)
+        if name not in read and f"{cls.name}.{name}" not in traced
+    ]
     assert unused == []
+    assert unread == []
 
 
 #: The functions allowed to call a Stepper method: the one loop that steps

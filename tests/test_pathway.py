@@ -20,7 +20,6 @@ from volpath.pathway import (
     compute_pathway,
     hysteresis,
     materialize_dag,
-    pathway_step,
     topological_sort,
 )
 from volpath.stats import BaselineStats
@@ -100,7 +99,7 @@ class TestBaseDag:
     def test_canonical_shape(self):
         dag = base_dag_canonical()
         assert dag.r == 16
-        assert dag.s == 24
+        assert len(dag.edges) == 24
         assert ("SO2(e)", "SUL(e)") in dag.edges
         assert ("AOD(p)", "T(p)") in dag.edges
         assert ("SO2(e)", "SO2(s)") in dag.edges
@@ -218,23 +217,28 @@ class TestBoundsTestBranches:
         assert tests["T(s)"] == ZScoreHysteresis(0.5, 1.0)
 
 
+def one_step(base, taus):
+    """A one-step pathway whose only row is taus."""
+    return PathwayDag(base=base, activation=np.array([taus], dtype=bool), dt=1.0)
+
+
 class TestPathwayStep:
     def test_isolated_actives_have_no_edges(self):
         base = BaseDag(vertices=("A", "B", "C"), edges=(("A", "B"), ("B", "C")))
-        v, e = pathway_step(base, np.array([1, 0, 1], dtype=bool))
+        v, e = materialize_dag(one_step(base, [1, 0, 1]), 0)
         assert v == ["A", "C"]
         assert e == []
 
     def test_edge_included_when_both_endpoints_active(self):
         base = BaseDag(vertices=("A", "B", "C"), edges=(("A", "B"), ("B", "C")))
-        v, e = pathway_step(base, np.array([1, 1, 0], dtype=bool))
+        v, e = materialize_dag(one_step(base, [1, 1, 0]), 0)
         assert v == ["A", "B"]
         assert e == [("A", "B")]
 
     def test_wrong_tau_count_rejected(self):
         base = BaseDag(vertices=("A", "B"), edges=(("A", "B"),))
         with pytest.raises(ConfigurationError):
-            pathway_step(base, np.array([1], dtype=bool))
+            materialize_dag(one_step(base, [1]), 0)
 
     def test_materialize_out_of_range(self):
         base = BaseDag(vertices=("A",), edges=())

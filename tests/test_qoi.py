@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import (
     LevelRange,
     STRATOSPHERE_RANGE,
-    SphericalGrid,
     ZoneSpec,
     build_grid,
     canonical_zones,
@@ -27,18 +27,7 @@ def grid_with_dp(dp_values):
     """A small grid with hand-chosen pressure thicknesses."""
     base = build_grid(nlat=4, nlon=2, nlev=len(dp_values), p_top=1.0, p_surface=1000.0)
     p_interface = np.concatenate(([1.0], 1.0 + np.cumsum(dp_values)))
-    return SphericalGrid(
-        nlat=base.nlat,
-        nlon=base.nlon,
-        nlev=base.nlev,
-        lat_edges=base.lat_edges,
-        lon_edges=base.lon_edges,
-        p_interface=p_interface,
-        lat_centers=base.lat_centers,
-        lon_centers=base.lon_centers,
-        area_weight=base.area_weight,
-        dp=np.asarray(dp_values, dtype=float),
-    )
+    return replace(base, p_interface=p_interface, dp=np.asarray(dp_values, dtype=float))
 
 
 def qoi_oracle(spec, state, grid):

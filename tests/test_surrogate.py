@@ -239,6 +239,12 @@ class TestLimits:
         with pytest.raises(ConfigurationError, match="CFL"):
             run_series(params, eruption, small_grid, RunSeed(1))
 
+    def test_noise_bands_of_default_grid_rows(self):
+        # 0 south of -23.5 deg, then the zones e, s, t, p as 1..4
+        grid = build_grid(nlat=32, nlon=64, nlev=16, p_top=1.0, p_surface=1000.0)
+        expected = [0] * 12 + [1] * 8 + [2] * 2 + [3] * 6 + [4] * 4
+        assert noise_band_of_rows(grid).tolist() == expected
+
 
 class TestFailureDetection:
     def test_nan_state_raises(self, small_grid, fast_params):

@@ -22,6 +22,7 @@ from .surrogate import (
     PRESET_ID,
     PRESET_PARAMS,
     injection_slice,
+    transport_fraction,
 )
 
 CONVENTIONS = {
@@ -170,8 +171,9 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
 
-    # a Stepper's eruption checks, made here so that they name their key before any run
+    # a Stepper's checks, made here so that they name their key before any run
     built = build_grid(**grid)
+    checked("surrogate.overrides.v_transport", transport_fraction, params, built)
     checked("eruption.lat", lat_row_index, built, eruption.lat)
     erupting = replace(eruption, mass=max((eruption.mass, *plan.masses)))
     checked("eruption.injection_levels", injection_slice, built, erupting)

@@ -2,11 +2,12 @@
 
 A pathway file stores its activation matrix as n_steps plus, per vertex in
 vertex order, the sorted, disjoint, non-adjacent [start, end) step ranges in
-which the vertex is active, so each matrix has exactly one encoding.  Only
-this module knows the format.  The reader checks every field before it builds
-the matrix, and still reads the legacy form of one '0'/'1' row string per
-step.  Every writer goes through an atomic write-then-rename so no partial
-file is left behind on an error path.
+which the vertex is active, so each matrix has exactly one encoding.  A
+baselines file stores each QOI's member count, per-step mean and per-step
+Welford m2.  Only this module knows the formats, and each has one reader,
+which checks every field before it builds anything.  Every writer goes
+through an atomic write-then-rename so no partial file is left behind on an
+error path.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ def pathway_to_dict(pathway: PathwayDag, manifest_digest: str | None = None) -> 
     return doc
 
 
-def _activation_from_rows(base: BaseDag, rows) -> np.ndarray:
-    """The legacy form: one string of r '0'/'1' characters per step."""
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("pathway: 'activation' must be a non-empty list of rows")
-    for m, row in enumerate(rows):
-        if not isinstance(row, str) or len(row) != base.r or not set(row) <= {"0", "1"}:
-            raise ConfigurationError(
-                f"pathway: 'activation' row {m} must be {base.r} characters "
-                f"of 0 and 1, got {row!r}"
-            )
-    return np.array([[c == "1" for c in row] for row in rows], dtype=bool)
-
-
 def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
     """(n_steps + 1, r) taus from each vertex's sorted, disjoint, non-adjacent runs."""
     if type(n_steps) is not int or n_steps < 0:
@@ -120,11 +108,12 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
     """A pathway from its JSON form; a malformed field raises naming the field."""
     if not isinstance(doc, dict):
         raise ConfigurationError("pathway file must hold a mapping")
-    for key in ("vertices", "edges", "dt_days"):
+    for key in ("vertices", "edges", "dt_days", "intervals", "n_steps"):
         if key not in doc:
-            raise ConfigurationError(f"pathway: missing field {key!r}")
-    if ("intervals" in doc) == ("activation" in doc):
-        raise ConfigurationError("pathway: needs exactly one of 'intervals' and 'activation'")
+            # files written before the interval form hold 'activation' rows instead
+            legacy = key == "intervals" and "activation" in doc
+            note = "; the 'activation' row form is no longer read" if legacy else ""
+            raise ConfigurationError(f"pathway: missing field {key!r}{note}")
     vertices, edges = doc["vertices"], doc["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ConfigurationError("pathway: 'vertices' must be a list of QOI ids")
@@ -136,12 +125,7 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
     dt = doc["dt_days"]
     if type(dt) not in (int, float) or not 0 < dt < np.inf:
         raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
-    if "activation" in doc:
-        activation = _activation_from_rows(base, doc["activation"])
-    elif "n_steps" not in doc:
-        raise ConfigurationError("pathway: missing field 'n_steps'")
-    else:
-        activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
+    activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
     return PathwayDag(base=base, activation=activation, dt=float(dt))
 
 
@@ -256,33 +240,33 @@ def _baseline_entry(qid: str, entry) -> BaselineStats:
     """One QOI's stats from a baselines file; a malformed field raises naming QOI and field."""
     if not isinstance(entry, dict):
         raise ConfigurationError(f"baseline {qid}: entry must be a mapping")
-    # files written before m2 was stored carry std instead
-    spread = "std" if "std" in entry and "m2" not in entry else "m2"
-    for key in ("n_members", "mean", spread):
+    for key in ("n_members", "mean", "m2"):
         if key not in entry:
-            raise ConfigurationError(f"baseline {qid}: missing field {key!r}")
+            # files written before m2 was stored carry the std instead
+            legacy = key == "m2" and "std" in entry
+            note = "; the 'std' form is no longer read" if legacy else ""
+            raise ConfigurationError(f"baseline {qid}: missing field {key!r}{note}")
     n = entry["n_members"]
     if type(n) is not int or n < 0:
         raise ConfigurationError(f"baseline {qid}: 'n_members' must be an integer >= 0")
     arrays = {}
-    for key in ("mean", spread):
+    for key in ("mean", "m2"):
         try:
             values = np.array(entry[key], dtype=float)
         except (TypeError, ValueError):
             values = None
         if values is None or values.ndim != 1 or values.size == 0:
             raise ConfigurationError(f"baseline {qid}: {key!r} must be a non-empty list of numbers")
-        # json reads NaN and Infinity; m2 and std are never negative
+        # json reads NaN and Infinity; m2 is never negative
         if not (np.isfinite(values).all() and (key == "mean" or (values >= 0).all())):
             bound = "" if key == "mean" else " >= 0"
             raise ConfigurationError(f"baseline {qid}: {key!r} must hold finite numbers{bound}")
         arrays[key] = values
-    if arrays["mean"].size != arrays[spread].size:
+    if arrays["mean"].size != arrays["m2"].size:
         raise ConfigurationError(
-            f"baseline {qid}: 'mean' has {arrays['mean'].size} steps, "
-            f"{spread!r} has {arrays[spread].size}"
+            f"baseline {qid}: 'mean' has {arrays['mean'].size} steps, 'm2' has {arrays['m2'].size}"
         )
-    return BaselineStats.from_arrays(qid, n, arrays["mean"], **{spread: arrays[spread]})
+    return BaselineStats.from_arrays(qid, n, **arrays)
 
 
 def baselines_from_dict(doc: dict) -> dict[str, BaselineStats]:

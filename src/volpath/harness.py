@@ -14,6 +14,7 @@ so any cell of the grid can be reproduced alone.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from dataclasses import dataclass, replace
 
@@ -59,7 +60,11 @@ class ExperimentPlan:
         if min(self.masses, default=0.0) < 0:
             raise ConfigurationError(f"plan.masses must be >= 0, got {list(self.masses)}")
         for label, t_l, t_u in self.experiments:
-            checked(f"plan.experiments.{label}", ZScoreHysteresis, t_l, t_u)
+            where = f"plan.experiments.{label}"
+            # a label goes into file names and into summary.csv's comma-separated rows
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
+                raise ConfigurationError(f"{where}: a label must match [A-Za-z0-9_.-]+")
+            checked(where, ZScoreHysteresis, t_l, t_u)
 
 
 def derive_seed(plan_seed: int, role: str, member_index: int) -> RunSeed:
@@ -199,13 +204,16 @@ def run_baseline_ensemble(
     grid: SphericalGrid,
     eruption_template: EruptionSpec | None = None,
 ) -> dict[str, BaselineStats]:
-    """Eruption-free ensemble; per-step mean/std for every canonical QOI."""
+    """Eruption-free ensemble; per-step mean/std of the QOIs every experiment z-scores."""
     quiet = replace(eruption_template or EruptionSpec(), mass=0.0)
     seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
-    stats = {s.id: BaselineStats(s.id, params.n_steps) for s in registry_canonical()}
+    # score_tables reads only the z-scored baselines, so only those are kept
+    tests = canonical_tests(*plan.experiments[0][1:])
+    zscored = [s.id for s in registry_canonical() if isinstance(tests[s.id], ZScoreHysteresis)]
+    stats = {qid: BaselineStats(qid, params.n_steps) for qid in zscored}
     for series in canonical_series(params, quiet, grid, seeds):
-        for qid, values in series.items():
-            stats[qid].update(values)
+        for qid, st in stats.items():
+            st.update(series[qid])
     return stats
 
 

@@ -46,13 +46,11 @@ class BaselineStats:
         return np.sqrt(self.m2 / (self.n - 1))
 
     @classmethod
-    def from_arrays(cls, qoi_id: str, n: int, mean, std=None, m2=None) -> "BaselineStats":
-        """Rebuild from serialized arrays: exactly from m2, or to rounding from sample std."""
+    def from_arrays(cls, qoi_id: str, n: int, mean, m2) -> "BaselineStats":
+        """Rebuild exactly from serialized arrays: the member count, per-step mean and m2."""
         stats = cls(qoi_id, len(mean) - 1)
         stats.n = n
         stats.mean = np.array(mean, dtype=float)
-        if m2 is None:  # files written before m2 was stored carry the std
-            m2 = np.asarray(std, dtype=float) ** 2 * max(n - 1, 0)
         stats.m2 = np.array(m2, dtype=float)
         return stats
 

@@ -155,6 +155,17 @@ def injection_slice(grid: SphericalGrid, eruption: EruptionSpec) -> slice:
     return slice(levels[0], levels[-1] + 1) if levels.size else slice(0, 0)
 
 
+def transport_fraction(params: ModelParams, grid: SphericalGrid) -> float:
+    """The share of a cell's tracer mass moved north per step; raises if it exceeds 1 (CFL)."""
+    frac = params.v_transport * params.dt / grid.dlat
+    if frac > 1.0:
+        raise ConfigurationError(
+            f"transport CFL fraction {frac:.3f} > 1 at dt {params.dt} on grid.nlat "
+            f"{grid.nlat}; reduce dt or v_transport, or use fewer rows"
+        )
+    return frac
+
+
 class Stepper:
     """Advances the states of one run in place.
 
@@ -183,11 +194,7 @@ class Stepper:
         self.convert = 1.0 - np.exp(-dt / params.tau_chem)
         self.decay = None if params.tau_decay is None else np.exp(-dt / params.tau_decay)
 
-        self.frac = params.v_transport * dt / grid.dlat
-        if self.frac > 1.0:
-            raise ConfigurationError(
-                f"transport CFL fraction {self.frac:.3f} > 1; reduce dt or v_transport"
-            )
+        self.frac = transport_fraction(params, grid)
         self.transport = self.frac != 0.0 and self.i_src < grid.nlat - 1
         self.w = grid.area_weight[:, :, None] * grid.dp[self.levels][None, None, :]
 
@@ -259,10 +266,9 @@ class Stepper:
         params, buf, temp = self.params, self.buf, state.temperature
         dt = params.dt
 
-        # 5. temperature: relaxation dt * (-(T - t_eq) / tau_relax), heating in
+        # 5. temperature: relaxation dt * ((t_eq - T) / tau_relax), heating in
         # the injection levels, band noise
-        np.subtract(temp, params.t_eq, out=buf)
-        np.negative(buf, out=buf)
+        np.subtract(params.t_eq, temp, out=buf)
         np.divide(buf, params.tau_relax, out=buf)
         np.multiply(dt, buf, out=buf)
         temp += buf

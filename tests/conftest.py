@@ -68,6 +68,16 @@ def vertex_series(pathway, qoi_id):
     return pathway.activation[:, pathway.base.vertices.index(qoi_id)]
 
 
+def stats_from_sigma(qoi_id, n, mean, sigma):
+    """Baseline stats of n members with the given per-step mean and sample std.
+
+    m2 = sigma**2 * (n - 1), so sigma comes back from std() to rounding, and
+    exactly for powers of two.
+    """
+    m2 = np.asarray(sigma, dtype=float) ** 2 * (n - 1)
+    return BaselineStats.from_arrays(qoi_id, n, mean, m2)
+
+
 def baseline_merge(a, b):
     """Oracle: the Chan merge of two accumulators, as if their members ran sequentially."""
     if a.qoi_id != b.qoi_id:

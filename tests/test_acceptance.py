@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import baseline_merge, criterion_line, total_sulfur_kg, vertex_series
+from conftest import (
+    baseline_merge, criterion_line, stats_from_sigma, total_sulfur_kg, vertex_series,
+)
 from volpath.export import export_dot, pathway_to_dict, summary_csv_text
 from volpath.grid import build_grid
 from volpath.harness import (
@@ -133,7 +135,7 @@ def test_criterion_01_bounds_test_exactness():
     # z-score branches: forced-inactive start, both thresholds, hold band.
     ztest = ZScoreHysteresis(t_l=0.5, t_u=1.0)
     mu, sigma = np.full(3, 5.0), np.full(3, 2.0)
-    baselines = {"q": BaselineStats.from_arrays("q", 5, mu, sigma)}
+    baselines = {"q": stats_from_sigma("q", 5, mu, sigma)}
     zbase = BaseDag(vertices=("q",), edges=())
 
     def ztaus(zs):

@@ -127,13 +127,18 @@ class TestBaselineEnsemble:
         grid, params, _ = tiny_setup
         plan = ExperimentPlan(n_members=2, baseline_members=3, seed=11)
         stats = run_baseline_ensemble(plan, params, grid)
-        for qid, st in stats.items():
+        # only the z-scored QOIs are kept, in registry order
+        assert list(stats) == [s.id for s in registry_canonical() if s.field == "T"]
+        for st in stats.values():
             assert st.n == 3
-            if qid.startswith("T("):
-                assert (st.std()[1:] > 0).all()
-            else:
-                assert np.all(st.mean == 0.0)
-                assert np.all(st.std() == 0.0)
+            assert (st.std()[1:] > 0).all()
+        # the quiet members' tracers stay zero, so a tracer baseline would hold nothing
+        seeds = [derive_seed(11, "baseline", b) for b in range(3)]
+        for series in canonical_series(params, EruptionSpec(mass=0.0), grid, seeds):
+            assert len(series) == 16
+            for qid, values in series.items():
+                if not qid.startswith("T("):
+                    assert np.all(values == 0.0), qid
 
 
 class TestExperimentGrid:

@@ -80,12 +80,16 @@ def tiny_pathway():
     return PathwayDag(base=base, activation=activation, dt=0.5)
 
 
-def legacy_pathway_dict(pathway):
-    """A pathway in the legacy file form: one '0'/'1' string per step."""
-    doc = pathway_to_dict(pathway)
-    del doc["n_steps"], doc["intervals"]
-    doc["activation"] = ["".join("1" if t else "0" for t in row) for row in pathway.activation]
-    return doc
+def tiny_baseline():
+    stats = BaselineStats("T(e)", 3)
+    for values in ([240.0, 241.0, 242.0, 243.0], [240.5, 240.0, 242.5, 241.0]):
+        stats.update(values)
+    return stats
+
+
+#: every field the writers put in a file, config_digest aside (it is provenance)
+PATHWAY_FIELDS = [k for k in pathway_to_dict(tiny_pathway()) if k != "config_digest"]
+BASELINE_FIELDS = list(baselines_to_dict({"T(e)": tiny_baseline()})["T(e)"])
 
 
 class TestConfig:
@@ -193,9 +197,16 @@ class TestPathwaySerialization:
             read_pathway_json(tmp_path / "missing.json")
 
     def test_shape_mismatch_rejected(self):
-        doc = legacy_pathway_dict(tiny_pathway())
-        doc["activation"] = ["01", "10"]
-        with pytest.raises(ConfigurationError):
+        doc = pathway_to_dict(tiny_pathway())
+        doc["intervals"] = doc["intervals"][:2]
+        with pytest.raises(ConfigurationError, match="'intervals' must hold 3 lists"):
+            pathway_from_dict(doc)
+
+    @pytest.mark.parametrize("key", PATHWAY_FIELDS)
+    def test_every_written_field_is_required(self, key):
+        doc = pathway_to_dict(tiny_pathway(), manifest_digest="abc")
+        del doc[key]
+        with pytest.raises(ConfigurationError, match=f"missing field '{key}'"):
             pathway_from_dict(doc)
 
     @settings(max_examples=200, deadline=None)
@@ -216,7 +227,7 @@ class TestPathwaySerialization:
         path = tmp_path_factory.mktemp("pw") / "pathway.json"
         write_pathway_json(path, pw, "abc")
         back = read_pathway_json(path)
-        for decoded in (pathway_from_dict(doc), back, pathway_from_dict(legacy_pathway_dict(pw))):
+        for decoded in (pathway_from_dict(doc), back):
             assert decoded.activation.dtype == bool
             assert np.array_equal(decoded.activation, activation)
             assert decoded.base == base and decoded.dt == 0.25
@@ -239,16 +250,12 @@ class TestBaselineSerialization:
         assert np.array_equal(back.m2, stats.m2)
         assert np.array_equal(back.std(), stats.std())
 
-    def test_reads_files_that_store_std(self):
-        rng = np.random.default_rng(0)
-        stats = BaselineStats("T(e)", 20)
-        for _ in range(4):
-            stats.update(rng.standard_normal(21))
-        doc = {"T(e)": {"n_members": 4, "mean": list(stats.mean), "std": list(stats.std())}}
-        back = baselines_from_dict(doc)["T(e)"]
-        assert back.n == 4
-        assert np.array_equal(back.mean, stats.mean)
-        assert np.allclose(back.std(), stats.std(), rtol=1e-12)
+    @pytest.mark.parametrize("key", BASELINE_FIELDS)
+    def test_every_written_field_is_required(self, key):
+        doc = baselines_to_dict({"T(e)": tiny_baseline()})
+        del doc["T(e)"][key]
+        with pytest.raises(ConfigurationError, match=rf"T\(e\): missing field '{key}'"):
+            baselines_from_dict(doc)
 
 
 class TestCsv:
@@ -435,14 +442,19 @@ class TestCli:
     @pytest.mark.parametrize(
         "doc, named",
         [
-            ({"T(e)": {"n_members": 2}}, ["T(e)", "'mean'"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0, 240.0]}}, ["T(e)", "'m2'"]),
-            ({"T(e)": {"mean": [240.0], "m2": [0.0]}}, ["T(e)", "'n_members'"]),
+            ({"T(e)": {"n_members": -1, "mean": [240.0], "m2": [0.0]}},
+             ["T(e)", "'n_members' must be an integer >= 0"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [[0.5]]}},
+             ["T(e)", "'m2' must be a non-empty list of numbers"]),
+            ({"T(e)": {"n_members": 2, "mean": [], "m2": []}},
+             ["T(e)", "'mean' must be a non-empty list of numbers"]),
             ({"T(e)": {"n_members": "2", "mean": [240.0], "m2": [0.0]}}, ["T(e)", "'n_members'"]),
             ({"T(e)": {"n_members": 2, "mean": "abc", "m2": [0.0]}}, ["T(e)", "'mean'"]),
             ({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.5]}},
              ["T(e)", "'mean' has 2 steps, 'm2' has 1"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [[0.5]]}}, ["T(e)", "'std'"]),
+            # the form before m2 was stored
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [0.5]}},
+             ["T(e)", "missing field 'm2'; the 'std' form is no longer read"]),
             ({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"]),
             ([1, 2], ["mapping"]),
             ("{not json", ["not valid JSON"]),
@@ -455,8 +467,8 @@ class TestCli:
              ["T(e)", "'m2' must hold finite numbers >= 0"]),
             ({"T(e)": {"n_members": 2, "mean": [float("nan")], "m2": [0.5]}},
              ["T(e)", "'mean' must hold finite numbers"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [-0.1]}},
-             ["T(e)", "'std' must hold finite numbers >= 0"]),
+            ({"T(e)": {"n_members": True, "mean": [240.0], "m2": [0.0]}},
+             ["T(e)", "'n_members' must be an integer >= 0"]),
         ],
     )
     def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, monkeypatch, doc, named):
@@ -544,9 +556,22 @@ class TestCli:
                 {"plan": {"experiments": {"Ex1": [0.5, 1.0], "Ex2": [-1.0, -0.5]}}},
                 "plan.experiments.Ex2",
             ),
+            # a label is part of file names and of summary.csv rows
+            pytest.param({"plan": {"experiments": {"x/../../../y": [0.5, 1.0]}}},
+                         "plan.experiments.x/../../../y: a label", id="label-path"),
+            pytest.param({"plan": {"experiments": {"a,b": [0.5, 1.0]}}},
+                         "plan.experiments.a,b: a label", id="label-comma"),
+            pytest.param({"plan": {"experiments": {"": [0.5, 1.0]}}},
+                         "plan.experiments.: a label", id="label-empty"),
+            # CFL fraction 200 * 0.25 / 22.5 on the 8-row grid
+            pytest.param({"surrogate": {"overrides": {"v_transport": 200}}, "grid": {"nlat": 8}},
+                         "surrogate.overrides.v_transport: transport CFL fraction 2.222 > 1 "
+                         "at dt 0.25 on grid.nlat 8", id="cfl"),
         ],
     )
-    def test_malformed_config_exits_2_naming_key(self, tmp_path, capsys, patch, key):
+    def test_malformed_config_exits_2_naming_key(
+        self, tmp_path, capsys, monkeypatch, patch, key
+    ):
         raw = tiny_config_dict(tmp_path)
         for section, value in patch.items():
             if isinstance(value, dict) and isinstance(raw.get(section), dict):
@@ -554,10 +579,13 @@ class TestCli:
             raw[section] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
+        ran = []
+        monkeypatch.setattr(harness, "run_lockstep", lambda *a, **k: ran.append(a))
         assert main(["experiment", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
-        assert not (tmp_path / "out").exists()
+        assert ran == []
+        assert list(tmp_path.rglob("*")) == [path]
 
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
@@ -590,24 +618,24 @@ class TestCli:
         [
             ("{not json", "not valid JSON"),
             ([1, 2], "mapping"),
-            ({"dt_days": None}, "'dt_days'"),
+            ({"dt_days": float("inf")}, "'dt_days'"),
             ({"dt_days": "0.5"}, "'dt_days'"),
             ({"dt_days": 0.0}, "'dt_days'"),
-            ({"vertices": None}, "'vertices'"),
+            ({"vertices": ["A", "B", 3]}, "'vertices'"),
             ({"vertices": "ABC"}, "'vertices'"),
             ({"edges": [["A"]]}, "'edges'"),
-            # the legacy form: one row string per step
-            ({"activation": ["000", "10", "110", "011"]}, "'activation' row 1"),
-            ({"activation": ["000", "1x0", "110", "011"]}, "'activation' row 1"),
-            ({"activation": ["000", "100", "110", 11]}, "'activation' row 3"),
-            ({"activation": []}, "'activation'"),
-            # the interval form
+            # the form before intervals: one '0'/'1' row string per step
+            ({"activation": ["000", "100", "110", "011"], "n_steps": None, "intervals": None},
+             "missing field 'intervals'; the 'activation' row form is no longer read"),
+            ({"vertices": ["A", "A", "C"]}, "duplicate vertices"),
+            ({"edges": [["A", "B"], ["B", "C"], ["C", "A"]]}, "graph contains a cycle"),
+            ({"edges": [["A", "Z"]]}, "references unknown vertex"),
             ({"n_steps": None}, "missing field 'n_steps'"),
             ({"n_steps": 3.0}, "'n_steps'"),
             ({"n_steps": "3"}, "'n_steps'"),
             ({"n_steps": True}, "'n_steps'"),
             ({"n_steps": -1}, "'n_steps'"),
-            ({"intervals": None}, "exactly one of 'intervals' and 'activation'"),
+            ({"dt_days": True}, "'dt_days' must be a positive number, got True"),
             ({"intervals": "1-3"}, "'intervals' must hold 3 lists"),
             ({"intervals": [[[1, 3]], [[2, 4]]]}, "'intervals' must hold 3 lists"),
             ({"intervals": [[[1, 3.0]], [[2, 4]], [[3, 4]]]}, "'intervals' of vertex 'A'"),
@@ -627,8 +655,7 @@ class TestCli:
              "vertex 'B': [1, 4] does not start after the previous interval's end 2"),
             ({"intervals": [[[1, 3]], [[2, 4]], [[0, 1], [1, 4]]]},
              "vertex 'C': [1, 4] does not start after the previous interval's end 1"),
-            ({"activation": ["000", "100", "110", "011"], "intervals": [[], [], []]},
-             "exactly one of 'intervals' and 'activation'"),
+            ({"edges": [["A", "B"], ["A", "B"]]}, "duplicate edges"),
             # too big for numpy to shape, so nothing is allocated
             ({"n_steps": 2**62}, "'n_steps' 4611686018427387904 is too large"),
             ({"n_steps": 10**30}, "'n_steps' 1000000000000000000000000000000 is too large"),
@@ -637,9 +664,7 @@ class TestCli:
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):
         path = tmp_path / "pathway.json"
         if isinstance(patch, dict):
-            # a patch that sets 'activation' rows starts from a legacy file
-            legacy = "activation" in patch
-            doc = (legacy_pathway_dict if legacy else pathway_to_dict)(tiny_pathway())
+            doc = pathway_to_dict(tiny_pathway())
             doc.update(patch)
             # None marks a field left out of the file
             doc = {k: v for k, v in doc.items() if v is not None}

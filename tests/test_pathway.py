@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import vertex_series
+from conftest import stats_from_sigma, vertex_series
 from volpath.errors import ConfigurationError, DegenerateBaselineError
 from volpath.pathway import (
     AOD_BOUNDS,
@@ -22,7 +22,6 @@ from volpath.pathway import (
     materialize_dag,
     topological_sort,
 )
-from volpath.stats import BaselineStats
 
 
 def taus_oracle_absolute(values, lower, upper):
@@ -63,8 +62,8 @@ def step_tau(score, lower, upper, prev):
 def zscore_taus(zs, t_l, t_u):
     """Taus of one z-score test, through compute_pathway, over steps with z-scores zs."""
     mu = np.full(len(zs), 10.0)
-    sigma = np.full(len(zs), 2.0)  # a power of two: from_arrays rebuilds it exactly
-    baselines = {"T": BaselineStats.from_arrays("T", 5, mu, sigma)}
+    sigma = np.full(len(zs), 2.0)  # a power of two: stats_from_sigma keeps it exactly
+    baselines = {"T": stats_from_sigma("T", 5, mu, sigma)}
     values = mu + sigma * np.asarray(zs, dtype=float)
     base = BaseDag(vertices=("T",), edges=())
     pw = compute_pathway(base, {"T": values}, {"T": ZScoreHysteresis(t_l, t_u)}, baselines)
@@ -185,7 +184,7 @@ class TestBoundsTestBranches:
         series = {"A": np.zeros(5), "T": np.ones(5)}
 
         def baselines(sigma):
-            return {"T": BaselineStats.from_arrays("T", 4, np.zeros(5), np.array(sigma))}
+            return {"T": stats_from_sigma("T", 4, np.zeros(5), np.array(sigma))}
 
         with pytest.raises(DegenerateBaselineError, match=r"for T .* step 3"):
             compute_pathway(base, series, tests, baselines([0.0, 1.0, 1.0, 0.0, 1.0]))
@@ -329,10 +328,10 @@ class TestComputePathway:
         mu = rng.standard_normal(n)
         sigma = rng.uniform(0.5, 2.0, n)
         values = mu + sigma * rng.standard_normal(n) * 2
-        baselines = {"T": BaselineStats.from_arrays("T", 4, mu, sigma)}
+        baselines = {"T": stats_from_sigma("T", 4, mu, sigma)}
         tests = {"T": ZScoreHysteresis(0.5, 1.0)}
         pw = compute_pathway(base, {"T": values}, tests, baselines)
-        # from_arrays reconstructs sigma through m2, so compare against std()
+        # stats_from_sigma reconstructs sigma through m2, so compare against std()
         sig = baselines["T"].std()
         expected = taus_oracle_zscore(values, mu, sig, 0.5, 1.0)
         assert list(vertex_series(pw, "T").astype(int)) == expected
@@ -352,7 +351,7 @@ class TestComputePathway:
         mu = np.zeros(n)
         sigma = np.ones(n)
         values = np.cumsum(rng.standard_normal(n)) * 0.3
-        baselines = {"T": BaselineStats.from_arrays("T", 4, mu, sigma)}
+        baselines = {"T": stats_from_sigma("T", 4, mu, sigma)}
         taus = {}
         for t_u in (0.75, 1.0, 1.5, 2.0):
             pw = compute_pathway(
@@ -386,7 +385,7 @@ def series_instances(draw):
         mu = sigma = None
         if kind == "z":
             mu = np.array(draw(st.lists(values_st, min_size=n, max_size=n)))
-            # powers of two survive from_arrays exactly, keeping z on a threshold
+            # powers of two survive stats_from_sigma exactly, keeping z on a threshold
             sigmas = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0))
             sigma = np.array(draw(st.lists(sigmas, min_size=n, max_size=n)))
             values = mu + sigma * values  # z equals the drawn value, ties included
@@ -407,7 +406,7 @@ def test_whole_series_equals_oracles(cols):
             oracle[v] = taus_oracle_absolute(values, lo, hi)
         else:
             tests[v] = ZScoreHysteresis(lo, hi)
-            stats = BaselineStats.from_arrays(v, 5, mu, sigma)
+            stats = stats_from_sigma(v, 5, mu, sigma)
             baselines[v] = stats
             oracle[v] = taus_oracle_zscore(values, stats.mean, stats.std(), lo, hi)
     pw = compute_pathway(base, series, tests, baselines)

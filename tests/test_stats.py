@@ -57,10 +57,11 @@ class TestBaselineStats:
     def test_from_arrays_round_trip(self):
         rng = np.random.default_rng(1)
         stats = fill(BaselineStats("q", 20), rng.standard_normal((5, 21)))
-        rebuilt = BaselineStats.from_arrays("q", stats.n, stats.mean, stats.std())
+        rebuilt = BaselineStats.from_arrays("q", stats.n, list(stats.mean), list(stats.m2))
         assert rebuilt.n == 5
-        assert np.allclose(rebuilt.mean, stats.mean, rtol=1e-15)
-        assert np.allclose(rebuilt.std(), stats.std(), rtol=1e-12)
+        assert np.array_equal(rebuilt.mean, stats.mean)
+        assert np.array_equal(rebuilt.m2, stats.m2)
+        assert np.array_equal(rebuilt.std(), stats.std())
 
 
 class TestBaselineMerge:

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, build_manifest, config_digest, load_config
-from .errors import ConfigurationError, VolpathError
+from .errors import ConfigurationError, VolpathError, checked
 from .export import (
     atomic_write_text,
     export_dot,
@@ -59,7 +59,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--member must be >= 0, got {args.member}")
     cfg = load_config(args.config)
     if args.mass is not None:
-        cfg = replace(cfg, eruption=replace(cfg.eruption, mass=args.mass))
+        cfg = replace(cfg, eruption=checked("--mass", replace, cfg.eruption, mass=args.mass))
     if args.seed is not None:
         cfg = replace(cfg, plan=replace(cfg.plan, seed=args.seed))
     out = Path(args.out or cfg.output_dir)

@@ -12,9 +12,12 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError, checked
-from .grid import LevelRange, SphericalGrid, build_grid, lat_row_index
+from .grid import (
+    LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
+)
 from .harness import ExperimentPlan
 from .pathway import step_at_day
+from .qoi import registry_canonical
 from .surrogate import (
     AIR_MASS_PER_HPA_KG,
     EruptionSpec,
@@ -177,6 +180,18 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     checked("eruption.lat", lat_row_index, built, eruption.lat)
     erupting = replace(eruption, mass=max((eruption.mass, *plan.masses)))
     checked("eruption.injection_levels", injection_slice, built, erupting)
+    # RegistryEvaluator's checks on the canonical QOIs, made here so that they name their key
+    zones = {ZONE_ORDER[i - 1] for i in zone_of_rows(built) if i}
+    for spec in registry_canonical():
+        if spec.zone not in zones:
+            raise ConfigurationError(
+                f"grid.nlat: zone {spec.zone!r} of {spec.id} holds none of the {built.nlat} rows"
+            )
+        if spec.level_range is not None and not level_mask(built, spec.level_range).any():
+            raise ConfigurationError(
+                f"grid.nlev: none of the {built.nlev} mid-levels lies in the "
+                f"{spec.level_range.p_lo:g}-{spec.level_range.p_hi:g} hPa of {spec.id}"
+            )
 
     snapshot_days = _reals("snapshot_days", raw.get("snapshot_days", []))
     for day in snapshot_days:
@@ -186,13 +201,17 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         except IndexError as exc:
             raise ConfigurationError(f"snapshot_days: {exc}") from None
 
+    output_dir = raw.get("output_dir", "out")
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ConfigurationError(f"output_dir must be a non-empty string, got {output_dir!r}")
+
     return ExperimentConfig(
         grid=grid,
         params=params,
         preset=preset,
         eruption=eruption,
         plan=plan,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         snapshot_days=snapshot_days,
     )
 

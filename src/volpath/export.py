@@ -212,11 +212,11 @@ def write_summary_csv(path: str | Path, rows: list[SummaryRow]) -> None:
 
 
 def bench_csv_text(rows: list[BenchRow]) -> str:
+    """The timings in one fixed width, so the file's size does not vary with them."""
     lines = ["qoi_count,baseline_s_per_step,tracked_s_per_step,ratio"]
     for r in rows:
         lines.append(
-            f"{r.qoi_count},{_fmt(r.baseline_s_per_step)},"
-            f"{_fmt(r.tracked_s_per_step)},{_fmt(r.ratio)}"
+            f"{r.qoi_count},{r.baseline_s_per_step:.6e},{r.tracked_s_per_step:.6e},{r.ratio:.6e}"
         )
     return "\n".join(lines) + "\n"
 
@@ -251,12 +251,14 @@ def _baseline_entry(qid: str, entry) -> BaselineStats:
         raise ConfigurationError(f"baseline {qid}: 'n_members' must be an integer >= 0")
     arrays = {}
     for key in ("mean", "m2"):
-        try:
-            values = np.array(entry[key], dtype=float)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or values.ndim != 1 or values.size == 0:
+        values = entry[key]
+        numbers = isinstance(values, list) and all(type(x) in (int, float) for x in values)
+        if not (numbers and values):
             raise ConfigurationError(f"baseline {qid}: {key!r} must be a non-empty list of numbers")
+        try:
+            values = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            values = np.array([np.inf])
         # json reads NaN and Infinity; m2 is never negative
         if not (np.isfinite(values).all() and (key == "mean" or (values >= 0).all())):
             bound = "" if key == "mean" else " >= 0"

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Canonical latitudinal bands (degrees): equatorial, subtropical north,
-# temperate north, polar north.
+# Canonical latitudinal bands (degrees), contiguous from south to north up to the
+# pole, as zone_of_rows needs: equatorial, subtropical north, temperate north, polar north.
 ZONE_BOUNDS = {
     "e": (-23.5, 23.5),
     "s": (23.5, 35.0),
@@ -22,32 +22,6 @@ ZONE_BOUNDS = {
     "p": (66.5, 90.0),
 }
 ZONE_ORDER = tuple(ZONE_BOUNDS)
-
-
-@dataclass(frozen=True)
-class ZoneSpec:
-    """A latitudinal band [lat_min, lat_max) in degrees."""
-
-    label: str
-    lat_min: float
-    lat_max: float
-
-    def __post_init__(self):
-        if not self.lat_min < self.lat_max:
-            raise ConfigurationError(
-                f"zone {self.label!r}: lat_min {self.lat_min} must be < lat_max {self.lat_max}"
-            )
-        if self.lat_min < -90.0 or self.lat_max > 90.0:
-            raise ConfigurationError(
-                f"zone {self.label!r}: bounds must lie within [-90, 90]"
-            )
-
-
-def canonical_zones() -> dict[str, ZoneSpec]:
-    """The four canonical bands keyed by label, in order e, s, t, p."""
-    return {
-        label: ZoneSpec(label, lo, hi) for label, (lo, hi) in ZONE_BOUNDS.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -130,19 +104,20 @@ def build_grid(
     )
 
 
-def zone_weights(grid: SphericalGrid, zone: ZoneSpec) -> np.ndarray:
-    """Per-cell area weights restricted to a zone, zero elsewhere.
+def zone_of_rows(grid: SphericalGrid) -> np.ndarray:
+    """Zone number per latitude row: 0 south of the zones, then 1 + the zone's index in ZONE_ORDER.
 
-    Membership is by cell-center latitude in [lat_min, lat_max), closed at
-    the top when lat_max reaches the pole, so the canonical zones partition
-    everything north of -23.5 degrees with no double counting.
+    A row is in the zone whose half-open [lo, hi) holds its cell-center latitude
+    (closed at 90); the zones are contiguous, so that counts the zone starts at or south of it.
     """
-    c = grid.lat_centers
-    in_zone = (c >= zone.lat_min) & (c < zone.lat_max)
-    if zone.lat_max >= 90.0:
-        in_zone |= c == 90.0
-    w = np.where(in_zone[:, None], grid.area_weight, 0.0)
-    return w
+    starts = [lo for lo, _ in ZONE_BOUNDS.values()]
+    return np.searchsorted(starts, grid.lat_centers, side="right")
+
+
+def zone_weights(grid: SphericalGrid, zone: str) -> np.ndarray:
+    """Per-cell area weights restricted to the canonical zone labelled zone, zero elsewhere."""
+    in_zone = zone_of_rows(grid) == 1 + ZONE_ORDER.index(zone)
+    return np.where(in_zone[:, None], grid.area_weight, 0.0)
 
 
 def level_mask(grid: SphericalGrid, level_range: LevelRange) -> np.ndarray:

@@ -59,6 +59,12 @@ class ExperimentPlan:
             raise ConfigurationError("plan.n_members and plan.baseline_members must be >= 2")
         if min(self.masses, default=0.0) < 0:
             raise ConfigurationError(f"plan.masses must be >= 0, got {list(self.masses)}")
+        # a mass's {:g} form names its output files and manifest seed keys
+        if len({f"{mass:g}" for mass in self.masses}) < len(self.masses):
+            raise ConfigurationError(
+                f"plan.masses must differ in the {{:g}} form that names output files, "
+                f"got {list(self.masses)}"
+            )
         for label, t_l, t_u in self.experiments:
             where = f"plan.experiments.{label}"
             # a label goes into file names and into summary.csv's comma-separated rows
@@ -283,18 +289,8 @@ def synthetic_registry(count: int) -> list[QoiSpec]:
     if count < 1:
         raise ConfigurationError("QOI count must be >= 1")
     canon = [s for s in registry_canonical() if s.field == "T"]
-    specs = []
-    for i in range(count):
-        template = canon[i % len(canon)]
-        specs.append(
-            QoiSpec(
-                id=f"bench{i}:{template.id}",
-                field=template.field,
-                zone=template.zone,
-                level_range=template.level_range,
-            )
-        )
-    return specs
+    templates = (canon[i % len(canon)] for i in range(count))
+    return [replace(t, id=f"bench{i}:{t.id}") for i, t in enumerate(templates)]
 
 
 @dataclass(frozen=True)

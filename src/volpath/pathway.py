@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateBaselineError
 from .grid import ZONE_ORDER
-from .qoi import FIELD_NAMES
+from .qoi import FIELD_NAMES, registry_canonical
 
-# Absolute hysteresis thresholds for the tracer QOIs (field units).
-SO2_BOUNDS = (4.0e-10, 8.0e-10)
-SUL_BOUNDS = (4.0e-10, 8.0e-10)
-AOD_BOUNDS = (0.0075, 0.015)
+# Absolute hysteresis thresholds (lower, upper) of the tracer fields, in field
+# units; the QOIs of every other field are z-scored.
+ABSOLUTE_BOUNDS = {"SO2": (4.0e-10, 8.0e-10), "SUL": (4.0e-10, 8.0e-10), "AOD": (0.0075, 0.015)}
 
 
 def topological_sort(vertices: list[str], edges: list[tuple[str, str]]) -> list[str]:
@@ -71,16 +70,13 @@ class BaseDag:
 
 
 def base_dag_canonical() -> BaseDag:
-    """16 vertices, 24 edges: per-zone chemistry chains plus poleward chains."""
-    vertices = tuple(f"{f}({z})" for f in FIELD_NAMES for z in ZONE_ORDER)
-    edges = []
-    for z in ZONE_ORDER:
-        for a, b in zip(FIELD_NAMES[:-1], FIELD_NAMES[1:]):
-            edges.append((f"{a}({z})", f"{b}({z})"))
-    for f in FIELD_NAMES:
-        for za, zb in zip(ZONE_ORDER[:-1], ZONE_ORDER[1:]):
-            edges.append((f"{f}({za})", f"{f}({zb})"))
-    return BaseDag(vertices=vertices, edges=tuple(edges))
+    """16 vertices in registry order, 24 edges: per-zone chemistry chains, then poleward chains."""
+    ids = {(s.field, s.zone): s.id for s in registry_canonical()}
+    chemistry = [(ids[a, z], ids[b, z])
+                 for z in ZONE_ORDER for a, b in zip(FIELD_NAMES, FIELD_NAMES[1:])]
+    poleward = [(ids[f, a], ids[f, b])
+                for f in FIELD_NAMES for a, b in zip(ZONE_ORDER, ZONE_ORDER[1:])]
+    return BaseDag(vertices=tuple(ids.values()), edges=tuple(chemistry + poleward))
 
 
 @dataclass(frozen=True)
@@ -270,11 +266,10 @@ def compute_pathway(
 
 
 def canonical_tests(t_l: float, t_u: float) -> dict[str, BoundsTest]:
-    """Absolute tracer tests plus z-score temperature tests for one experiment."""
-    tests: dict[str, BoundsTest] = {}
-    for z in ZONE_ORDER:
-        tests[f"SO2({z})"] = AbsoluteHysteresis(*SO2_BOUNDS)
-        tests[f"SUL({z})"] = AbsoluteHysteresis(*SUL_BOUNDS)
-        tests[f"AOD({z})"] = AbsoluteHysteresis(*AOD_BOUNDS)
-        tests[f"T({z})"] = ZScoreHysteresis(t_l, t_u)
-    return tests
+    """Absolute tracer tests plus z-score temperature tests for one experiment, by canonical id."""
+    return {
+        s.id: AbsoluteHysteresis(*ABSOLUTE_BOUNDS[s.field])
+        if s.field in ABSOLUTE_BOUNDS
+        else ZScoreHysteresis(t_l, t_u)
+        for s in registry_canonical()
+    }

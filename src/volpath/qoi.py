@@ -14,18 +14,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import (
-    LevelRange,
-    SphericalGrid,
-    STRATOSPHERE_RANGE,
-    ZONE_ORDER,
-    ZoneSpec,
-    canonical_zones,
-    level_mask,
-    zone_weights,
+    LevelRange, SphericalGrid, STRATOSPHERE_RANGE, ZONE_ORDER, level_mask, zone_weights,
 )
 from .surrogate import ModelState
 
-FIELD_NAMES = ("SO2", "SUL", "AOD", "T")
+# The ModelState attribute each field reads, in the registry's field order.
+FIELD_ATTRS = {"SO2": "so2", "SUL": "so4", "AOD": "aod", "T": "temperature"}
+FIELD_NAMES = tuple(FIELD_ATTRS)
 
 # Weight spans start and end on multiples of this many elements (or at the
 # end of the field).  Then every product keeps the accumulator lane it has in
@@ -37,43 +32,31 @@ SPAN_ALIGN = 64
 
 @dataclass(frozen=True)
 class QoiSpec:
-    """One tracked quantity: a field reduced over a zone (and level range if 3D)."""
+    """One tracked quantity: a field reduced over a canonical zone (and level range if 3D)."""
 
     id: str
     field: str
-    zone: ZoneSpec
+    zone: str
     level_range: LevelRange | None
 
     def __post_init__(self):
         if self.field not in FIELD_NAMES:
             raise ConfigurationError(f"unknown field {self.field!r}")
+        if self.zone not in ZONE_ORDER:
+            raise ConfigurationError(f"unknown zone {self.zone!r}; the zones are {ZONE_ORDER}")
         if self.field == "AOD" and self.level_range is not None:
             raise ConfigurationError("AOD is 2D; its spec must not carry a level range")
         if self.field != "AOD" and self.level_range is None:
             raise ConfigurationError(f"3D field {self.field} requires a level range")
 
 
-def _field_of(state: ModelState, name: str) -> np.ndarray:
-    if name == "SO2":
-        return state.so2
-    if name == "SUL":
-        return state.so4
-    if name == "AOD":
-        return state.aod
-    return state.temperature
-
-
 def registry_canonical() -> list[QoiSpec]:
     """The 16 canonical specs: {SO2, SUL, AOD, T} x {e, s, t, p}, field-major."""
-    zones = canonical_zones()
-    specs = []
-    for field in FIELD_NAMES:
-        for label in ZONE_ORDER:
-            lr = None if field == "AOD" else STRATOSPHERE_RANGE
-            specs.append(
-                QoiSpec(id=f"{field}({label})", field=field, zone=zones[label], level_range=lr)
-            )
-    return specs
+    return [
+        QoiSpec(f"{field}({zone})", field, zone, None if field == "AOD" else STRATOSPHERE_RANGE)
+        for field in FIELD_NAMES
+        for zone in ZONE_ORDER
+    ]
 
 
 def _span(w: np.ndarray) -> tuple[slice, np.ndarray]:
@@ -100,7 +83,7 @@ class RegistryEvaluator:
             wz = zone_weights(grid, spec.zone)
             total = wz.sum()
             if total == 0.0:
-                raise ConfigurationError(f"zone {spec.zone.label!r} is empty for {spec.id}")
+                raise ConfigurationError(f"zone {spec.zone!r} is empty for {spec.id}")
             wz = wz / total
             w = wz
             if spec.level_range is not None:
@@ -110,7 +93,7 @@ class RegistryEvaluator:
                 wk = np.where(mask, grid.dp, 0.0)
                 wk = wk / wk[mask].sum()
                 w = wz[:, :, None] * wk[None, None, :]
-            self._weights.append((spec.field, *_span(w.ravel())))
+            self._weights.append((FIELD_ATTRS[spec.field], *_span(w.ravel())))
 
     @property
     def ids(self) -> list[str]:
@@ -119,8 +102,8 @@ class RegistryEvaluator:
     def evaluate_state(self, state: ModelState) -> np.ndarray:
         """Vector of all QOI values for one state, in registry order."""
         out = np.empty(len(self.specs))
-        for i, (field, span, w) in enumerate(self._weights):
-            out[i] = w @ _field_of(state, field).ravel()[span]
+        for i, (attr, span, w) in enumerate(self._weights):
+            out[i] = w @ getattr(state, attr).ravel()[span]
         if not np.isfinite(out).all():
             bad = self.specs[int(np.argmax(~np.isfinite(out)))].id
             raise NumericalFailureError(

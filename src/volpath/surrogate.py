@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import (
-    LevelRange, SphericalGrid, STRATOSPHERE_RANGE, ZONE_BOUNDS, lat_row_index, level_mask,
+    LevelRange, SphericalGrid, STRATOSPHERE_RANGE, ZONE_ORDER, lat_row_index, level_mask,
+    zone_of_rows,
 )
 
 # Column air-mass constant: kg of air per hPa of pressure thickness for the
@@ -36,8 +37,9 @@ from .grid import (
 AIR_MASS_PER_HPA_KG = 5.1e15
 TG_TO_KG = 1.0e9
 
-# Noise bands: the canonical zones plus everything south of them.
-N_NOISE_BANDS = len(ZONE_BOUNDS) + 1
+# Noise bands: one per zone_of_rows number, so everything south of the
+# canonical zones, then each zone.
+N_NOISE_BANDS = len(ZONE_ORDER) + 1
 
 
 @dataclass(frozen=True)
@@ -114,13 +116,6 @@ class ModelState:
 def make_rng(seed: RunSeed) -> np.random.Generator:
     """The run's random stream; fully determined by (seed, member_index)."""
     return np.random.default_rng([seed.seed & (2**64 - 1), seed.member_index])
-
-
-def noise_band_of_rows(grid: SphericalGrid) -> np.ndarray:
-    """Band index per latitude row: 0 south of the canonical zones, then 1, 2, ... by zone."""
-    # the zones are contiguous, so a row's band counts the zone starts at or south of it
-    starts = [lo for lo, _ in ZONE_BOUNDS.values()]
-    return np.searchsorted(starts, grid.lat_centers, side="right")
 
 
 def initialize(params: ModelParams, grid: SphericalGrid, rng: np.random.Generator) -> ModelState:
@@ -201,7 +196,7 @@ class Stepper:
         self.dp = grid.dp
         self.heat = dt * params.k_heat
         self.noise_scale = params.noise_amp * np.sqrt(dt)
-        self.bands = noise_band_of_rows(grid)
+        self.bands = zone_of_rows(grid)
         self.buf = np.empty((grid.nlat, grid.nlon, grid.nlev))
 
     def _advect_poleward(self, f: np.ndarray) -> None:

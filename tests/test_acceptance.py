@@ -27,10 +27,9 @@ from volpath.harness import (
     run_member,
 )
 from volpath.pathway import (
-    AOD_BOUNDS,
+    ABSOLUTE_BOUNDS,
     AbsoluteHysteresis,
     BaseDag,
-    SO2_BOUNDS,
     ZScoreHysteresis,
     base_dag_canonical,
     canonical_tests,
@@ -117,7 +116,7 @@ def test_criterion_01_bounds_test_exactness():
         )
 
     # Every branch of the absolute tests at their exact thresholds.
-    for lower, upper in (SO2_BOUNDS, SO2_BOUNDS, AOD_BOUNDS):
+    for lower, upper in ABSOLUTE_BOUNDS.values():
         mid = 0.5 * (lower + upper)
         for prev, value, expected in [
             (0, lower * 0.99, 0),
@@ -158,7 +157,7 @@ def test_criterion_01_bounds_test_exactness():
 
     # In-band sequences of length >= 100 hold the previous state with no chatter.
     rng = np.random.default_rng(0)
-    for lower, upper in (SO2_BOUNDS, AOD_BOUNDS):
+    for lower, upper in (ABSOLUTE_BOUNDS["SO2"], ABSOLUTE_BOUNDS["AOD"]):
         band = rng.uniform(lower, upper, 120)
         band = band[(band > lower) & (band < upper)]
         assert len(band) >= 100

@@ -9,11 +9,10 @@ from volpath.grid import (
     STRATOSPHERE_RANGE,
     ZONE_BOUNDS,
     ZONE_ORDER,
-    ZoneSpec,
     build_grid,
-    canonical_zones,
     lat_row_index,
     level_mask,
+    zone_of_rows,
     zone_weights,
 )
 
@@ -56,33 +55,30 @@ class TestBuildGrid:
 
 class TestZones:
     def test_canonical_zone_bounds(self):
-        zones = canonical_zones()
-        assert tuple(zones) == ZONE_ORDER
-        assert zones["e"].lat_min == -23.5 and zones["e"].lat_max == 23.5
-        assert zones["p"].lat_min == 66.5 and zones["p"].lat_max == 90.0
+        assert ZONE_ORDER == ("e", "s", "t", "p")
+        assert ZONE_BOUNDS["e"] == (-23.5, 23.5)
+        assert ZONE_BOUNDS["p"] == (66.5, 90.0)
 
     def test_zone_spec_validation(self):
-        with pytest.raises(ConfigurationError):
-            ZoneSpec("bad", 30.0, 20.0)
-        with pytest.raises(ConfigurationError):
-            ZoneSpec("bad", -100.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            ZoneSpec("bad", 0.0, 95.0)
+        # zone_of_rows counts zone starts, which is right only for this layout
+        bounds = list(ZONE_BOUNDS.values())
+        assert all(-90.0 <= lo < hi <= 90.0 for lo, hi in bounds)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        assert bounds[-1][1] == 90.0
 
     def test_zone_area_fraction_quadrature(self):
         # On a fine grid the weight in a band converges to its exact area
         # fraction (sin(hi) - sin(lo)) / 2.
         grid = build_grid(nlat=720, nlon=4, nlev=4, p_top=1.0, p_surface=1000.0)
         for label, (lo, hi) in ZONE_BOUNDS.items():
-            got = zone_weights(grid, canonical_zones()[label]).sum()
+            got = zone_weights(grid, label).sum()
             exact = (np.sin(np.deg2rad(hi)) - np.sin(np.deg2rad(lo))) / 2.0
             assert got == pytest.approx(exact, rel=5e-3), label
 
     def test_zones_partition_north_of_equatorial_band(self, small_grid):
-        zones = canonical_zones()
-        total = sum(zone_weights(small_grid, z) for z in zones.values())
+        total = sum(zone_weights(small_grid, z) for z in ZONE_ORDER)
         in_any = np.zeros(small_grid.nlat, dtype=int)
-        for z in zones.values():
+        for z in ZONE_ORDER:
             in_any += (zone_weights(small_grid, z)[:, 0] > 0).astype(int)
         for i, c in enumerate(small_grid.lat_centers):
             expected = 1 if c >= -23.5 else 0
@@ -95,13 +91,23 @@ class TestZones:
 
     def test_membership_is_half_open(self):
         # A cell center exactly on a shared boundary belongs to the northern
-        # zone; with 9 rows one center sits exactly at latitude 0.
-        grid = build_grid(nlat=9, nlon=4, nlev=4, p_top=1.0, p_surface=1000.0)
-        row = int(np.flatnonzero(grid.lat_centers == 0.0)[0])
-        south = ZoneSpec("south", -50.0, 0.0)
-        north = ZoneSpec("north", 0.0, 50.0)
-        assert zone_weights(grid, south)[row].sum() == 0.0
-        assert zone_weights(grid, north)[row].sum() > 0.0
+        # zone; with 18 rows one center sits exactly at latitude 35.
+        grid = build_grid(nlat=18, nlon=4, nlev=4, p_top=1.0, p_surface=1000.0)
+        row = int(np.flatnonzero(grid.lat_centers == 35.0)[0])
+        assert zone_of_rows(grid)[row] == 1 + ZONE_ORDER.index("t")
+        assert zone_weights(grid, "s")[row].sum() == 0.0
+        assert zone_weights(grid, "t")[row].sum() > 0.0
+
+    def test_zone_of_rows_matches_interval_membership(self):
+        # against each row's interval test, on grids with centers on the boundaries
+        for nlat in (4, 8, 9, 18, 32, 180, 360):
+            grid = build_grid(nlat=nlat, nlon=1, nlev=4, p_top=1.0, p_surface=1000.0)
+            expected = [
+                next((1 + i for i, (lo, hi) in enumerate(ZONE_BOUNDS.values())
+                      if lo <= c < hi or c == hi == 90.0), 0)
+                for c in grid.lat_centers
+            ]
+            assert zone_of_rows(grid).tolist() == expected, nlat
 
 
 class TestLevels:

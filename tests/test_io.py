@@ -284,10 +284,12 @@ class TestCsv:
         assert lines[1] == "5.0,Ex1,T(e),10,90.25,1.5,100.0,2.5"
 
     def test_bench_csv(self):
-        rows = [BenchRow(7, 0.01, 0.011, 1.1)]
-        text = bench_csv_text(rows)
-        assert text.startswith("qoi_count,baseline_s_per_step,tracked_s_per_step,ratio\n")
-        assert "7,0.01,0.011,1.1" in text
+        rows = [BenchRow(7, 0.01, 0.011, 1.1), BenchRow(875, 1 / 3, 2.5e-5, 12.345678912)]
+        assert bench_csv_text(rows) == (
+            "qoi_count,baseline_s_per_step,tracked_s_per_step,ratio\n"
+            "7,1.000000e-02,1.100000e-02,1.100000e+00\n"
+            "875,3.333333e-01,2.500000e-05,1.234568e+01\n"
+        )
 
 
 class TestDot:
@@ -469,6 +471,16 @@ class TestCli:
              ["T(e)", "'mean' must hold finite numbers"]),
             ({"T(e)": {"n_members": True, "mean": [240.0], "m2": [0.0]}},
              ["T(e)", "'n_members' must be an integer >= 0"]),
+            # only JSON numbers count, and a boolean is not one
+            ({"T(e)": {"n_members": 2, "mean": ["240.5", 241.0], "m2": [0.0, 0.5]}},
+             ["T(e)", "'mean' must be a non-empty list of numbers"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [True, 0.5]}},
+             ["T(e)", "'m2' must be a non-empty list of numbers"]),
+            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [None]}},
+             ["T(e)", "'m2' must be a non-empty list of numbers"]),
+            # an integer beyond the float range
+            pytest.param('{"T(e)": {"n_members": 2, "mean": [1' + "0" * 400 + '], "m2": [0.0]}}',
+                         ["T(e)", "'mean' must hold finite numbers"], id="int-beyond-float"),
         ],
     )
     def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, monkeypatch, doc, named):
@@ -567,6 +579,20 @@ class TestCli:
             pytest.param({"surrogate": {"overrides": {"v_transport": 200}}, "grid": {"nlat": 8}},
                          "surrogate.overrides.v_transport: transport CFL fraction 2.222 > 1 "
                          "at dt 0.25 on grid.nlat 8", id="cfl"),
+            # masses name output files by their {:g} form
+            pytest.param({"plan": {"masses": [5.0, 5.000001]}}, "plan.masses", id="masses-collide"),
+            pytest.param({"plan": {"masses": [5.0, 10.0, 5.0]}}, "plan.masses", id="masses-repeat"),
+            # the 4 row centers, at -67.5, -22.5, 22.5 and 67.5, miss zones s and t
+            pytest.param({"grid": {"nlat": 4}},
+                         "grid.nlat: zone 's' of SO2(s) holds none of the 4 rows",
+                         id="nlat-empty-zone"),
+            # mid-levels at 125.9, 375.6, 625.4 and 875.1 hPa, none in 25-75 hPa
+            pytest.param({"grid": {"nlev": 4}, "eruption": {"injection_levels": [100.0, 200.0]}},
+                         "grid.nlev: none of the 4 mid-levels lies in the 25-75 hPa of SO2(e)",
+                         id="nlev-empty-range"),
+            pytest.param({"output_dir": None}, "output_dir", id="output-dir-null"),
+            pytest.param({"output_dir": ""}, "output_dir", id="output-dir-empty"),
+            pytest.param({"output_dir": 5}, "output_dir", id="output-dir-number"),
         ],
     )
     def test_malformed_config_exits_2_naming_key(
@@ -717,9 +743,16 @@ class TestCli:
         assert main(["simulate", str(cfg), "--mass", mass]) == 2
         err = capsys.readouterr().err
         assert err == (
-            f"configuration error: eruption mass must be a finite number >= 0, got {mass}\n"
+            f"configuration error: --mass: eruption mass must be a finite number >= 0, got {mass}\n"
         )
         assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_negative_mass_names_option(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", str(cfg), "--mass", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --mass: eruption mass must be")
         assert not (tmp_path / "out").exists()
 
     def test_simulate_failure_names_its_member(self, tmp_path, capsys, monkeypatch):

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import stats_from_sigma, vertex_series
 from volpath.errors import ConfigurationError, DegenerateBaselineError
 from volpath.pathway import (
-    AOD_BOUNDS,
+    ABSOLUTE_BOUNDS,
     AbsoluteHysteresis,
     BaseDag,
     InactiveTest,
     PathwayDag,
-    SO2_BOUNDS,
-    SUL_BOUNDS,
     ZScoreHysteresis,
     base_dag_canonical,
     canonical_tests,
@@ -136,7 +134,7 @@ class TestBoundsTestBranches:
 
     @pytest.mark.parametrize("prev,value,expected", ABSOLUTE_CASES)
     def test_absolute_branches(self, prev, value, expected):
-        assert step_tau(value, *SO2_BOUNDS, prev) == expected
+        assert step_tau(value, *ABSOLUTE_BOUNDS["SO2"], prev) == expected
 
     ZSCORE_CASES = [
         (0, 0.4, 0),  # below t_l
@@ -166,9 +164,9 @@ class TestBoundsTestBranches:
         rng = np.random.default_rng(0)
         in_band = rng.uniform(0.0076, 0.0149, 150)
         values = np.concatenate(([0.02], in_band, [0.001], in_band))
+        lower, upper = ABSOLUTE_BOUNDS["AOD"]
         taus = hysteresis(
-            values[:, None], np.array([AOD_BOUNDS[0]]), np.array([AOD_BOUNDS[1]]),
-            np.array([False]),
+            values[:, None], np.array([lower]), np.array([upper]), np.array([False])
         )[:, 0]
         assert list(taus) == [True] * 151 + [False] * 151
 
@@ -210,9 +208,9 @@ class TestBoundsTestBranches:
     def test_canonical_tests_cover_registry(self):
         tests = canonical_tests(0.5, 1.0)
         assert len(tests) == 16
-        assert tests["SO2(t)"] == AbsoluteHysteresis(*SO2_BOUNDS)
-        assert tests["SUL(p)"] == AbsoluteHysteresis(*SUL_BOUNDS)
-        assert tests["AOD(e)"] == AbsoluteHysteresis(*AOD_BOUNDS)
+        assert tests["SO2(t)"] == AbsoluteHysteresis(*ABSOLUTE_BOUNDS["SO2"])
+        assert tests["SUL(p)"] == AbsoluteHysteresis(*ABSOLUTE_BOUNDS["SUL"])
+        assert tests["AOD(e)"] == AbsoluteHysteresis(*ABSOLUTE_BOUNDS["AOD"])
         assert tests["T(s)"] == ZScoreHysteresis(0.5, 1.0)
 
 

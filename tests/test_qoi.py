@@ -14,9 +14,8 @@ from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import (
     LevelRange,
     STRATOSPHERE_RANGE,
-    ZoneSpec,
+    ZONE_ORDER,
     build_grid,
-    canonical_zones,
     level_mask,
     zone_weights,
 )
@@ -81,7 +80,7 @@ def field_state(grid, temperature=None, aod=None):
 
 def evaluate_one(grid, state, field, zone, level_range=None):
     """One QOI of a state, through the registry evaluator."""
-    spec = QoiSpec(id=f"{field}({zone.label})", field=field, zone=zone, level_range=level_range)
+    spec = QoiSpec(id=f"{field}({zone})", field=field, zone=zone, level_range=level_range)
     return float(RegistryEvaluator(grid, [spec]).evaluate_state(state)[0])
 
 
@@ -96,30 +95,28 @@ class TestVerticalReduce:
         field[:, :, 2:] = 99.0
         lr = LevelRange(grid.p_mid[0], grid.p_mid[1])
         state = field_state(grid, temperature=field)
-        globe = ZoneSpec("g", -90.0, 90.0)
-        assert evaluate_one(grid, state, "T", globe, lr) == pytest.approx(1.75)
+        for zone in ("e", "p"):
+            assert evaluate_one(grid, state, "T", zone, lr) == pytest.approx(1.75)
 
     def test_constant_field_preserved(self, small_grid):
         state = field_state(small_grid, temperature=3.25)
-        for zone in canonical_zones().values():
+        for zone in ZONE_ORDER:
             val = evaluate_one(small_grid, state, "T", zone, STRATOSPHERE_RANGE)
             assert val == pytest.approx(3.25, rel=1e-15)
 
     def test_empty_selection_rejected(self, small_grid):
-        zone = canonical_zones()["e"]
         with pytest.raises(ConfigurationError, match="empty level range"):
-            evaluate_one(small_grid, field_state(small_grid), "SO2", zone, LevelRange(1.5, 1.6))
-        # a band between two cell centers holds no cell
-        centers = small_grid.lat_centers
-        gap = ZoneSpec("gap", centers[3] + 1e-6, centers[4] - 1e-6)
-        with pytest.raises(ConfigurationError, match="zone 'gap' is empty"):
-            evaluate_one(small_grid, field_state(small_grid), "AOD", gap)
+            evaluate_one(small_grid, field_state(small_grid), "SO2", "e", LevelRange(1.5, 1.6))
+        # the 4-row grid's centers, at -67.5, -22.5, 22.5 and 67.5, miss zones s and t
+        grid = build_grid(nlat=4, nlon=2, nlev=4, p_top=1.0, p_surface=1000.0)
+        with pytest.raises(ConfigurationError, match="zone 's' is empty for AOD"):
+            evaluate_one(grid, field_state(grid), "AOD", "s")
 
 
 class TestZonalReduce:
     def test_constant_field_preserved(self, small_grid):
         state = field_state(small_grid, aod=-1.5)
-        for z in canonical_zones().values():
+        for z in ZONE_ORDER:
             val = evaluate_one(small_grid, state, "AOD", z)
             assert val == pytest.approx(-1.5, rel=1e-15)
 
@@ -127,10 +124,9 @@ class TestZonalReduce:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
-        zone = canonical_zones()["t"]
 
         def value(f):
-            return evaluate_one(small_grid, field_state(small_grid, aod=f), "AOD", zone)
+            return evaluate_one(small_grid, field_state(small_grid, aod=f), "AOD", "t")
 
         assert value(2.0 * a + 3.0 * b) == pytest.approx(
             2.0 * value(a) + 3.0 * value(b), rel=1e-12
@@ -139,7 +135,7 @@ class TestZonalReduce:
     def test_value_within_field_bounds(self, small_grid):
         rng = np.random.default_rng(1)
         state = field_state(small_grid, aod=rng.uniform(5.0, 9.0, (8, 8)))
-        for z in canonical_zones().values():
+        for z in ZONE_ORDER:
             v = evaluate_one(small_grid, state, "AOD", z)
             assert 5.0 <= v <= 9.0
 
@@ -158,19 +154,21 @@ class TestSpecs:
                 assert s.level_range == STRATOSPHERE_RANGE
 
     def test_aod_spec_rejects_level_range(self):
-        zone = canonical_zones()["e"]
         with pytest.raises(ConfigurationError):
-            QoiSpec(id="AOD(e)", field="AOD", zone=zone, level_range=STRATOSPHERE_RANGE)
+            QoiSpec(id="AOD(e)", field="AOD", zone="e", level_range=STRATOSPHERE_RANGE)
 
     def test_3d_spec_requires_level_range(self):
-        zone = canonical_zones()["e"]
         with pytest.raises(ConfigurationError):
-            QoiSpec(id="SO2(e)", field="SO2", zone=zone, level_range=None)
+            QoiSpec(id="SO2(e)", field="SO2", zone="e", level_range=None)
 
     def test_unknown_field_rejected(self):
-        zone = canonical_zones()["e"]
         with pytest.raises(ConfigurationError):
-            QoiSpec(id="X(e)", field="X", zone=zone, level_range=STRATOSPHERE_RANGE)
+            QoiSpec(id="X(e)", field="X", zone="e", level_range=STRATOSPHERE_RANGE)
+
+    @pytest.mark.parametrize("zone", ["g", "E", "", None])
+    def test_unknown_zone_rejected(self, zone):
+        with pytest.raises(ConfigurationError, match="unknown zone"):
+            QoiSpec(id="T(g)", field="T", zone=zone, level_range=STRATOSPHERE_RANGE)
 
 
 class TestRegistryEvaluator:
@@ -190,19 +188,18 @@ class TestRegistryEvaluator:
             ev.evaluate_state(state)
 
     def test_empty_level_range_rejected(self, small_grid):
-        zone = canonical_zones()["e"]
-        spec = QoiSpec(id="T(e)", field="T", zone=zone, level_range=LevelRange(1.5, 1.6))
+        spec = QoiSpec(id="T(e)", field="T", zone="e", level_range=LevelRange(1.5, 1.6))
         with pytest.raises(ConfigurationError):
             RegistryEvaluator(small_grid, [spec])
 
 
 def extra_specs():
-    """Specs with zones and level ranges other than the canonical ones."""
+    """Specs with level ranges other than the canonical one."""
     return [
-        QoiSpec("T(g)", "T", ZoneSpec("g", -90.0, 90.0), LevelRange(1.0, 1000.0)),
-        QoiSpec("SUL(n)", "SUL", ZoneSpec("n", 0.0, 90.0), LevelRange(100.0, 600.0)),
-        QoiSpec("SO2(x)", "SO2", ZoneSpec("x", -60.0, -10.0), LevelRange(400.0, 999.0)),
-        QoiSpec("AOD(s)", "AOD", ZoneSpec("s", -90.0, -30.0), None),
+        QoiSpec("T(p)/all", "T", "p", LevelRange(1.0, 1000.0)),
+        QoiSpec("SUL(t)/mid", "SUL", "t", LevelRange(100.0, 600.0)),
+        QoiSpec("SO2(e)/low", "SO2", "e", LevelRange(400.0, 999.0)),
+        QoiSpec("T(s)/top", "T", "s", LevelRange(1.0, 80.0)),
     ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import STEPPER_CASES, random_state, total_sulfur_kg
 from volpath.errors import ConfigurationError, NumericalFailureError
-from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask
+from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask, zone_of_rows
 from volpath.surrogate import (
     AIR_MASS_PER_HPA_KG,
     N_NOISE_BANDS,
@@ -17,7 +17,6 @@ from volpath.surrogate import (
     TG_TO_KG,
     initialize,
     make_rng,
-    noise_band_of_rows,
     step,
 )
 
@@ -59,7 +58,7 @@ def step_oracle(state, params, eruption, grid, rng):
     temp[:, :, lev_idx] += dt * params.k_heat * aod[:, :, None]
     innovations = params.noise_amp * np.sqrt(dt) * rng.standard_normal(N_NOISE_BANDS)
     band_noise = params.noise_memory * state.band_noise + innovations
-    temp += band_noise[noise_band_of_rows(grid)][:, None, None]
+    temp += band_noise[zone_of_rows(grid)][:, None, None]
     return ModelState(so2, so4, temp, aod, state.step_index + 1, state.time + dt, band_noise)
 
 
@@ -243,7 +242,7 @@ class TestLimits:
         # 0 south of -23.5 deg, then the zones e, s, t, p as 1..4
         grid = build_grid(nlat=32, nlon=64, nlev=16, p_top=1.0, p_surface=1000.0)
         expected = [0] * 12 + [1] * 8 + [2] * 2 + [3] * 6 + [4] * 4
-        assert noise_band_of_rows(grid).tolist() == expected
+        assert zone_of_rows(grid).tolist() == expected
 
 
 class TestFailureDetection:

@@ -28,12 +28,11 @@ from .export import (
     write_summary_csv,
 )
 from .harness import (
-    TrackerHook,
     bench_overhead,
+    canonical_series,
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
-    run_member,
 )
 from .pathway import (
     InactiveTest,
@@ -43,7 +42,6 @@ from .pathway import (
     compute_pathway,
     score_tables,
 )
-from .qoi import registry_canonical
 
 logger = logging.getLogger("volpath")
 
@@ -78,12 +76,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for qid, test in tests.items()
         }
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
-    hook = TrackerHook(grid, registry_canonical(), cfg.params.n_steps, cfg.params.dt)
-    result = run_member(cfg.params, cfg.eruption, grid, seed, hook)
-    pathway = compute_pathway(base, result.series, tests, baselines, cfg.params.dt)
+    series = canonical_series(cfg.params, cfg.eruption, grid, [seed])[0]
+    pathway = compute_pathway(base, series, tests, baselines, cfg.params.dt)
 
     digest = config_digest(cfg)
-    write_series_csv(out / "series.csv", result.series, cfg.params.dt)
+    write_series_csv(out / "series.csv", series, cfg.params.dt)
     write_pathway_json(out / "pathway.json", pathway, digest)
     manifest = build_manifest(cfg, seeds={"member": seed.seed})
     write_manifest_json(out / "manifest.json", manifest)
@@ -96,6 +93,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.output_dir)
     grid = cfg.build_grid()
     baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
+    # the check every consumer of the file makes, so no unusable file is written
+    tests = canonical_tests(*cfg.plan.experiments[0][1:])
+    score_tables(base_dag_canonical(), tests, baselines, cfg.params.n_steps)
     write_baselines_json(out / "baselines.json", baselines)
     write_manifest_json(out / "manifest.json", build_manifest(cfg))
     return 0
@@ -164,9 +164,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
     grid = cfg.build_grid()
-    rows = bench_overhead(
-        counts, cfg.params, grid, repetitions=args.repetitions, n_steps=args.steps
-    )
+    rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     out = Path(args.out or cfg.output_dir)
     write_bench_csv(out / "bench.csv", rows)
     for r in rows:

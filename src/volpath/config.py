@@ -174,8 +174,13 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
 
+    try:
+        built = build_grid(**grid)
+    except (MemoryError, ValueError):  # numpy cannot allocate, or refuses, the arrays
+        raise ConfigurationError(
+            f"grid: {grid['nlat']} x {grid['nlon']} x {grid['nlev']} is too large to hold"
+        ) from None
     # a Stepper's checks, made here so that they name their key before any run
-    built = build_grid(**grid)
     checked("surrogate.overrides.v_transport", transport_fraction, params, built)
     checked("eruption.lat", lat_row_index, built, eruption.lat)
     erupting = replace(eruption, mass=max((eruption.mass, *plan.masses)))

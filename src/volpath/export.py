@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,17 +53,15 @@ def _intervals(activation: np.ndarray) -> list[list[list[int]]]:
     return [bounds[first[l]:first[l + 1]].tolist() for l in range(r)]
 
 
-def pathway_to_dict(pathway: PathwayDag, manifest_digest: str | None = None) -> dict:
-    doc = {
+def pathway_to_dict(pathway: PathwayDag, manifest_digest: str) -> dict:
+    return {
         "vertices": list(pathway.base.vertices),
         "edges": [list(e) for e in pathway.base.edges],
         "dt_days": pathway.dt,
         "n_steps": pathway.n_steps,
         "intervals": _intervals(pathway.activation),
+        "config_digest": manifest_digest,
     }
-    if manifest_digest is not None:
-        doc["config_digest"] = manifest_digest
-    return doc
 
 
 def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
@@ -123,13 +122,14 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
         raise ConfigurationError("pathway: 'edges' must be a list of [from, to] vertex pairs")
     base = BaseDag(vertices=tuple(vertices), edges=tuple((a, b) for a, b in edges))
     dt = doc["dt_days"]
-    if type(dt) not in (int, float) or not 0 < dt < np.inf:
+    # an integer beyond the float range fails the upper bound, before float() can overflow
+    if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
         raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
     activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
     return PathwayDag(base=base, activation=activation, dt=float(dt))
 
 
-def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: str | None = None) -> None:
+def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: str) -> None:
     doc = pathway_to_dict(pathway, manifest_digest)
     atomic_write_text(path, json.dumps(doc, separators=(",", ":")))
 

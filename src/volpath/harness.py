@@ -5,10 +5,11 @@ The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
 the same in-situ-extracted series.  run_lockstep is the one loop that
 advances runs: it steps one eruption's members on one shared tracer
-trajectory and calls each member's hook every step.  run_member (the paper's
-single-member in-situ path), the ensembles and the overhead benchmark all go
-through it.  Member seeds are derived from the plan seed with a stable hash
-so any cell of the grid can be reproduced alone.
+trajectory and calls each member's hook every step.  canonical_series
+records through it for simulate and the ensembles, and run_member (the
+paper's single-member in-situ path) for the overhead benchmark.  Member seeds
+are derived from the plan seed with a stable hash so any cell of the grid
+can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def run_lockstep(
         members = zip(seeds, states, rngs, hooks, strict=True)
         for b, (seed, state, rng, hook) in enumerate(members):
             try:
-                if m and b == 0:
-                    stepper.advance(state, rng)
-                elif m:
+                if m:
+                    if b == 0:
+                        stepper.advance_tracers(state)
                     stepper.advance_temperature(state, states[0].aod, rng)
                 hook.observe(state)
             except Exception as exc:
@@ -208,10 +209,10 @@ def run_baseline_ensemble(
     plan: ExperimentPlan,
     params: ModelParams,
     grid: SphericalGrid,
-    eruption_template: EruptionSpec | None = None,
+    eruption_template: EruptionSpec,
 ) -> dict[str, BaselineStats]:
     """Eruption-free ensemble; per-step mean/std of the QOIs every experiment z-scores."""
-    quiet = replace(eruption_template or EruptionSpec(), mass=0.0)
+    quiet = replace(eruption_template, mass=0.0)
     seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
     # score_tables reads only the z-scored baselines, so only those are kept
     tests = canonical_tests(*plan.experiments[0][1:])
@@ -248,10 +249,9 @@ def run_experiment_grid(
     params: ModelParams,
     grid: SphericalGrid,
     baselines: dict[str, BaselineStats],
-    eruption_template: EruptionSpec | None = None,
+    eruption_template: EruptionSpec,
 ) -> ExperimentResult:
     """Eruption ensembles at every mass, analyzed under every threshold experiment."""
-    template = eruption_template or EruptionSpec()
     base = base_dag_canonical()
     never = params.dt * params.n_steps
     rows: list[SummaryRow] = []
@@ -261,7 +261,8 @@ def run_experiment_grid(
     for mass in plan.masses:
         seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
         member_seeds.update(((mass, b), seed) for b, seed in enumerate(seeds))
-        per_member_series = canonical_series(params, replace(template, mass=mass), grid, seeds)
+        eruption = replace(eruption_template, mass=mass)
+        per_member_series = canonical_series(params, eruption, grid, seeds)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)
             summaries = []
@@ -305,8 +306,8 @@ def bench_overhead(
     qoi_counts: list[int],
     params: ModelParams,
     grid: SphericalGrid,
-    repetitions: int = 3,
-    n_steps: int = 50,
+    repetitions: int,
+    n_steps: int,
 ) -> list[BenchRow]:
     """Per-step wall time of one run_member with the hook disabled vs enabled at each QOI count.
 

@@ -11,6 +11,7 @@ the recorded series, running every test type through one vectorized kernel,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -21,27 +22,6 @@ from .qoi import FIELD_NAMES, registry_canonical
 # Absolute hysteresis thresholds (lower, upper) of the tracer fields, in field
 # units; the QOIs of every other field are z-scored.
 ABSOLUTE_BOUNDS = {"SO2": (4.0e-10, 8.0e-10), "SUL": (4.0e-10, 8.0e-10), "AOD": (0.0075, 0.015)}
-
-
-def topological_sort(vertices: list[str], edges: list[tuple[str, str]]) -> list[str]:
-    """Kahn's algorithm; raises ConfigurationError on a cycle."""
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg = {v: 0 for v in vertices}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(vertices):
-        raise ConfigurationError("graph contains a cycle")
-    return order
 
 
 @dataclass(frozen=True)
@@ -57,12 +37,17 @@ class BaseDag:
         if len(set(self.edges)) != len(self.edges):
             raise ConfigurationError("duplicate edges in base DAG")
         vs = set(self.vertices)
+        sorter = TopologicalSorter()
         for a, b in self.edges:
             if a == b:
                 raise ConfigurationError(f"self-loop at {a!r}")
             if a not in vs or b not in vs:
                 raise ConfigurationError(f"edge ({a!r}, {b!r}) references unknown vertex")
-        topological_sort(list(self.vertices), list(self.edges))
+            sorter.add(b, a)
+        try:
+            sorter.prepare()
+        except CycleError:
+            raise ConfigurationError("graph contains a cycle") from None
 
     @property
     def r(self) -> int:
@@ -118,16 +103,14 @@ class InactiveTest:
 BoundsTest = AbsoluteHysteresis | ZScoreHysteresis | InactiveTest
 
 
-def hysteresis(
-    scores: np.ndarray, lower: np.ndarray, upper: np.ndarray, initial: np.ndarray
-) -> np.ndarray:
+def hysteresis(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Taus of k consecutive steps: (k, r) scores -> (k, r) bool.
 
     Per column l, a step is inactive when its score is <= lower[l], else
-    active when >= upper[l], else it holds the previous tau (initial[l]
-    before the first row).  At exact threshold equality the inactive branch
-    is checked before the active branch, and both take priority over the
-    hold branch; a NaN score holds.
+    active when >= upper[l], else it holds the previous tau (inactive before
+    the first row).  At exact threshold equality the inactive branch is
+    checked before the active branch, and both take priority over the hold
+    branch; a NaN score holds.
     """
     off = scores <= lower
     on = scores >= upper
@@ -136,7 +119,7 @@ def hysteresis(
     # 1 + index of the last decided step at or before each step; 0 = none yet
     last = np.arange(1, k + 1)[:, None] * (off | on)
     np.maximum.accumulate(last, axis=0, out=last)
-    return np.concatenate((initial[None], on))[last, np.arange(r)]
+    return np.concatenate((np.zeros((1, r), dtype=bool), on))[last, np.arange(r)]
 
 
 @dataclass(frozen=True)
@@ -261,8 +244,7 @@ def compute_pathway(
     values = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
     scores = (values - mean) / std
     scores[:1, zscored] = -np.inf
-    taus = hysteresis(scores, lower, upper, initial=np.zeros(base.r, dtype=bool))
-    return PathwayDag(base=base, activation=taus, dt=dt)
+    return PathwayDag(base=base, activation=hysteresis(scores, lower, upper), dt=dt)
 
 
 def canonical_tests(t_l: float, t_u: float) -> dict[str, BoundsTest]:

@@ -10,10 +10,10 @@ The model advances a state (SO2, SO4, T, AOD) one step at a time:
   5. temperature: AOD-driven stratospheric heating, Newtonian relaxation
      toward an equilibrium temperature, and AR(1) band noise.
 
-Stepper.advance runs the step as two halves.  advance_tracers does 1-4 and
-draws no random numbers; advance_temperature does 5 from a given AOD with
-the run's own random stream.  Members of an ensemble differ only in their
-seed, so they can share one tracer half and step only their temperatures.
+A Stepper runs the step as two halves.  advance_tracers does 1-4 and draws
+no random numbers; advance_temperature does 5 from a given AOD with the
+run's own random stream.  Members of an ensemble differ only in their seed,
+so they can share one tracer half and step only their temperatures.
 
 The tracer subsystem is linear in the injected mass, so doubling the
 eruption doubles every SO2/SO4/AOD value at every step.
@@ -214,11 +214,6 @@ class Stepper:
         mass[i + 1 :] += donor
         np.divide(mass, self.w, out=q)
 
-    def advance(self, state: ModelState, rng: np.random.Generator) -> None:
-        """Advance state by one step in place: its tracers, then its temperature."""
-        self.advance_tracers(state)
-        self.advance_temperature(state, state.aod, rng)
-
     def advance_tracers(self, state: ModelState) -> None:
         """Advance SO2, SO4 and AOD by one step in place; step index and time stay.
 
@@ -295,7 +290,7 @@ def step(
     """Advance one step; returns a new state, the input is not modified.
 
     Builds a Stepper on every call; a run of many steps builds one and calls
-    its advance instead.
+    its two halves instead.
     """
     new = replace(
         state,
@@ -303,5 +298,7 @@ def step(
         so4=state.so4.copy(),
         temperature=state.temperature.copy(),
     )
-    Stepper(params, eruption, grid).advance(new, rng)
+    stepper = Stepper(params, eruption, grid)
+    stepper.advance_tracers(new)
+    stepper.advance_temperature(new, new.aod, rng)
     return new

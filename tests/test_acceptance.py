@@ -81,8 +81,8 @@ def default_grid():
 
 def run_full_grid(grid):
     plan = ExperimentPlan()
-    baselines = run_baseline_ensemble(plan, PRESET_PARAMS, grid)
-    result = run_experiment_grid(plan, PRESET_PARAMS, grid, baselines)
+    baselines = run_baseline_ensemble(plan, PRESET_PARAMS, grid, EruptionSpec())
+    result = run_experiment_grid(plan, PRESET_PARAMS, grid, baselines, EruptionSpec())
     return plan, baselines, result
 
 
@@ -108,12 +108,10 @@ def test_criterion_01_bounds_test_exactness():
     start = time.perf_counter()
 
     def taus(scores, lower, upper, prev):
-        return list(
-            hysteresis(
-                np.asarray(scores, dtype=float)[:, None],
-                np.array([lower]), np.array([upper]), np.array([bool(prev)]),
-            )[:, 0].astype(int)
-        )
+        # a deciding first row sets the previous tau; it is dropped from the result
+        first = np.inf if prev else -np.inf
+        scores = np.concatenate(([first], np.asarray(scores, dtype=float)))[:, None]
+        return list(hysteresis(scores, np.array([lower]), np.array([upper]))[1:, 0].astype(int))
 
     # Every branch of the absolute tests at their exact thresholds.
     for lower, upper in ABSOLUTE_BOUNDS.values():
@@ -380,7 +378,7 @@ def test_criterion_11_determinism(grid_run, grid_run_repeat):
     assert summary_csv_text(a.rows) == summary_csv_text(b.rows)
     assert set(a.pathways) == set(b.pathways)
     for key in a.pathways:
-        assert pathway_to_dict(a.pathways[key]) == pathway_to_dict(b.pathways[key])
+        assert pathway_to_dict(a.pathways[key], "") == pathway_to_dict(b.pathways[key], "")
     for qid in baselines_a:
         assert np.array_equal(baselines_a[qid].mean, baselines_b[qid].mean)
         assert np.array_equal(baselines_a[qid].m2, baselines_b[qid].m2)

@@ -126,7 +126,7 @@ class TestBaselineEnsemble:
     def test_tracers_zero_and_temperature_spread(self, tiny_setup):
         grid, params, _ = tiny_setup
         plan = ExperimentPlan(n_members=2, baseline_members=3, seed=11)
-        stats = run_baseline_ensemble(plan, params, grid)
+        stats = run_baseline_ensemble(plan, params, grid, EruptionSpec())
         # only the z-scored QOIs are kept, in registry order
         assert list(stats) == [s.id for s in registry_canonical() if s.field == "T"]
         for st in stats.values():
@@ -151,9 +151,9 @@ class TestExperimentGrid:
             baseline_members=2,
             seed=11,
         )
-        baselines = run_baseline_ensemble(plan, params, grid)
-        a = run_experiment_grid(plan, params, grid, baselines)
-        b = run_experiment_grid(plan, params, grid, baselines)
+        baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
+        a = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        b = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
         assert len(a.rows) == 2 * 1 * 16
         assert set(a.pathways) == {
             (m, "Ex1", i) for m in (5.0, 10.0) for i in range(2)
@@ -174,7 +174,7 @@ class TestExperimentGrid:
 
         monkeypatch.setattr(harness.Stepper, "advance_tracers", failing_advance_tracers)
         with pytest.raises(NumericalFailureError) as info:
-            run_experiment_grid(plan, params, grid, baselines={})
+            run_experiment_grid(plan, params, grid, {}, EruptionSpec())
         seed = derive_seed(11, "eruption", 0).seed
         assert info.value.step_index == 7
         assert str(info.value) == (

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import vertex_series
-from volpath import cli, harness
+from volpath import cli, config, harness
 from volpath.cli import main
 from volpath.config import (
     CONVENTIONS,
@@ -88,7 +88,7 @@ def tiny_baseline():
 
 
 #: every field the writers put in a file, config_digest aside (it is provenance)
-PATHWAY_FIELDS = [k for k in pathway_to_dict(tiny_pathway()) if k != "config_digest"]
+PATHWAY_FIELDS = [k for k in pathway_to_dict(tiny_pathway(), "abc") if k != "config_digest"]
 BASELINE_FIELDS = list(baselines_to_dict({"T(e)": tiny_baseline()})["T(e)"])
 
 
@@ -187,7 +187,7 @@ class TestPathwaySerialization:
     def test_file_round_trip(self, tmp_path):
         pw = tiny_pathway()
         path = tmp_path / "deep" / "pathway.json"
-        write_pathway_json(path, pw)
+        write_pathway_json(path, pw, "abc")
         back = read_pathway_json(path)
         assert np.array_equal(back.activation, pw.activation)
         json.loads(path.read_text())
@@ -197,7 +197,7 @@ class TestPathwaySerialization:
             read_pathway_json(tmp_path / "missing.json")
 
     def test_shape_mismatch_rejected(self):
-        doc = pathway_to_dict(tiny_pathway())
+        doc = pathway_to_dict(tiny_pathway(), "abc")
         doc["intervals"] = doc["intervals"][:2]
         with pytest.raises(ConfigurationError, match="'intervals' must hold 3 lists"):
             pathway_from_dict(doc)
@@ -223,7 +223,7 @@ class TestPathwaySerialization:
         vertices = tuple(f"v{l}" for l in range(activation.shape[1]))
         base = BaseDag(vertices=vertices, edges=tuple(zip(vertices, vertices[1:])))
         pw = PathwayDag(base=base, activation=activation, dt=0.25)
-        doc = pathway_to_dict(pw)
+        doc = pathway_to_dict(pw, "abc")
         path = tmp_path_factory.mktemp("pw") / "pathway.json"
         write_pathway_json(path, pw, "abc")
         back = read_pathway_json(path)
@@ -421,7 +421,7 @@ class TestCli:
         cfg = write_config(tmp_path)
         ran = []
         monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
-        monkeypatch.setattr(cli, "run_member", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(cli, "canonical_series", lambda *a, **k: ran.append(a))
         assert main([command, str(cfg), "--baseline", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and named in err
@@ -439,6 +439,26 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert "baseline sigma for T(e) is not positive at step 1" in err
         assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_baseline_is_not_written(self, tmp_path, capsys):
+        # without noise every baseline member is the same, so sigma is 0
+        cfg = write_config(tmp_path, surrogate={"overrides": {"n_steps": 40, "noise_amp": 0}})
+        assert main(["baseline", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: baseline sigma for T(e) is not positive at step 1; "
+            "z-score test is not well-defined\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_numpy_cannot_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(**grid):
+            raise MemoryError
+
+        monkeypatch.setattr(config, "build_grid", out_of_memory)
+        assert main(["experiment", str(write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: grid: 8 x 8 x 8 is too large to hold\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -593,6 +613,10 @@ class TestCli:
             pytest.param({"output_dir": None}, "output_dir", id="output-dir-null"),
             pytest.param({"output_dir": ""}, "output_dir", id="output-dir-empty"),
             pytest.param({"output_dir": 5}, "output_dir", id="output-dir-number"),
+            # numpy refuses a linspace this long before allocating anything
+            pytest.param({"grid": {"nlat": 10**20}},
+                         "grid: 100000000000000000000 x 8 x 8 is too large to hold",
+                         id="nlat-too-large"),
         ],
     )
     def test_malformed_config_exits_2_naming_key(
@@ -615,7 +639,7 @@ class TestCli:
 
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
-        write_pathway_json(pw_path, tiny_pathway())
+        write_pathway_json(pw_path, tiny_pathway(), "abc")
         dot_path = tmp_path / "snap.dot"
         assert main([
             "export-dot", str(pw_path), "--day", "1.0", "--out", str(dot_path),
@@ -634,7 +658,7 @@ class TestCli:
 
     def test_export_dot_creates_output_directory(self, tmp_path):
         pw_path = tmp_path / "pathway.json"
-        write_pathway_json(pw_path, tiny_pathway())
+        write_pathway_json(pw_path, tiny_pathway(), "abc")
         dot_path = tmp_path / "new" / "dir" / "x.dot"
         assert main(["export-dot", str(pw_path), "--day", "1", "--out", str(dot_path)]) == 0
         assert dot_path.read_text() == export_dot(tiny_pathway(), 1.0)
@@ -685,12 +709,14 @@ class TestCli:
             # too big for numpy to shape, so nothing is allocated
             ({"n_steps": 2**62}, "'n_steps' 4611686018427387904 is too large"),
             ({"n_steps": 10**30}, "'n_steps' 1000000000000000000000000000000 is too large"),
+            # an integer beyond the float range
+            ({"dt_days": 10**400}, "'dt_days' must be a positive number"),
         ],
     )
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):
         path = tmp_path / "pathway.json"
         if isinstance(patch, dict):
-            doc = pathway_to_dict(tiny_pathway())
+            doc = pathway_to_dict(tiny_pathway(), "abc")
             doc.update(patch)
             # None marks a field left out of the file
             doc = {k: v for k, v in doc.items() if v is not None}
@@ -739,7 +765,7 @@ class TestCli:
     def test_simulate_non_finite_mass_exits_2(self, tmp_path, capsys, monkeypatch, mass):
         cfg = write_config(tmp_path)
         ran = []
-        monkeypatch.setattr(cli, "run_member", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(cli, "canonical_series", lambda *a, **k: ran.append(a))
         assert main(["simulate", str(cfg), "--mass", mass]) == 2
         err = capsys.readouterr().err
         assert err == (

@@ -114,9 +114,9 @@ def test_every_public_name_has_a_caller():
 
 
 #: The functions allowed to call a Stepper method: the one loop that steps
-#: runs, the one-step function and the method that runs both halves
-STEPPING = {"harness.run_lockstep", "surrogate.step", "surrogate.Stepper.advance"}
-STEPPER_METHODS = {"advance", "advance_tracers", "advance_temperature"}
+#: runs and the one-step function
+STEPPING = {"harness.run_lockstep", "surrogate.step"}
+STEPPER_METHODS = {"advance_tracers", "advance_temperature"}
 
 
 def stepper_calls(path):

@@ -18,7 +18,6 @@ from volpath.pathway import (
     compute_pathway,
     hysteresis,
     materialize_dag,
-    topological_sort,
 )
 
 
@@ -50,11 +49,10 @@ def taus_oracle_zscore(values, mu, sigma, t_l, t_u):
 
 
 def step_tau(score, lower, upper, prev):
-    """One step of the hysteresis kernel from a previous tau."""
-    taus = hysteresis(
-        np.array([[score]]), np.array([lower]), np.array([upper]), np.array([bool(prev)])
-    )
-    return int(taus[0, 0])
+    """One step of the hysteresis kernel from a previous tau, set by a deciding first row."""
+    scores = np.array([[np.inf if prev else -np.inf], [score]])
+    taus = hysteresis(scores, np.array([lower]), np.array([upper]))
+    return int(taus[1, 0])
 
 
 def zscore_taus(zs, t_l, t_u):
@@ -75,21 +73,6 @@ def subgraph_oracle(vertices, edges, active_flags):
         [v for v in vertices if v in active],
         [e for e in edges if e[0] in active and e[1] in active],
     )
-
-
-class TestTopologicalSort:
-    def test_order_respects_edges(self):
-        vertices = list("abcdef")
-        edges = [("a", "c"), ("b", "c"), ("c", "d"), ("d", "f"), ("e", "f")]
-        order = topological_sort(vertices, edges)
-        pos = {v: i for i, v in enumerate(order)}
-        assert sorted(order) == sorted(vertices)
-        for u, v in edges:
-            assert pos[u] < pos[v]
-
-    def test_cycle_detected(self):
-        with pytest.raises(ConfigurationError, match="cycle"):
-            topological_sort(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 class TestBaseDag:
@@ -116,6 +99,10 @@ class TestBaseDag:
     def test_invalid_dags_rejected(self, vertices, edges):
         with pytest.raises(ConfigurationError):
             BaseDag(vertices=vertices, edges=edges)
+
+    def test_cycle_detected(self):
+        with pytest.raises(ConfigurationError, match="graph contains a cycle"):
+            BaseDag(vertices=("a", "b"), edges=(("a", "b"), ("b", "a")))
 
 
 class TestBoundsTestBranches:
@@ -156,18 +143,17 @@ class TestBoundsTestBranches:
 
     def test_equal_thresholds_inactive_wins(self):
         # With t_l == t_u the inactive branch takes the tie.
-        scores = np.array([[1.0], [1.1]])
-        taus = hysteresis(scores, np.array([1.0]), np.array([1.0]), np.array([True]))
-        assert list(taus[:, 0]) == [False, True]
+        # the first row makes the previous tau active
+        scores = np.array([[np.inf], [1.0], [1.1]])
+        taus = hysteresis(scores, np.array([1.0]), np.array([1.0]))
+        assert list(taus[1:, 0]) == [False, True]
 
     def test_hold_band_has_zero_chatter(self):
         rng = np.random.default_rng(0)
         in_band = rng.uniform(0.0076, 0.0149, 150)
         values = np.concatenate(([0.02], in_band, [0.001], in_band))
         lower, upper = ABSOLUTE_BOUNDS["AOD"]
-        taus = hysteresis(
-            values[:, None], np.array([lower]), np.array([upper]), np.array([False])
-        )[:, 0]
+        taus = hysteresis(values[:, None], np.array([lower]), np.array([upper]))[:, 0]
         assert list(taus) == [True] * 151 + [False] * 151
 
     def test_inactive_test_never_activates(self):

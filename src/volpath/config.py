@@ -8,6 +8,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -179,6 +180,12 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     except (MemoryError, ValueError):  # numpy cannot allocate, or refuses, the arrays
         raise ConfigurationError(
             f"grid: {grid['nlat']} x {grid['nlon']} x {grid['nlev']} is too large to hold"
+        ) from None
+    try:  # a member's canonical series, which numpy may refuse to hold
+        np.empty((len(registry_canonical()), params.n_steps + 1))
+    except (MemoryError, ValueError):
+        raise ConfigurationError(
+            f"surrogate.overrides.n_steps: {params.n_steps} steps are too many to hold"
         ) from None
     # a Stepper's checks, made here so that they name their key before any run
     checked("surrogate.overrides.v_transport", transport_fraction, params, built)

@@ -114,9 +114,14 @@ def zone_of_rows(grid: SphericalGrid) -> np.ndarray:
     return np.searchsorted(starts, grid.lat_centers, side="right")
 
 
+def zone_number(zone: str) -> int:
+    """The number zone_of_rows gives the rows of the canonical zone labelled zone."""
+    return 1 + ZONE_ORDER.index(zone)
+
+
 def zone_weights(grid: SphericalGrid, zone: str) -> np.ndarray:
     """Per-cell area weights restricted to the canonical zone labelled zone, zero elsewhere."""
-    in_zone = zone_of_rows(grid) == 1 + ZONE_ORDER.index(zone)
+    in_zone = zone_of_rows(grid) == zone_number(zone)
     return np.where(in_zone[:, None], grid.area_weight, 0.0)
 
 

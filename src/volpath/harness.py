@@ -4,12 +4,13 @@ threshold grid, and the QOI-count overhead benchmark.
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
 the same in-situ-extracted series.  run_lockstep is the one loop that
-advances runs: it steps one eruption's members on one shared tracer
-trajectory and calls each member's hook every step.  canonical_series
-records through it for simulate and the ensembles, and run_member (the
-paper's single-member in-situ path) for the overhead benchmark.  Member seeds
-are derived from the plan seed with a stable hash so any cell of the grid
-can be reproduced alone.
+advances runs.  canonical_series records through it for simulate and the
+ensembles: one eruption's members share one tracer trajectory, and each
+steps its 4 T-QOIs in QOI space, so no member holds a 3-D temperature.
+run_member, the paper's single-member in-situ path and the overhead
+benchmark's, steps the whole state and shows it to the caller's hook.  Member
+seeds are derived from the plan seed with a stable hash so any cell of the
+grid can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, checked
-from .grid import SphericalGrid
+from .errors import ConfigurationError, NumericalFailureError, checked
+from .grid import SphericalGrid, zone_number
 from .pathway import (
     PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests, compute_pathway,
 )
-from .qoi import QoiSpec, RegistryEvaluator, registry_canonical
+from .qoi import QoiSpec, RegistryEvaluator, level_share, registry_canonical
 from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
 from .surrogate import (
+    N_NOISE_BANDS,
     EruptionSpec,
     ModelParams,
     RunSeed,
@@ -93,19 +95,11 @@ class TrackerHook:
     series; pathways are built afterwards from that series by compute_pathway.
     No 3D field is ever retained.  dt is unused: it is kept only because
     perfbench's worker subclasses the hook and calls it as (grid, specs,
-    n_steps, dt).  Hooks over the same specs may share one evaluator, built
-    over grid and specs, since evaluation keeps no state between calls.
+    n_steps, dt).
     """
 
-    def __init__(
-        self,
-        grid: SphericalGrid,
-        specs: list[QoiSpec],
-        n_steps: int,
-        dt: float,
-        evaluator: RegistryEvaluator | None = None,
-    ):
-        self.evaluator = evaluator or RegistryEvaluator(grid, specs)
+    def __init__(self, grid: SphericalGrid, specs: list[QoiSpec], n_steps: int, dt: float):
+        self.evaluator = RegistryEvaluator(grid, specs)
         self.series = np.zeros((len(specs), n_steps + 1))
 
     def observe(self, state) -> None:
@@ -135,33 +129,68 @@ def run_lockstep(
     eruption: EruptionSpec,
     grid: SphericalGrid,
     seeds: list[RunSeed],
-    hooks: list[TrackerHook],
-) -> None:
-    """Step one eruption's members together; hooks[b] observes member b at steps 0..n_steps.
+    hook: TrackerHook,
+    zone_t: RegistryEvaluator | None = None,
+) -> np.ndarray | None:
+    """Step one eruption's members together; hook observes member 0 at steps 0..n_steps.
 
-    The one loop that advances runs.  The tracers draw no random numbers, so
-    member 0 steps the shared SO2, SO4 and AOD in its own state, and the others
-    step only their temperature, from member 0's AOD, on their own rng.  States
-    are advanced in place, so a hook sees one only during its call.  A failure
-    names the member, mass and seed; one in the shared tracers names member 0.
+    The one loop that advances runs.  Without zone_t, seeds holds one member
+    and its whole state advances, 3-D temperature included.  With zone_t, an
+    evaluator of zone-mean temperatures, no member keeps a 3-D temperature:
+    member 0 steps the tracers, which draw no random numbers and so are every
+    member's, and each member starts from zone_t of its initial state and steps
+    those means in QOI space from the zones' AOD, which hook must track, on
+    its own rng.  The (members, len(zone_t.specs), n_steps + 1) series is then
+    returned.  Member 0's state is advanced in place, so a hook sees it only
+    during its call.  A failure names the member, mass and seed; one in the
+    shared tracers names member 0.
     """
     stepper = Stepper(params, eruption, grid)
     rngs = [make_rng(seed) for seed in seeds]
-    states = [initialize(params, grid, rng=rng) for rng in rngs]
-    for m in range(params.n_steps + 1):
-        members = zip(seeds, states, rngs, hooks, strict=True)
-        for b, (seed, state, rng, hook) in enumerate(members):
-            try:
-                if m:
-                    if b == 0:
-                        stepper.advance_tracers(state)
-                    stepper.advance_temperature(state, states[0].aod, rng)
-                hook.observe(state)
-            except Exception as exc:
-                # the same object, so attributes such as step_index survive
-                who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
-                exc.args = (f"{who} failed: {exc}",)
-                raise
+    b = 0  # the member in hand, which a failure names
+    try:
+        state = initialize(params, grid, rng=rngs[0])
+        hook.observe(state)
+        t = None
+        if zone_t is not None:
+            t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
+            band_noise = np.empty((len(seeds), N_NOISE_BANDS))
+            normals = np.empty_like(band_noise)
+            for b, rng in enumerate(rngs):
+                # members 1.. need their initial state only for these
+                member = initialize(params, grid, rng=rng) if b else state
+                t[b, :, 0] = zone_t.evaluate_state(member)
+                band_noise[b] = member.band_noise
+            row = {(s.field, s.zone): i for i, s in enumerate(hook.evaluator.specs)}
+            aod_rows = [row["AOD", s.zone] for s in zone_t.specs]
+            shares = np.array([level_share(grid, s, stepper.levels) for s in zone_t.specs])
+            bands = np.array([zone_number(s.zone) for s in zone_t.specs])
+        for m in range(1, params.n_steps + 1):
+            b = 0
+            stepper.advance_tracers(state)
+            if t is None:
+                stepper.advance_temperature(state, state.aod, rngs[0])
+            else:  # advance_temperature's clock, which the injection day reads
+                state.step_index, state.time = m, state.time + params.dt
+            hook.observe(state)
+            if t is None:
+                continue
+            for b, rng in enumerate(rngs):
+                normals[b] = rng.standard_normal(N_NOISE_BANDS)
+            t[:, :, m] = stepper.advance_zone_temperature(
+                t[:, :, m - 1], band_noise, shares * hook.series[aod_rows, m], bands, normals
+            )
+            finite = np.isfinite(t[:, :, m]).all(axis=1)
+            if not finite.all():
+                b = int(np.argmin(finite))
+                raise NumericalFailureError(f"non-finite field values at step {m}", step_index=m)
+    except Exception as exc:
+        # the same object, so attributes such as step_index survive
+        seed = seeds[b]
+        who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
+        exc.args = (f"{who} failed: {exc}",)
+        raise
+    return t
 
 
 def run_member(
@@ -172,7 +201,7 @@ def run_member(
     hook: TrackerHook,
 ) -> MemberResult:
     """One simulation with the in-situ hook called every step: a one-member run_lockstep."""
-    run_lockstep(params, eruption, grid, [seed], [hook])
+    run_lockstep(params, eruption, grid, [seed], hook)
     return MemberResult(series=hook.series_by_id())
 
 
@@ -184,25 +213,21 @@ def canonical_series(
 ) -> list[dict[str, np.ndarray]]:
     """The canonical QOI series of one eruption's members, stepped in lockstep.
 
-    Member 0's hook reduces all 16 canonical QOIs; the others' share one
-    evaluator of only the 4 T-QOIs, since their tracers are member 0's.  Every
-    member's series holds member 0's tracer rows as shared read-only views, and
-    equals, bit for bit, the one run_member records for the same seed.
+    Member 0's hook reduces the 12 tracer QOIs, and every member's series holds
+    those rows as shared read-only views, equal bit for bit to the ones
+    run_member records.  Each member's 4 T-QOIs are stepped in QOI space, so
+    they equal run_member's to rounding: within 1e-12 relative, or 1e-12 *
+    noise_amp near 0 K (tests/test_harness.py).
     """
     specs = registry_canonical()
-    t_specs = [s for s in specs if s.field == "T"]
-    t_evaluator = RegistryEvaluator(grid, t_specs)
-    hooks = [TrackerHook(grid, specs, params.n_steps, params.dt)] + [
-        TrackerHook(grid, t_specs, params.n_steps, params.dt, evaluator=t_evaluator)
-        for _ in seeds[1:]
-    ]
-    run_lockstep(params, eruption, grid, seeds, hooks)
-    first = hooks[0].series_by_id()
-    shared = {s.id: first[s.id] for s in specs if s.field != "T"}
+    hook = TrackerHook(grid, [s for s in specs if s.field != "T"], params.n_steps, params.dt)
+    zone_t = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
+    t = run_lockstep(params, eruption, grid, seeds, hook, zone_t)
+    shared = hook.series_by_id()
     for row in shared.values():
         row.flags.writeable = False
     # the registry is field-major with T last, so each dict keeps registry order
-    return [first] + [{**shared, **hook.series_by_id()} for hook in hooks[1:]]
+    return [{**shared, **dict(zip(zone_t.ids, member))} for member in t]
 
 
 def run_baseline_ensemble(

@@ -59,6 +59,14 @@ def registry_canonical() -> list[QoiSpec]:
     ]
 
 
+def level_share(grid: SphericalGrid, spec: QoiSpec, levels: slice) -> float:
+    """The share of spec's level weight that lies in levels: exactly 1 if they hold all its levels."""
+    mask = level_mask(grid, spec.level_range)
+    inside = np.zeros_like(mask)
+    inside[levels] = True
+    return grid.dp[mask & inside].sum() / grid.dp[mask].sum()
+
+
 def _span(w: np.ndarray) -> tuple[slice, np.ndarray]:
     """The part of a flat weight vector from its first to its last nonzero, aligned."""
     nonzero = np.flatnonzero(w)

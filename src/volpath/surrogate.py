@@ -15,6 +15,12 @@ no random numbers; advance_temperature does 5 from a given AOD with the
 run's own random stream.  Members of an ensemble differ only in their seed,
 so they can share one tracer half and step only their temperatures.
 
+Step 5 is written twice, side by side in Stepper: advance_temperature on
+every cell of a 3-D field, and advance_zone_temperature on zone means.  Every
+term of 5 is linear in a normalized mean over cells that lie in one noise
+band, so the means of an ensemble's members advance as their fields would,
+to rounding, without any field.
+
 The tracer subsystem is linear in the injected mass, so doubling the
 eruption doubles every SO2/SO4/AOD value at every step.
 """
@@ -271,6 +277,33 @@ class Stepper:
             raise self._non_finite(state)
         state.step_index += 1
         state.time = state.time + dt
+
+    def advance_zone_temperature(
+        self,
+        t: np.ndarray,
+        band_noise: np.ndarray,
+        heated_aod: np.ndarray,
+        bands: np.ndarray,
+        normals: np.ndarray,
+    ) -> np.ndarray:
+        """advance_temperature on zone means: the next (B, k) zone temperatures of B members.
+
+        t (B, k) holds each member's normalized zone-mean temperatures, and each
+        mean follows t + dt * ((t_eq - t) / tau_relax) + heat * h * AOD(z) +
+        noise[band(z)].  heated_aod (k,) is h * AOD(z): the zone's AOD mean
+        times the share h of the mean's level weight that lies in self.levels.
+        bands (k,) is the noise band that holds each zone.  normals
+        (B, N_NOISE_BANDS) are each member's draws for the step, and band_noise
+        (B, N_NOISE_BANDS) advances in place with advance_temperature's
+        operations, so its bits are those of the 3-D run.
+        """
+        params = self.params
+        band_noise *= params.noise_memory
+        band_noise += self.noise_scale * normals
+        nxt = t + params.dt * ((params.t_eq - t) / params.tau_relax)
+        nxt += self.heat * heated_aod
+        nxt += band_noise[:, bands]
+        return nxt
 
     @staticmethod
     def _non_finite(state: ModelState) -> NumericalFailureError:

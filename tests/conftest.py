@@ -57,6 +57,20 @@ def random_state(grid, rng, step_index=0):
     )
 
 
+class NanDrawsFrom:
+    """A run's rng whose draws turn NaN from the one that drives step `step`."""
+
+    def __init__(self, rng, step):
+        self.rng = rng
+        # initialize draws twice (perturbation, band noise), then each step once
+        self.calls_left = 2 + step
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls_left -= 1
+        draws = self.rng.standard_normal(*args, **kwargs)
+        return draws if self.calls_left > 0 else np.full_like(draws, np.nan)
+
+
 def total_sulfur_kg(state, grid):
     """Oracle: global sulfur mass (SO2 + SO4) in kg."""
     col = np.tensordot(state.so2 + state.so4, grid.dp, axes=([2], [0]))

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import STEPPER_CASES
+from conftest import NanDrawsFrom, STEPPER_CASES
 from volpath import harness, surrogate
 from volpath.errors import ConfigurationError, NumericalFailureError
-from volpath.grid import build_grid
+from volpath.grid import LevelRange, build_grid
 from volpath.harness import (
     DEFAULT_EXPERIMENTS,
     ExperimentPlan,
@@ -24,7 +24,7 @@ from volpath.harness import (
     run_member,
     synthetic_registry,
 )
-from volpath.qoi import registry_canonical
+from volpath.qoi import level_share, registry_canonical
 from volpath.surrogate import EruptionSpec, ModelParams
 
 
@@ -182,8 +182,8 @@ class TestExperimentGrid:
         )
 
 
-def poison_at(monkeypatch, half, member, step):
-    """Make one Stepper half write a NaN into a member's state just before advancing it to step.
+def poison_tracers_at(monkeypatch, member, step):
+    """Write a NaN into a member's SO4 just before advance_tracers advances it to step.
 
     The NaN then fails the half's own finiteness check.
     """
@@ -193,41 +193,77 @@ def poison_at(monkeypatch, half, member, step):
         states.append(surrogate.initialize(*args, **kwargs))
         return states[-1]
 
-    original = getattr(harness.Stepper, half)
+    original = harness.Stepper.advance_tracers
 
-    def poisoned(self, state, *args):
+    def poisoned(self, state):
         if state is states[member] and state.step_index + 1 == step:
-            field = state.so4 if half == "advance_tracers" else state.temperature
-            field[0, 0, 0] = np.nan
-        original(self, state, *args)
+            state.so4[0, 0, 0] = np.nan
+        original(self, state)
 
     monkeypatch.setattr(harness, "initialize", recording_initialize)
-    monkeypatch.setattr(harness.Stepper, half, poisoned)
+    monkeypatch.setattr(harness.Stepper, "advance_tracers", poisoned)
+
+
+def assert_matches_run_member(grid, params, eruption, n_members):
+    """canonical_series against run_member, which steps the 3-D temperature, member by member.
+
+    The tracer rows, and each T row's step 0, come from the same operations on
+    the same states, so they are equal.  The T rows after step 0 are stepped as
+    zone means, so they agree to rounding: 1e-12 relative, with a floor of
+    1e-12 * noise_amp for temperatures near 0 K.
+    """
+    seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
+    lockstep = canonical_series(params, eruption, grid, seeds)
+    assert len(lockstep) == n_members
+    for series, seed in zip(lockstep, seeds):
+        hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
+        expected = run_member(params, eruption, grid, seed, hook).series
+        assert list(series) == list(expected)
+        for qid in expected:
+            if not qid.startswith("T("):
+                assert np.array_equal(series[qid], expected[qid]), qid
+                continue
+            assert series[qid][0] == expected[qid][0], qid
+            np.testing.assert_allclose(
+                series[qid][1:], expected[qid][1:], rtol=1e-12, atol=1e-12 * params.noise_amp,
+                err_msg=qid,
+            )
+    for qid in lockstep[0]:
+        shared = not qid.startswith("T(")
+        if n_members > 1:
+            assert (lockstep[0][qid] is lockstep[-1][qid]) == shared, qid
+        assert lockstep[0][qid].flags.writeable != shared, qid
 
 
 class TestLockstep:
     @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
-    @pytest.mark.parametrize("n_members", [2, 3])
+    @pytest.mark.parametrize("n_members", [1, 2, 3])
     def test_equals_run_member_per_member(self, params, eruption, n_members):
         grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
-        seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
-        lockstep = canonical_series(params, eruption, grid, seeds)
-        assert len(lockstep) == n_members
-        for series, seed in zip(lockstep, seeds):
-            hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
-            expected = run_member(params, eruption, grid, seed, hook).series
-            assert list(series) == list(expected)
-            for qid in expected:
-                assert np.array_equal(series[qid], expected[qid]), qid
-        for qid in lockstep[0]:
-            shared = not qid.startswith("T(")
-            assert (lockstep[0][qid] is lockstep[-1][qid]) == shared, qid
-            assert lockstep[0][qid].flags.writeable != shared, qid
+        assert_matches_run_member(grid, params, eruption, n_members)
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_partly_heated_zone_means_equal_run_member(self, n_members):
+        # mid-levels 7.2, 19.6, ... hPa: the T-QOIs read 32.1-69.2 hPa, the
+        # eruption heats 44.4 and 56.8 hPa, so half of each mean's level weight
+        grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=100.0)
+        eruption = EruptionSpec(mass=10.0, day=1.0, injection_levels=LevelRange(40.0, 60.0))
+        levels = surrogate.injection_slice(grid, eruption)
+        t_spec = registry_canonical()[-1]
+        assert level_share(grid, t_spec, levels) == pytest.approx(0.5)
+        assert_matches_run_member(grid, ModelParams(n_steps=60), eruption, n_members)
 
     def test_temperature_failure_names_its_member(self, tiny_setup, monkeypatch):
         grid, params, eruption = tiny_setup
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
-        poison_at(monkeypatch, "advance_temperature", member=1, step=5)
+        make_rng = harness.make_rng
+
+        def poisoned_rng(seed):
+            # members 1 and 2 both fail at step 5; the first of them is named
+            rng = make_rng(seed)
+            return rng if seed.member_index == 0 else NanDrawsFrom(rng, step=5)
+
+        monkeypatch.setattr(harness, "make_rng", poisoned_rng)
         with pytest.raises(NumericalFailureError) as info:
             canonical_series(params, eruption, grid, seeds)
         assert info.value.step_index == 5
@@ -239,7 +275,7 @@ class TestLockstep:
     def test_tracer_failure_names_member_0(self, tiny_setup, monkeypatch):
         grid, params, eruption = tiny_setup
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
-        poison_at(monkeypatch, "advance_tracers", member=0, step=12)
+        poison_tracers_at(monkeypatch, member=0, step=12)
         with pytest.raises(NumericalFailureError) as info:
             canonical_series(params, eruption, grid, seeds)
         assert info.value.step_index == 12

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import vertex_series
+from conftest import NanDrawsFrom, vertex_series
 from volpath import cli, config, harness
 from volpath.cli import main
 from volpath.config import (
@@ -617,6 +617,10 @@ class TestCli:
             pytest.param({"grid": {"nlat": 10**20}},
                          "grid: 100000000000000000000 x 8 x 8 is too large to hold",
                          id="nlat-too-large"),
+            # numpy refuses a series this long before allocating anything
+            pytest.param({"surrogate": {"overrides": {"n_steps": 10**20}}},
+                         "surrogate.overrides.n_steps: 100000000000000000000 steps are too many",
+                         id="n-steps-too-large"),
         ],
     )
     def test_malformed_config_exits_2_naming_key(
@@ -783,14 +787,8 @@ class TestCli:
 
     def test_simulate_failure_names_its_member(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
-        original = harness.Stepper.advance_temperature
-
-        def poisoned(self, state, aod, rng):
-            if state.step_index + 1 == 7:
-                state.temperature[0, 0, 0] = np.nan
-            original(self, state, aod, rng)
-
-        monkeypatch.setattr(harness.Stepper, "advance_temperature", poisoned)
+        make_rng = harness.make_rng
+        monkeypatch.setattr(harness, "make_rng", lambda seed: NanDrawsFrom(make_rng(seed), 7))
         assert main(["simulate", str(cfg), "--member", "3"]) == 1
         seed = derive_seed(11, "eruption", 3).seed
         assert capsys.readouterr().err == (

@@ -276,6 +276,20 @@ class TestStepper:
                 assert np.array_equal(h, c) and np.array_equal(b, c)
         assert halves.step_index == params.n_steps
 
+    def test_zone_temperature_steps_band_noise_as_the_field_does(self, small_grid, fast_params):
+        stepper = Stepper(fast_params, EruptionSpec(mass=0.0), small_grid)
+        field_rng, zone_rng = make_rng(RunSeed(3, 1)), make_rng(RunSeed(3, 1))
+        state = random_state(small_grid, np.random.default_rng(5))
+        state.band_noise = np.random.default_rng(6).standard_normal(N_NOISE_BANDS)
+        band_noise = state.band_noise[None, :].copy()
+        t = np.full((1, 4), 240.0)
+        for _ in range(fast_params.n_steps):
+            stepper.advance_temperature(state, state.aod, field_rng)
+            normals = zone_rng.standard_normal((1, N_NOISE_BANDS))
+            t = stepper.advance_zone_temperature(t, band_noise, np.zeros(4), np.arange(1, 5),
+                                                 normals)
+            assert np.array_equal(band_noise[0], state.band_noise)
+
     def test_step_leaves_input_unchanged(self, small_grid, fast_params):
         eruption = EruptionSpec(mass=10.0, day=0.0)
         rng = make_rng(RunSeed(1))

@@ -33,6 +33,7 @@ from .harness import (
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
+    tracer_unit_rows,
 )
 from .pathway import (
     InactiveTest,
@@ -76,7 +77,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for qid, test in tests.items()
         }
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
-    series = canonical_series(cfg.params, cfg.eruption, grid, [seed])[0]
+    unit = tracer_unit_rows(cfg.params, cfg.eruption, grid) if cfg.eruption.mass else None
+    series = canonical_series(cfg.params, cfg.eruption, grid, [seed], unit)[0]
     pathway = compute_pathway(base, series, tests, baselines, cfg.params.dt)
 
     digest = config_digest(cfg)

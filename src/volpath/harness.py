@@ -5,8 +5,10 @@ The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
 the same in-situ-extracted series.  run_lockstep is the one loop that
 advances runs.  canonical_series records through it for simulate and the
-ensembles: one eruption's members share one tracer trajectory, and each
-steps its 4 T-QOIs in QOI space, so no member holds a 3-D temperature.
+ensembles.  The tracers draw no random numbers and are linear in the mass,
+so every mass's 12 tracer rows are the mass times one 1 Tg run's (within
+1e-12 relative of a direct run), a mass-0 ensemble takes no tracer step, and
+each member steps its 4 T-QOIs in QOI space from those rows' AOD.
 run_member, the paper's single-member in-situ path and the overhead
 benchmark's, steps the whole state and shows it to the caller's hook.  Member
 seeds are derived from the plan seed with a stable hash so any cell of the
@@ -129,56 +131,53 @@ def run_lockstep(
     eruption: EruptionSpec,
     grid: SphericalGrid,
     seeds: list[RunSeed],
-    hook: TrackerHook,
+    hook: TrackerHook | None,
     zone_t: RegistryEvaluator | None = None,
+    zone_aod: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Step one eruption's members together; hook observes member 0 at steps 0..n_steps.
+    """Step one eruption's runs together: the one loop that advances runs.
 
-    The one loop that advances runs.  Without zone_t, seeds holds one member
-    and its whole state advances, 3-D temperature included.  With zone_t, an
-    evaluator of zone-mean temperatures, no member keeps a 3-D temperature:
-    member 0 steps the tracers, which draw no random numbers and so are every
-    member's, and each member starts from zone_t of its initial state and steps
-    those means in QOI space from the zones' AOD, which hook must track, on
-    its own rng.  The (members, len(zone_t.specs), n_steps + 1) series is then
-    returned.  Member 0's state is advanced in place, so a hook sees it only
-    during its call.  A failure names the member, mass and seed; one in the
-    shared tracers names member 0.
+    Without zone_t, one state advances in place and hook observes it at steps
+    0..n_steps: seeds' one member's whole state or, with no seeds, only the
+    tracers, which draw no random numbers.  With zone_t, an evaluator of
+    zone-mean temperatures, each member steps zone_t of its initial state in
+    QOI space on its own rng, heated by zone_aod, the (k, n_steps + 1) AOD
+    means of zone_t's k zones, and the (members, k, n_steps + 1) series is
+    returned.  A failure names the member, mass and seed, or the tracer run.
     """
     stepper = Stepper(params, eruption, grid)
     rngs = [make_rng(seed) for seed in seeds]
     b = 0  # the member in hand, which a failure names
     try:
-        state = initialize(params, grid, rng=rngs[0])
-        hook.observe(state)
         t = None
-        if zone_t is not None:
+        if zone_t is None:
+            # a tracer run draws nothing after initialize, so its seed is immaterial
+            state = initialize(params, grid, rng=rngs[0] if seeds else make_rng(RunSeed(0)))
+            hook.observe(state)
+        else:
             t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
             band_noise = np.empty((len(seeds), N_NOISE_BANDS))
             normals = np.empty_like(band_noise)
             for b, rng in enumerate(rngs):
-                # members 1.. need their initial state only for these
-                member = initialize(params, grid, rng=rng) if b else state
+                member = initialize(params, grid, rng=rng)
                 t[b, :, 0] = zone_t.evaluate_state(member)
                 band_noise[b] = member.band_noise
-            row = {(s.field, s.zone): i for i, s in enumerate(hook.evaluator.specs)}
-            aod_rows = [row["AOD", s.zone] for s in zone_t.specs]
-            shares = np.array([level_share(grid, s, stepper.levels) for s in zone_t.specs])
+            shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
+            heated_aod = np.array(shares)[:, None] * zone_aod
             bands = np.array([zone_number(s.zone) for s in zone_t.specs])
         for m in range(1, params.n_steps + 1):
-            b = 0
-            stepper.advance_tracers(state)
             if t is None:
-                stepper.advance_temperature(state, state.aod, rngs[0])
-            else:  # advance_temperature's clock, which the injection day reads
-                state.step_index, state.time = m, state.time + params.dt
-            hook.observe(state)
-            if t is None:
+                stepper.advance_tracers(state)
+                if seeds:
+                    stepper.advance_temperature(state, state.aod, rngs[0])
+                else:  # advance_temperature's clock, which the injection day reads
+                    state.step_index, state.time = m, state.time + params.dt
+                hook.observe(state)
                 continue
             for b, rng in enumerate(rngs):
                 normals[b] = rng.standard_normal(N_NOISE_BANDS)
             t[:, :, m] = stepper.advance_zone_temperature(
-                t[:, :, m - 1], band_noise, shares * hook.series[aod_rows, m], bands, normals
+                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals
             )
             finite = np.isfinite(t[:, :, m]).all(axis=1)
             if not finite.all():
@@ -186,8 +185,10 @@ def run_lockstep(
                 raise NumericalFailureError(f"non-finite field values at step {m}", step_index=m)
     except Exception as exc:
         # the same object, so attributes such as step_index survive
-        seed = seeds[b]
-        who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
+        who = f"{eruption.mass:g} Tg tracer run"
+        if seeds:
+            seed = seeds[b]
+            who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
         exc.args = (f"{who} failed: {exc}",)
         raise
     return t
@@ -205,27 +206,53 @@ def run_member(
     return MemberResult(series=hook.series_by_id())
 
 
+def tracer_unit_rows(
+    params: ModelParams, eruption: EruptionSpec, grid: SphericalGrid
+) -> np.ndarray:
+    """The 12 canonical tracer QOI rows, (12, n_steps + 1), of 1 Tg erupted at eruption's site.
+
+    The site is the eruption's day, latitude and levels.  The tracers are
+    linear in the mass, so mass M at the site has M times these rows.
+    """
+    specs = [s for s in registry_canonical() if s.field != "T"]
+    hook = TrackerHook(grid, specs, params.n_steps, params.dt)
+    run_lockstep(params, replace(eruption, mass=1.0), grid, [], hook)
+    return hook.series
+
+
 def canonical_series(
     params: ModelParams,
     eruption: EruptionSpec,
     grid: SphericalGrid,
     seeds: list[RunSeed],
+    unit: np.ndarray | None,
 ) -> list[dict[str, np.ndarray]]:
     """The canonical QOI series of one eruption's members, stepped in lockstep.
 
-    Member 0's hook reduces the 12 tracer QOIs, and every member's series holds
-    those rows as shared read-only views, equal bit for bit to the ones
-    run_member records.  Each member's 4 T-QOIs are stepped in QOI space, so
-    they equal run_member's to rounding: within 1e-12 relative, or 1e-12 *
-    noise_amp near 0 K (tests/test_harness.py).
+    The 12 tracer rows are eruption.mass times unit, the tracer_unit_rows of
+    the site (None at mass 0, whose rows are +0.0), and every member's series
+    holds them as shared read-only views; rows that overflow raise first.
+    Each member's 4 T-QOIs are stepped in QOI space from their AOD.  Both
+    equal run_member's to rounding: within 1e-12 relative, or 1e-12 *
+    noise_amp for T near 0 K (tests/test_harness.py).
     """
     specs = registry_canonical()
-    hook = TrackerHook(grid, [s for s in specs if s.field != "T"], params.n_steps, params.dt)
+    tracer_specs = [s for s in specs if s.field != "T"]
     zone_t = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
-    t = run_lockstep(params, eruption, grid, seeds, hook, zone_t)
-    shared = hook.series_by_id()
-    for row in shared.values():
-        row.flags.writeable = False
+    tracers = np.zeros((len(tracer_specs), params.n_steps + 1))
+    if eruption.mass:
+        tracers = eruption.mass * unit
+    bad = ~np.isfinite(tracers)
+    if bad.any():
+        m = int(np.argmax(bad.any(axis=0)))
+        qid = tracer_specs[int(np.argmax(bad[:, m]))].id
+        why = f"{qid} of the scaled 1 Tg tracer run is non-finite at step {m}"
+        raise NumericalFailureError(f"mass {eruption.mass} Tg: {why}", step_index=m)
+    tracers.flags.writeable = False
+    row = {(s.field, s.zone): i for i, s in enumerate(tracer_specs)}
+    zone_aod = tracers[[row["AOD", s.zone] for s in zone_t.specs]]
+    t = run_lockstep(params, eruption, grid, seeds, None, zone_t, zone_aod)
+    shared = {s.id: values for s, values in zip(tracer_specs, tracers)}
     # the registry is field-major with T last, so each dict keeps registry order
     return [{**shared, **dict(zip(zone_t.ids, member))} for member in t]
 
@@ -243,7 +270,7 @@ def run_baseline_ensemble(
     tests = canonical_tests(*plan.experiments[0][1:])
     zscored = [s.id for s in registry_canonical() if isinstance(tests[s.id], ZScoreHysteresis)]
     stats = {qid: BaselineStats(qid, params.n_steps) for qid in zscored}
-    for series in canonical_series(params, quiet, grid, seeds):
+    for series in canonical_series(params, quiet, grid, seeds, None):
         for qid, st in stats.items():
             st.update(series[qid])
     return stats
@@ -282,12 +309,13 @@ def run_experiment_grid(
     rows: list[SummaryRow] = []
     pathways: dict[tuple[float, str, int], PathwayDag] = {}
     member_seeds: dict[tuple[float, int], RunSeed] = {}
-
+    # the one tracer run, before any mass, which every mass scales
+    unit = tracer_unit_rows(params, eruption_template, grid) if any(plan.masses) else None
     for mass in plan.masses:
         seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
         member_seeds.update(((mass, b), seed) for b, seed in enumerate(seeds))
         eruption = replace(eruption_template, mass=mass)
-        per_member_series = canonical_series(params, eruption, grid, seeds)
+        per_member_series = canonical_series(params, eruption, grid, seeds, unit)
         for label, t_l, t_u in plan.experiments:
             tests = canonical_tests(t_l, t_u)
             summaries = []

@@ -21,8 +21,8 @@ term of 5 is linear in a normalized mean over cells that lie in one noise
 band, so the means of an ensemble's members advance as their fields would,
 to rounding, without any field.
 
-The tracer subsystem is linear in the injected mass, so doubling the
-eruption doubles every SO2/SO4/AOD value at every step.
+The tracer subsystem is linear in the injected mass, so an ensemble of mass
+M reads M times one 1 Tg run's tracer QOIs (harness), and mass 0 steps none.
 """
 
 from __future__ import annotations

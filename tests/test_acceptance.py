@@ -298,7 +298,37 @@ def test_criterion_06_mass_monotonicity(grid_run):
     assert time.perf_counter() - start < 600.0  # shared fixture keeps this trivial
 
 
-@criterion(7, "smaller upper thresholds activate temperature sooner and longer")
+def test_criterion_06_along_a_dense_mass_sweep():
+    """Criterion 6 at every step of a 20-mass sweep, exactly, for every tracer QOI.
+
+    Every mass scales the same 1 Tg tracer rows, and both the scaling and its
+    rounding are monotone in the mass, so no standard error is needed.
+    """
+    start = time.perf_counter()
+    grid = build_grid(nlat=16, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
+    params = ModelParams(n_steps=1200)
+    masses = tuple(float(m) for m in np.linspace(1.0, 50.0, 20))
+    plan = ExperimentPlan(masses=masses, experiments=(("Ex2", 0.5, 1.0),),
+                          n_members=2, baseline_members=2, seed=6)
+    eruption = EruptionSpec(day=2.0)
+    baselines = run_baseline_ensemble(plan, params, grid, eruption)
+    result = run_experiment_grid(plan, params, grid, baselines, eruption)
+    tracers = [s.id for s in registry_canonical() if s.field != "T"]
+    for qid in tracers:
+        rows = [summary_row(result, mass, "Ex2", qid) for mass in masses]
+        firsts = [r.mean_first for r in rows]
+        totals = [r.mean_total for r in rows]
+        assert firsts == sorted(firsts, reverse=True), (qid, firsts)
+        assert totals == sorted(totals), (qid, totals)
+    # the sweep crosses activation thresholds, so the orderings are not vacuous
+    moved = [qid for qid in tracers
+             if summary_row(result, 1.0, "Ex2", qid).mean_first
+             > summary_row(result, 50.0, "Ex2", qid).mean_first]
+    assert len(moved) >= 6, moved
+    assert time.perf_counter() - start < 5.0
+
+
+@criterion(7,"smaller upper thresholds activate temperature sooner and longer")
 def test_criterion_07_threshold_sensitivity(grid_run):
     plan, _, result = grid_run
     labels = [e[0] for e in plan.experiments]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from volpath.harness import (
     run_experiment_grid,
     run_member,
     synthetic_registry,
+    tracer_unit_rows,
 )
+from volpath.pathway import base_dag_canonical, canonical_tests, compute_pathway
 from volpath.qoi import level_share, registry_canonical
 from volpath.surrogate import EruptionSpec, ModelParams
 
@@ -134,7 +137,7 @@ class TestBaselineEnsemble:
             assert (st.std()[1:] > 0).all()
         # the quiet members' tracers stay zero, so a tracer baseline would hold nothing
         seeds = [derive_seed(11, "baseline", b) for b in range(3)]
-        for series in canonical_series(params, EruptionSpec(mass=0.0), grid, seeds):
+        for series in canonical_series(params, EruptionSpec(mass=0.0), grid, seeds, None):
             assert len(series) == 16
             for qid, values in series.items():
                 if not qid.startswith("T("):
@@ -175,15 +178,14 @@ class TestExperimentGrid:
         monkeypatch.setattr(harness.Stepper, "advance_tracers", failing_advance_tracers)
         with pytest.raises(NumericalFailureError) as info:
             run_experiment_grid(plan, params, grid, {}, EruptionSpec())
-        seed = derive_seed(11, "eruption", 0).seed
+        # every mass reads the one 1 Tg tracer run, which steps before any member
         assert info.value.step_index == 7
-        assert str(info.value) == (
-            f"member 0 (mass 5.0 Tg, seed {seed}) failed: non-finite SO2"
-        )
+        assert str(info.value) == "1 Tg tracer run failed: non-finite SO2"
 
 
 def poison_tracers_at(monkeypatch, member, step):
-    """Write a NaN into a member's SO4 just before advance_tracers advances it to step.
+    """Write a NaN into the SO4 of the member-th state initialized, before advance_tracers
+    advances it to step.
 
     The NaN then fails the half's own finiteness check.
     """
@@ -204,16 +206,23 @@ def poison_tracers_at(monkeypatch, member, step):
     monkeypatch.setattr(harness.Stepper, "advance_tracers", poisoned)
 
 
+def superposed_series(params, eruption, grid, seeds):
+    """canonical_series as the commands call it: from the site's 1 Tg rows, none at mass 0."""
+    unit = tracer_unit_rows(params, eruption, grid) if eruption.mass else None
+    return canonical_series(params, eruption, grid, seeds, unit)
+
+
 def assert_matches_run_member(grid, params, eruption, n_members):
     """canonical_series against run_member, which steps the 3-D temperature, member by member.
 
-    The tracer rows, and each T row's step 0, come from the same operations on
-    the same states, so they are equal.  The T rows after step 0 are stepped as
-    zone means, so they agree to rounding: 1e-12 relative, with a floor of
-    1e-12 * noise_amp for temperatures near 0 K.
+    The tracer rows are the mass times a 1 Tg run's, so they agree with the
+    direct run's to rounding: 1e-12 relative.  Each T row's step 0 comes from
+    the same operations on the same state, so it is equal.  The T rows after
+    step 0 are stepped as zone means, so they agree to rounding: 1e-12
+    relative, with a floor of 1e-12 * noise_amp for temperatures near 0 K.
     """
     seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
-    lockstep = canonical_series(params, eruption, grid, seeds)
+    lockstep = superposed_series(params, eruption, grid, seeds)
     assert len(lockstep) == n_members
     for series, seed in zip(lockstep, seeds):
         hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
@@ -221,7 +230,8 @@ def assert_matches_run_member(grid, params, eruption, n_members):
         assert list(series) == list(expected)
         for qid in expected:
             if not qid.startswith("T("):
-                assert np.array_equal(series[qid], expected[qid]), qid
+                np.testing.assert_allclose(series[qid], expected[qid], rtol=1e-12, atol=0,
+                                           err_msg=qid)
                 continue
             assert series[qid][0] == expected[qid][0], qid
             np.testing.assert_allclose(
@@ -265,24 +275,112 @@ class TestLockstep:
 
         monkeypatch.setattr(harness, "make_rng", poisoned_rng)
         with pytest.raises(NumericalFailureError) as info:
-            canonical_series(params, eruption, grid, seeds)
+            superposed_series(params, eruption, grid, seeds)
         assert info.value.step_index == 5
         assert str(info.value) == (
             f"member 1 (mass 10.0 Tg, seed {seeds[1].seed}) failed: "
             "non-finite field values at step 5"
         )
 
-    def test_tracer_failure_names_member_0(self, tiny_setup, monkeypatch):
+    def test_tracer_failure_names_the_unit_run(self, tiny_setup, monkeypatch):
         grid, params, eruption = tiny_setup
-        seeds = [derive_seed(4, "eruption", b) for b in range(3)]
         poison_tracers_at(monkeypatch, member=0, step=12)
         with pytest.raises(NumericalFailureError) as info:
-            canonical_series(params, eruption, grid, seeds)
+            tracer_unit_rows(params, eruption, grid)
         assert info.value.step_index == 12
         assert str(info.value) == (
-            f"member 0 (mass 10.0 Tg, seed {seeds[0].seed}) failed: "
-            "non-finite field values at step 12"
+            "1 Tg tracer run failed: non-finite field values at step 12"
         )
+
+    def test_scaled_overflow_names_mass_and_step_before_any_temperature_step(
+        self, tiny_setup, monkeypatch
+    ):
+        grid, params, eruption = tiny_setup
+        # AOD of order 10 at 1 Tg, so a huge mass overflows once scaled
+        params = ModelParams(n_steps=40, k_aod=7.5e7)
+        mass = 1e308
+        huge = EruptionSpec(mass=mass, day=eruption.day)
+        unit = tracer_unit_rows(params, huge, grid)
+        assert np.isfinite(unit).all()
+        overflow = ~np.isfinite(mass * unit)
+        step = int(np.argmax(overflow.any(axis=0)))
+        assert step > 0 and np.isfinite(mass * unit[:, :step]).all()
+        qid = [s.id for s in registry_canonical()][int(np.argmax(overflow[:, step]))]
+        stepped = []
+        monkeypatch.setattr(harness.Stepper, "advance_zone_temperature",
+                            lambda self, *a: stepped.append(a))
+        seeds = [derive_seed(4, "eruption", b) for b in range(2)]
+        with pytest.raises(NumericalFailureError) as info:
+            canonical_series(params, huge, grid, seeds, unit)
+        assert stepped == []
+        assert info.value.step_index == step
+        assert str(info.value) == (
+            f"mass {mass} Tg: {qid} of the scaled 1 Tg tracer run is non-finite at step {step}"
+        )
+        # a direct run at that mass overflows its injected mixing ratio
+        hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
+        with pytest.raises(NumericalFailureError, match="non-finite field values at step 9"):
+            run_member(params, huge, grid, seeds[0], hook)
+
+
+def activation_flips(grid, params, eruption, masses, n_members):
+    """Each (mass, member, QOI, step) whose tau differs between the superposed and direct series.
+
+    The superposed series are canonical_series' from the one 1 Tg tracer run;
+    the direct ones are run_member's at the mass, with the 3-D temperature.
+    Tracer rows are checked to 1e-12 relative on the way, and to exact zeros
+    at mass 0.
+    """
+    plan = ExperimentPlan(n_members=n_members, baseline_members=2, seed=4)
+    baselines = run_baseline_ensemble(plan, params, grid, eruption)
+    base, tests = base_dag_canonical(), canonical_tests(0.5, 1.0)
+    seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
+    unit = tracer_unit_rows(params, eruption, grid)
+    flips = []
+    for mass in masses:
+        at_mass = replace(eruption, mass=mass)
+        superposed = canonical_series(params, at_mass, grid, seeds, unit if mass else None)
+        for b, (series, seed) in enumerate(zip(superposed, seeds)):
+            hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
+            direct = run_member(params, at_mass, grid, seed, hook).series
+            for qid in direct:
+                if qid.startswith("T("):
+                    continue
+                if mass == 0:
+                    assert np.array_equal(series[qid], np.zeros(params.n_steps + 1)), qid
+                np.testing.assert_allclose(series[qid], direct[qid], rtol=1e-12, atol=0,
+                                           err_msg=f"{qid} at {mass} Tg")
+            got = compute_pathway(base, series, tests, baselines, dt=params.dt).activation
+            want = compute_pathway(base, direct, tests, baselines, dt=params.dt).activation
+            flips += [(mass, b, base.vertices[v], int(m)) for m, v in zip(*np.nonzero(got != want))]
+    return flips
+
+
+class TestSuperposition:
+    @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
+    def test_superposed_rows_and_taus_equal_direct_runs(self, params, eruption):
+        grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
+        flips = activation_flips(grid, params, eruption, (0.0, 0.5, 5.0, 20.0, 37.3), 2)
+        assert flips == []
+
+    def test_tracers_step_once_per_grid_and_never_for_the_baseline(
+        self, tiny_setup, monkeypatch
+    ):
+        grid, params, _ = tiny_setup
+        calls = []
+        advance_tracers = harness.Stepper.advance_tracers
+
+        def counted(self, state):
+            calls.append(state.step_index)
+            advance_tracers(self, state)
+
+        monkeypatch.setattr(harness.Stepper, "advance_tracers", counted)
+        plan = ExperimentPlan(masses=(5.0, 10.0), experiments=(("Ex1", 0.5, 0.75),),
+                              n_members=2, baseline_members=3, seed=11)
+        baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
+        assert calls == []
+        run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        assert len(calls) == params.n_steps
 
 
 class TestBench:

@@ -116,7 +116,7 @@ def test_every_public_name_has_a_caller():
 #: The functions allowed to call a Stepper method: the one loop that steps
 #: runs and the one-step function
 STEPPING = {"harness.run_lockstep", "surrogate.step"}
-STEPPER_METHODS = {"advance_tracers", "advance_temperature"}
+STEPPER_METHODS = {"advance_tracers", "advance_temperature", "advance_zone_temperature"}
 
 
 def stepper_calls(path):

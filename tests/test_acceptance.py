@@ -328,7 +328,7 @@ def test_criterion_06_along_a_dense_mass_sweep():
     assert time.perf_counter() - start < 5.0
 
 
-@criterion(7,"smaller upper thresholds activate temperature sooner and longer")
+@criterion(7, "smaller upper thresholds activate temperature sooner and longer")
 def test_criterion_07_threshold_sensitivity(grid_run):
     plan, _, result = grid_run
     labels = [e[0] for e in plan.experiments]

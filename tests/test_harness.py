@@ -292,6 +292,9 @@ class TestLockstep:
             "1 Tg tracer run failed: non-finite field values at step 12"
         )
 
+    # the overflow this test makes warns where it happens, as numpy does
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_scaled_overflow_names_mass_and_step_before_any_temperature_step(
         self, tiny_setup, monkeypatch
     ):

@@ -69,17 +69,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     baselines = None
     if args.baseline:
         baselines = read_baselines_json(args.baseline)
-        score_tables(base, tests, baselines, cfg.params.n_steps)
     else:
         # no baseline: z-score tests cannot be scored, leave them inactive
         tests = {
             qid: InactiveTest() if isinstance(test, ZScoreHysteresis) else test
             for qid, test in tests.items()
         }
+    # built before any step, so a bad baseline exits before the member runs
+    tables = score_tables(base, tests, baselines, cfg.params.n_steps)
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
     unit = tracer_unit_rows(cfg.params, cfg.eruption, grid) if cfg.eruption.mass else None
     series = canonical_series(cfg.params, cfg.eruption, grid, [seed], unit)[0]
-    pathway = compute_pathway(base, series, tests, baselines, cfg.params.dt)
+    pathway = compute_pathway(base, series, tables, cfg.params.dt)
 
     digest = config_digest(cfg)
     write_series_csv(out / "series.csv", series, cfg.params.dt)
@@ -125,21 +126,24 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not args.baseline:
         write_baselines_json(out / "baselines.json", baselines)
 
-    result = run_experiment_grid(cfg.plan, cfg.params, grid, baselines, cfg.eruption)
     digest = config_digest(cfg)
-    write_summary_csv(out / "summary.csv", result.rows)
-    for (mass, label, member), pathway in result.pathways.items():
-        name = f"pathway_m{mass:g}_{label}_b{member}.json"
-        write_pathway_json(out / "pathways" / name, pathway, digest)
-    if cfg.snapshot_days:
-        first_label = cfg.plan.experiments[0][0]
-        for mass in cfg.plan.masses:
-            pathway = result.pathways[(mass, first_label, 0)]
-            for day in cfg.snapshot_days:
-                path = out / "snapshots" / f"dag_m{mass:g}_{first_label}_day{day:g}.dot"
-                atomic_write_text(path, export_dot(pathway, day))
-    seeds = {f"{mass:g}/{b}": s.seed for (mass, b), s in result.member_seeds.items()}
-    write_manifest_json(out / "manifest.json", build_manifest(cfg, seeds=seeds))
+    first_label = cfg.plan.experiments[0][0]
+    rows = []
+    # each mass's files are written before the next mass steps
+    grid_run = run_experiment_grid(cfg.plan, cfg.params, grid, baselines, cfg.eruption)
+    for mass, pathways, mass_rows in grid_run:
+        for (label, member), pathway in pathways.items():
+            name = f"pathway_m{mass:g}_{label}_b{member}.json"
+            write_pathway_json(out / "pathways" / name, pathway, digest)
+        for day in cfg.snapshot_days:
+            path = out / "snapshots" / f"dag_m{mass:g}_{first_label}_day{day:g}.dot"
+            atomic_write_text(path, export_dot(pathways[first_label, 0], day))
+        rows += mass_rows
+    write_summary_csv(out / "summary.csv", rows)
+    # every mass's member b erupts with the one seed
+    seeds = [derive_seed(cfg.plan.seed, "eruption", b).seed for b in range(cfg.plan.n_members)]
+    member_seeds = {f"{mass:g}/{b}": s for mass in cfg.plan.masses for b, s in enumerate(seeds)}
+    write_manifest_json(out / "manifest.json", build_manifest(cfg, seeds=member_seeds))
     return 0
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import ConfigurationError, NumericalFailureError, checked
 from .grid import SphericalGrid, zone_number
 from .pathway import (
     PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests, compute_pathway,
+    score_tables,
 )
 from .qoi import QoiSpec, RegistryEvaluator, level_share, registry_canonical
 from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
@@ -62,8 +64,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.n_members < 2 or self.baseline_members < 2:
             raise ConfigurationError("plan.n_members and plan.baseline_members must be >= 2")
-        if min(self.masses, default=0.0) < 0:
-            raise ConfigurationError(f"plan.masses must be >= 0, got {list(self.masses)}")
+        for mass in self.masses:
+            checked("plan.masses", EruptionSpec, mass)
         # a mass's {:g} form names its output files and manifest seed keys
         if len({f"{mass:g}" for mass in self.masses}) < len(self.masses):
             raise ConfigurationError(
@@ -288,41 +290,34 @@ class SummaryRow:
     se_total: float
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[SummaryRow]
-    # (mass, experiment, member_index) -> PathwayDag
-    pathways: dict[tuple[float, str, int], PathwayDag]
-    member_seeds: dict[tuple[float, int], RunSeed]
-
-
 def run_experiment_grid(
     plan: ExperimentPlan,
     params: ModelParams,
     grid: SphericalGrid,
     baselines: dict[str, BaselineStats],
     eruption_template: EruptionSpec,
-) -> ExperimentResult:
-    """Eruption ensembles at every mass, analyzed under every threshold experiment."""
+) -> Iterator[tuple[float, dict[tuple[str, int], PathwayDag], list[SummaryRow]]]:
+    """Eruption ensembles at every mass, analyzed under every threshold experiment.
+
+    Yields (mass, {(experiment, member_index): PathwayDag}, summary rows) as
+    each mass finishes, before the next mass is stepped.
+    """
     base = base_dag_canonical()
     never = params.dt * params.n_steps
-    rows: list[SummaryRow] = []
-    pathways: dict[tuple[float, str, int], PathwayDag] = {}
-    member_seeds: dict[tuple[float, int], RunSeed] = {}
+    seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
     # the one tracer run, before any mass, which every mass scales
     unit = tracer_unit_rows(params, eruption_template, grid) if any(plan.masses) else None
     for mass in plan.masses:
-        seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
-        member_seeds.update(((mass, b), seed) for b, seed in enumerate(seeds))
         eruption = replace(eruption_template, mass=mass)
         per_member_series = canonical_series(params, eruption, grid, seeds, unit)
+        pathways, rows = {}, []
         for label, t_l, t_u in plan.experiments:
-            tests = canonical_tests(t_l, t_u)
+            tables = score_tables(base, canonical_tests(t_l, t_u), baselines, params.n_steps)
             summaries = []
             for b, series in enumerate(per_member_series):
-                pathway = compute_pathway(base, series, tests, baselines, dt=params.dt)
-                pathways[(mass, label, b)] = pathway
+                pathways[label, b] = pathway = compute_pathway(base, series, tables, params.dt)
                 summaries.append(activation_summaries(pathway, never))
+            del tables  # so that no two experiments' tables are live together
             # (B, 2, r) -> first and total days, each (B, r)
             firsts, totals = np.array(summaries).swapaxes(0, 1)
             mean_first, se_first = ensemble_summarize(firsts)
@@ -335,7 +330,7 @@ def run_experiment_grid(
                         float(mean_total[l]), float(se_total[l]),
                     )
                 )
-    return ExperimentResult(rows=rows, pathways=pathways, member_seeds=member_seeds)
+        yield mass, pathways, rows
 
 
 def synthetic_registry(count: int) -> list[QoiSpec]:

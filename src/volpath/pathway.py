@@ -224,23 +224,23 @@ def score_tables(
 def compute_pathway(
     base: BaseDag,
     series: dict[str, np.ndarray],
-    tests: dict[str, BoundsTest],
-    baselines: dict[str, "object"] | None = None,
+    tables: tuple[np.ndarray, ...],
     dt: float = 1.0,
 ) -> PathwayDag:
     """Run the activation algorithm over full recorded series (one per vertex).
 
+    tables is score_tables' result, whose len(mean) steps every series has.
     Z-score tests score (value - mean_m) / sigma_m against per-step baseline
     matrices and are forced inactive at m = 0; absolute and inactive tests
     score the raw value.  One hysteresis call covers every vertex and step.
     """
+    lower, upper, mean, std, zscored = tables
     missing = [v for v in base.vertices if v not in series]
     if missing:
         raise ConfigurationError(f"no series for vertices: {missing}")
-    lengths = {len(series[v]) for v in base.vertices}
-    if len(lengths) != 1:
-        raise ConfigurationError(f"series lengths differ: {sorted(lengths)}")
-    lower, upper, mean, std, zscored = score_tables(base, tests, baselines, lengths.pop() - 1)
+    lengths = sorted({len(series[v]) for v in base.vertices})
+    if lengths != [len(mean)]:
+        raise ConfigurationError(f"series lengths {lengths} differ from the tables' {len(mean)}")
     values = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
     scores = (values - mean) / std
     scores[:1, zscored] = -np.inf

@@ -92,9 +92,10 @@ class EruptionSpec:
     injection_levels: LevelRange = STRATOSPHERE_RANGE
 
     def __post_init__(self):
-        if not (np.isfinite(self.mass) and self.mass >= 0):
+        # the injection works in kg, which overflow above about 1.8e299 Tg
+        if not (np.isfinite(self.mass * TG_TO_KG) and self.mass >= 0):
             raise ConfigurationError(
-                f"eruption mass must be a finite number >= 0, got {self.mass}"
+                f"eruption mass must be a finite number >= 0, also in kg, got {self.mass}"
             )
 
 

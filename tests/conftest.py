@@ -5,6 +5,7 @@ import pytest
 
 from volpath.errors import ConfigurationError
 from volpath.grid import LevelRange, build_grid
+from volpath.pathway import compute_pathway, score_tables
 from volpath.stats import BaselineStats
 from volpath.surrogate import (
     AIR_MASS_PER_HPA_KG,
@@ -80,6 +81,21 @@ def total_sulfur_kg(state, grid):
 def vertex_series(pathway, qoi_id):
     """One vertex's taus over steps 0..M: the activation column of qoi_id."""
     return pathway.activation[:, pathway.base.vertices.index(qoi_id)]
+
+
+def pathway_from_tests(base, series, tests, baselines=None, dt=1.0):
+    """compute_pathway over the score tables of tests, sized to the first series' steps."""
+    n_steps = len(next(iter(series.values()))) - 1
+    return compute_pathway(base, series, score_tables(base, tests, baselines, n_steps), dt)
+
+
+def collect_grid(grid_run):
+    """Summary rows and {(mass, experiment, member): PathwayDag} of a whole run_experiment_grid."""
+    rows, pathways = [], {}
+    for mass, by_cell, mass_rows in grid_run:
+        rows += mass_rows
+        pathways.update({(mass, *cell): pathway for cell, pathway in by_cell.items()})
+    return rows, pathways
 
 
 def stats_from_sigma(qoi_id, n, mean, sigma):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    baseline_merge, criterion_line, stats_from_sigma, total_sulfur_kg, vertex_series,
+    baseline_merge, collect_grid, criterion_line, pathway_from_tests, stats_from_sigma,
+    total_sulfur_kg, vertex_series,
 )
 from volpath.export import export_dot, pathway_to_dict, summary_csv_text
 from volpath.grid import build_grid
@@ -33,7 +34,6 @@ from volpath.pathway import (
     ZScoreHysteresis,
     base_dag_canonical,
     canonical_tests,
-    compute_pathway,
     hysteresis,
     materialize_dag,
 )
@@ -82,7 +82,7 @@ def default_grid():
 def run_full_grid(grid):
     plan = ExperimentPlan()
     baselines = run_baseline_ensemble(plan, PRESET_PARAMS, grid, EruptionSpec())
-    result = run_experiment_grid(plan, PRESET_PARAMS, grid, baselines, EruptionSpec())
+    result = collect_grid(run_experiment_grid(plan, PRESET_PARAMS, grid, baselines, EruptionSpec()))
     return plan, baselines, result
 
 
@@ -97,7 +97,8 @@ def grid_run_repeat(default_grid):
 
 
 def summary_row(result, mass, experiment, qoi_id):
-    for row in result.rows:
+    rows, _ = result
+    for row in rows:
         if (row.mass, row.experiment, row.qoi_id) == (mass, experiment, qoi_id):
             return row
     raise AssertionError(f"no summary row for {(mass, experiment, qoi_id)}")
@@ -137,7 +138,7 @@ def test_criterion_01_bounds_test_exactness():
 
     def ztaus(zs):
         values = mu + sigma * np.asarray(zs, dtype=float)
-        pw = compute_pathway(zbase, {"q": values}, {"q": ztest}, baselines)
+        pw = pathway_from_tests(zbase, {"q": values}, {"q": ztest}, baselines)
         return list(vertex_series(pw, "q").astype(int))
 
     assert ztaus([99.0, 99.0, 99.0]) == [0, 1, 1]  # m = 0 is always inactive
@@ -194,7 +195,7 @@ def test_criterion_02_pathway_oracle_equivalence():
                     prev = 1
                 ref.append(prev)
             taus[v] = ref
-        pw = compute_pathway(base, series, tests, dt=1.0)
+        pw = pathway_from_tests(base, series, tests, dt=1.0)
         for m in range(n):
             active = {v for v in vertices if taus[v][m]}
             expected_v = [v for v in vertices if v in active]
@@ -264,7 +265,7 @@ def test_criterion_05_zero_tracer(default_grid, grid_run):
     )
     seed = derive_seed(ExperimentPlan().seed, "eruption", 0)
     result = run_member(PRESET_PARAMS, EruptionSpec(mass=0.0), default_grid, seed, hook)
-    pathway = compute_pathway(
+    pathway = pathway_from_tests(
         base_dag_canonical(), result.series, canonical_tests(0.5, 1.0), baselines,
         PRESET_PARAMS.dt,
     )
@@ -312,7 +313,7 @@ def test_criterion_06_along_a_dense_mass_sweep():
                           n_members=2, baseline_members=2, seed=6)
     eruption = EruptionSpec(day=2.0)
     baselines = run_baseline_ensemble(plan, params, grid, eruption)
-    result = run_experiment_grid(plan, params, grid, baselines, eruption)
+    result = collect_grid(run_experiment_grid(plan, params, grid, baselines, eruption))
     tracers = [s.id for s in registry_canonical() if s.field != "T"]
     for qid in tracers:
         rows = [summary_row(result, mass, "Ex2", qid) for mass in masses]
@@ -331,6 +332,7 @@ def test_criterion_06_along_a_dense_mass_sweep():
 @criterion(7, "smaller upper thresholds activate temperature sooner and longer")
 def test_criterion_07_threshold_sensitivity(grid_run):
     plan, _, result = grid_run
+    _, pathways = result
     labels = [e[0] for e in plan.experiments]
     for zone in ("e", "s", "t", "p"):
         qid = f"T({zone})"
@@ -345,17 +347,17 @@ def test_criterion_07_threshold_sensitivity(grid_run):
         # active steps in every member.
         for b in range(plan.n_members):
             for tighter, looser in zip(labels[:-1], labels[1:]):
-                tau_small = vertex_series(result.pathways[(10.0, tighter, b)], qid)
-                tau_large = vertex_series(result.pathways[(10.0, looser, b)], qid)
+                tau_small = vertex_series(pathways[(10.0, tighter, b)], qid)
+                tau_large = vertex_series(pathways[(10.0, looser, b)], qid)
                 assert np.all(tau_small >= tau_large), (qid, b, tighter, looser)
 
 
 @criterion(8, "activation wave travels equator to pole; snapshots match")
 def test_criterion_08_activation_wave(grid_run):
-    plan, _, result = grid_run
+    plan, _, (_, pathways) = grid_run
     dt = PRESET_PARAMS.dt
     for b in range(plan.n_members):
-        pw = result.pathways[(10.0, "Ex2", b)]
+        pw = pathways[(10.0, "Ex2", b)]
         for field in ("SUL", "AOD"):
             firsts = [
                 first_activation(vertex_series(pw, f"{field}({z})"), dt, NEVER)
@@ -366,7 +368,7 @@ def test_criterion_08_activation_wave(grid_run):
 
     # Snapshots: pre-eruption graph is empty; post-eruption graph shows the
     # active equatorial chain.
-    pw = result.pathways[(10.0, "Ex2", 1)]
+    pw = pathways[(10.0, "Ex2", 1)]
     pre = export_dot(pw, day=30.0)
     assert "orange" not in pre
     post = export_dot(pw, day=100.0)
@@ -378,11 +380,11 @@ def test_criterion_08_activation_wave(grid_run):
 
 @criterion(9, "polar SO2 rarely becomes active")
 def test_criterion_09_so2_polar_rarity(grid_run):
-    plan, _, result = grid_run
+    plan, _, (_, pathways) = grid_run
     dt = PRESET_PARAMS.dt
     never_count = sum(
         first_activation(
-            vertex_series(result.pathways[(10.0, "Ex2", b)], "SO2(p)"), dt, NEVER
+            vertex_series(pathways[(10.0, "Ex2", b)], "SO2(p)"), dt, NEVER
         )
         >= NEVER
         for b in range(plan.n_members)
@@ -403,12 +405,12 @@ def test_criterion_10_overhead_scaling(default_grid):
 
 @criterion(11, "full experiment grid is byte-identical across reruns")
 def test_criterion_11_determinism(grid_run, grid_run_repeat):
-    _, baselines_a, a = grid_run
-    _, baselines_b, b = grid_run_repeat
-    assert summary_csv_text(a.rows) == summary_csv_text(b.rows)
-    assert set(a.pathways) == set(b.pathways)
-    for key in a.pathways:
-        assert pathway_to_dict(a.pathways[key], "") == pathway_to_dict(b.pathways[key], "")
+    _, baselines_a, (rows_a, pathways_a) = grid_run
+    _, baselines_b, (rows_b, pathways_b) = grid_run_repeat
+    assert summary_csv_text(rows_a) == summary_csv_text(rows_b)
+    assert set(pathways_a) == set(pathways_b)
+    for key in pathways_a:
+        assert pathway_to_dict(pathways_a[key], "") == pathway_to_dict(pathways_b[key], "")
     for qid in baselines_a:
         assert np.array_equal(baselines_a[qid].mean, baselines_b[qid].mean)
         assert np.array_equal(baselines_a[qid].m2, baselines_b[qid].m2)

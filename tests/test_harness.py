@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NanDrawsFrom, STEPPER_CASES
+from conftest import NanDrawsFrom, STEPPER_CASES, collect_grid
 from volpath import harness, surrogate
 from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import LevelRange, build_grid
@@ -26,7 +26,7 @@ from volpath.harness import (
     synthetic_registry,
     tracer_unit_rows,
 )
-from volpath.pathway import base_dag_canonical, canonical_tests, compute_pathway
+from volpath.pathway import base_dag_canonical, canonical_tests, compute_pathway, score_tables
 from volpath.qoi import level_share, registry_canonical
 from volpath.surrogate import EruptionSpec, ModelParams
 
@@ -155,18 +155,39 @@ class TestExperimentGrid:
             seed=11,
         )
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
-        a = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
-        b = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
-        assert len(a.rows) == 2 * 1 * 16
-        assert set(a.pathways) == {
+        rows_a, pathways_a = collect_grid(
+            run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        )
+        rows_b, pathways_b = collect_grid(
+            run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        )
+        assert len(rows_a) == 2 * 1 * 16
+        assert set(pathways_a) == {
             (m, "Ex1", i) for m in (5.0, 10.0) for i in range(2)
         }
-        assert a.rows == b.rows
-        for key in a.pathways:
-            assert np.array_equal(a.pathways[key].activation, b.pathways[key].activation)
-        assert a.member_seeds == b.member_seeds
-        # Common random numbers: the same member uses one seed at every mass.
-        assert a.member_seeds[(5.0, 1)] == a.member_seeds[(10.0, 1)]
+        assert rows_a == rows_b
+        for key in pathways_a:
+            assert np.array_equal(pathways_a[key].activation, pathways_b[key].activation)
+
+    def test_yields_each_mass_before_stepping_the_next(self, tiny_setup, monkeypatch):
+        grid, params, _ = tiny_setup
+        plan = ExperimentPlan(masses=(5.0, 10.0), experiments=DEFAULT_EXPERIMENTS[:2],
+                              n_members=2, baseline_members=2, seed=11)
+        baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
+        stepped, tabled = [], []
+        series, tables = canonical_series, score_tables
+        monkeypatch.setattr(harness, "canonical_series",
+                            lambda p, e, *a: stepped.append(e.mass) or series(p, e, *a))
+        monkeypatch.setattr(harness, "score_tables", lambda *a: tabled.append(a) or tables(*a))
+        grid_run = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        mass, pathways, rows = next(grid_run)
+        assert (mass, stepped) == (5.0, [5.0])
+        assert set(pathways) == {(label, b) for label in ("Ex1", "Ex2") for b in range(2)}
+        assert {(r.mass, r.experiment) for r in rows} == {(5.0, "Ex1"), (5.0, "Ex2")}
+        assert [m for m, *_ in grid_run] == [10.0]
+        assert stepped == [5.0, 10.0]
+        # the score tables are built once per (mass, experiment), not per member
+        assert len(tabled) == 2 * 2
 
     def test_member_failure_keeps_exception_and_context(self, tiny_setup, monkeypatch):
         grid, params, _ = tiny_setup
@@ -177,7 +198,7 @@ class TestExperimentGrid:
 
         monkeypatch.setattr(harness.Stepper, "advance_tracers", failing_advance_tracers)
         with pytest.raises(NumericalFailureError) as info:
-            run_experiment_grid(plan, params, grid, {}, EruptionSpec())
+            list(run_experiment_grid(plan, params, grid, {}, EruptionSpec()))
         # every mass reads the one 1 Tg tracer run, which steps before any member
         assert info.value.step_index == 7
         assert str(info.value) == "1 Tg tracer run failed: non-finite SO2"
@@ -299,9 +320,9 @@ class TestLockstep:
         self, tiny_setup, monkeypatch
     ):
         grid, params, eruption = tiny_setup
-        # AOD of order 10 at 1 Tg, so a huge mass overflows once scaled
-        params = ModelParams(n_steps=40, k_aod=7.5e7)
-        mass = 1e308
+        # AOD of order 1e10 at 1 Tg, so a mass still finite in kg overflows once scaled
+        params = ModelParams(n_steps=40, k_aod=7.5e16)
+        mass = 1e299
         huge = EruptionSpec(mass=mass, day=eruption.day)
         unit = tracer_unit_rows(params, huge, grid)
         assert np.isfinite(unit).all()
@@ -320,7 +341,7 @@ class TestLockstep:
         assert str(info.value) == (
             f"mass {mass} Tg: {qid} of the scaled 1 Tg tracer run is non-finite at step {step}"
         )
-        # a direct run at that mass overflows its injected mixing ratio
+        # a direct run at that mass overflows its AOD
         hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
         with pytest.raises(NumericalFailureError, match="non-finite field values at step 9"):
             run_member(params, huge, grid, seeds[0], hook)
@@ -336,7 +357,8 @@ def activation_flips(grid, params, eruption, masses, n_members):
     """
     plan = ExperimentPlan(n_members=n_members, baseline_members=2, seed=4)
     baselines = run_baseline_ensemble(plan, params, grid, eruption)
-    base, tests = base_dag_canonical(), canonical_tests(0.5, 1.0)
+    base = base_dag_canonical()
+    tables = score_tables(base, canonical_tests(0.5, 1.0), baselines, params.n_steps)
     seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
     unit = tracer_unit_rows(params, eruption, grid)
     flips = []
@@ -353,8 +375,8 @@ def activation_flips(grid, params, eruption, masses, n_members):
                     assert np.array_equal(series[qid], np.zeros(params.n_steps + 1)), qid
                 np.testing.assert_allclose(series[qid], direct[qid], rtol=1e-12, atol=0,
                                            err_msg=f"{qid} at {mass} Tg")
-            got = compute_pathway(base, series, tests, baselines, dt=params.dt).activation
-            want = compute_pathway(base, direct, tests, baselines, dt=params.dt).activation
+            got = compute_pathway(base, series, tables, params.dt).activation
+            want = compute_pathway(base, direct, tables, params.dt).activation
             flips += [(mass, b, base.vertices[v], int(m)) for m, v in zip(*np.nonzero(got != want))]
     return flips
 
@@ -382,7 +404,7 @@ class TestSuperposition:
                               n_members=2, baseline_members=3, seed=11)
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
         assert calls == []
-        run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        list(run_experiment_grid(plan, params, grid, baselines, EruptionSpec()))
         assert len(calls) == params.n_steps
 
 

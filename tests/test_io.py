@@ -20,7 +20,7 @@ from volpath.config import (
     load_config,
     parse_config,
 )
-from volpath.errors import ConfigurationError
+from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.export import (
     atomic_write_text,
     baselines_from_dict,
@@ -43,6 +43,7 @@ from volpath.pathway import (
     base_dag_canonical,
     canonical_tests,
     compute_pathway,
+    score_tables,
 )
 from volpath.stats import BaselineStats
 from volpath.surrogate import PRESET_ID
@@ -358,14 +359,18 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 2
 
-    def test_baseline_then_simulate_with_zscores(self, tmp_path):
+    def test_baseline_then_simulate_with_zscores(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["baseline", str(cfg)]) == 0
         assert (out / "baselines.json").exists()
+        built = []
+        monkeypatch.setattr(cli, "score_tables", lambda *a: built.append(a) or score_tables(*a))
         assert main([
             "simulate", str(cfg), "--baseline", str(out / "baselines.json"),
         ]) == 0
+        # one set of score tables serves the check and the pathway
+        assert len(built) == 1
 
     def test_simulate_pathway_equals_compute_pathway_over_written_series(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -375,10 +380,12 @@ class TestCli:
         header, *lines = (out / "series.csv").read_text().strip().split("\n")
         values = np.array([[float(x) for x in line.split(",")[2:]] for line in lines])
         series = {qid: values[:, i] for i, qid in enumerate(header.split(",")[2:])}
-        expected = compute_pathway(
-            base_dag_canonical(), series, canonical_tests(0.5, 0.75),
-            read_baselines_json(out / "baselines.json"), load_config(cfg).params.dt,
+        params = load_config(cfg).params
+        tables = score_tables(
+            base_dag_canonical(), canonical_tests(0.5, 0.75),
+            read_baselines_json(out / "baselines.json"), params.n_steps,
         )
+        expected = compute_pathway(base_dag_canonical(), series, tables, params.dt)
         written = read_pathway_json(out / "pathway.json")
         assert written.dt == expected.dt
         assert np.array_equal(written.activation, expected.activation)
@@ -536,6 +543,45 @@ class TestCli:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["member_seeds"]) == 4
+        # Common random numbers: the same member uses one seed at every mass.
+        assert manifest["member_seeds"] == {
+            f"{m:g}/{b}": derive_seed(11, "eruption", b).seed for m in (5.0, 10.0) for b in range(2)
+        }
+
+    def test_experiment_writes_each_mass_before_stepping_the_next(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        pathways = tmp_path / "out" / "pathways"
+        on_disk = []
+        series = harness.canonical_series
+
+        def listing_series(params, eruption, *args):
+            if eruption.mass:  # not the baseline ensemble
+                on_disk.append(sorted(p.name for p in pathways.glob("*")))
+            return series(params, eruption, *args)
+
+        monkeypatch.setattr(harness, "canonical_series", listing_series)
+        assert main(["experiment", str(cfg)]) == 0
+        assert on_disk == [[], ["pathway_m5_Ex1_b0.json", "pathway_m5_Ex1_b1.json"]]
+
+    def test_experiment_failure_keeps_finished_masses_only(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, snapshot_days=[5.0])
+        out = tmp_path / "out"
+        series = harness.canonical_series
+
+        def failing_at_10_tg(params, eruption, *args):
+            if eruption.mass == 10.0:
+                raise NumericalFailureError("non-finite field values at step 3")
+            return series(params, eruption, *args)
+
+        monkeypatch.setattr(harness, "canonical_series", failing_at_10_tg)
+        assert main(["experiment", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: non-finite field values at step 3\n"
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+            "baselines.json",
+            "pathways/pathway_m5_Ex1_b0.json",
+            "pathways/pathway_m5_Ex1_b1.json",
+            "snapshots/dag_m5_Ex1_day5.dot",
+        ]
 
     def test_experiment_from_written_baseline_is_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -621,6 +667,10 @@ class TestCli:
             pytest.param({"surrogate": {"overrides": {"n_steps": 10**20}}},
                          "surrogate.overrides.n_steps: 100000000000000000000 steps are too many",
                          id="n-steps-too-large"),
+            # finite in Tg, not in kg
+            pytest.param({"eruption": {"mass": 1e300}}, "eruption.mass", id="mass-overflows-kg"),
+            pytest.param({"plan": {"masses": [5.0, 1e300]}}, "plan.masses",
+                         id="masses-overflow-kg"),
         ],
     )
     def test_malformed_config_exits_2_naming_key(
@@ -765,7 +815,8 @@ class TestCli:
         assert err.startswith("configuration error:") and "--member" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    # 1e+300 Tg is finite, but not in kg
+    @pytest.mark.parametrize("mass", ["nan", "inf", "1e+300"])
     def test_simulate_non_finite_mass_exits_2(self, tmp_path, capsys, monkeypatch, mass):
         cfg = write_config(tmp_path)
         ran = []
@@ -773,7 +824,8 @@ class TestCli:
         assert main(["simulate", str(cfg), "--mass", mass]) == 2
         err = capsys.readouterr().err
         assert err == (
-            f"configuration error: --mass: eruption mass must be a finite number >= 0, got {mass}\n"
+            "configuration error: --mass: "
+            f"eruption mass must be a finite number >= 0, also in kg, got {mass}\n"
         )
         assert ran == []
         assert not (tmp_path / "out").exists()

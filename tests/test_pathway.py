@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stats_from_sigma, vertex_series
+from conftest import pathway_from_tests, stats_from_sigma, vertex_series
 from volpath.errors import ConfigurationError, DegenerateBaselineError
 from volpath.pathway import (
     ABSOLUTE_BOUNDS,
@@ -15,7 +15,6 @@ from volpath.pathway import (
     ZScoreHysteresis,
     base_dag_canonical,
     canonical_tests,
-    compute_pathway,
     hysteresis,
     materialize_dag,
 )
@@ -62,7 +61,7 @@ def zscore_taus(zs, t_l, t_u):
     baselines = {"T": stats_from_sigma("T", 5, mu, sigma)}
     values = mu + sigma * np.asarray(zs, dtype=float)
     base = BaseDag(vertices=("T",), edges=())
-    pw = compute_pathway(base, {"T": values}, {"T": ZScoreHysteresis(t_l, t_u)}, baselines)
+    pw = pathway_from_tests(base, {"T": values}, {"T": ZScoreHysteresis(t_l, t_u)}, baselines)
     return list(vertex_series(pw, "T").astype(int))
 
 
@@ -159,7 +158,7 @@ class TestBoundsTestBranches:
     def test_inactive_test_never_activates(self):
         base = BaseDag(vertices=("T",), edges=())
         values = np.array([1e9, np.inf, -1e9, np.nan, 1e9])
-        pw = compute_pathway(base, {"T": values}, {"T": InactiveTest()})
+        pw = pathway_from_tests(base, {"T": values}, {"T": InactiveTest()})
         assert not pw.activation.any()
 
     def test_degenerate_sigma_rejected(self):
@@ -171,15 +170,15 @@ class TestBoundsTestBranches:
             return {"T": stats_from_sigma("T", 4, np.zeros(5), np.array(sigma))}
 
         with pytest.raises(DegenerateBaselineError, match=r"for T .* step 3"):
-            compute_pathway(base, series, tests, baselines([0.0, 1.0, 1.0, 0.0, 1.0]))
+            pathway_from_tests(base, series, tests, baselines([0.0, 1.0, 1.0, 0.0, 1.0]))
         # sigma = 0 at m = 0 alone is fine: step 0 is forced inactive
-        pw = compute_pathway(base, series, tests, baselines([0.0, 1.0, 1.0, 1.0, 1.0]))
+        pw = pathway_from_tests(base, series, tests, baselines([0.0, 1.0, 1.0, 1.0, 1.0]))
         assert list(vertex_series(pw, "T").astype(int)) == [0, 1, 1, 1, 1]
 
     def test_missing_baseline_rejected(self):
         base = BaseDag(vertices=("T",), edges=())
         with pytest.raises(ConfigurationError, match="no baseline"):
-            compute_pathway(base, {"T": np.zeros(4)}, {"T": ZScoreHysteresis(0.5, 1.0)})
+            pathway_from_tests(base, {"T": np.zeros(4)}, {"T": ZScoreHysteresis(0.5, 1.0)})
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
@@ -252,7 +251,7 @@ def hand_series():
 class TestComputePathway:
     def test_hand_traced_history(self):
         base, tests, series, expected = hand_series()
-        pw = compute_pathway(base, series, tests, dt=0.5)
+        pw = pathway_from_tests(base, series, tests, dt=0.5)
         assert pw.n_steps == 5
         assert pw.dt == 0.5
         assert list(vertex_series(pw, "A").astype(int)) == expected["A"]
@@ -264,19 +263,19 @@ class TestComputePathway:
         base, tests, series, _ = hand_series()
         del series["B"]
         with pytest.raises(ConfigurationError, match="no series for vertices"):
-            compute_pathway(base, series, tests)
+            pathway_from_tests(base, series, tests)
 
     def test_length_mismatch_rejected(self):
         base, tests, series, _ = hand_series()
         series["B"] = series["B"][:-1]
         with pytest.raises(ConfigurationError):
-            compute_pathway(base, series, tests)
+            pathway_from_tests(base, series, tests)
 
     def test_missing_test_rejected(self):
         base, tests, series, _ = hand_series()
         del tests["B"]
         with pytest.raises(ConfigurationError, match="no bounds test"):
-            compute_pathway(base, series, tests)
+            pathway_from_tests(base, series, tests)
 
     def test_random_instances_match_oracles(self):
         rng = np.random.default_rng(12)
@@ -298,7 +297,7 @@ class TestComputePathway:
                 tests[v] = AbsoluteHysteresis(lo, hi)
                 series[v] = rng.uniform(0.0, 1.1, n)
                 taus[v] = taus_oracle_absolute(series[v], lo, hi)
-            pw = compute_pathway(base, series, tests, dt=1.0)
+            pw = pathway_from_tests(base, series, tests, dt=1.0)
             for v in vertices:
                 assert list(vertex_series(pw, v).astype(int)) == taus[v]
             for m in range(n):
@@ -314,7 +313,7 @@ class TestComputePathway:
         values = mu + sigma * rng.standard_normal(n) * 2
         baselines = {"T": stats_from_sigma("T", 4, mu, sigma)}
         tests = {"T": ZScoreHysteresis(0.5, 1.0)}
-        pw = compute_pathway(base, {"T": values}, tests, baselines)
+        pw = pathway_from_tests(base, {"T": values}, tests, baselines)
         # stats_from_sigma reconstructs sigma through m2, so compare against std()
         sig = baselines["T"].std()
         expected = taus_oracle_zscore(values, mu, sig, 0.5, 1.0)
@@ -324,7 +323,7 @@ class TestComputePathway:
         base = BaseDag(vertices=("T",), edges=())
         tests = {"T": ZScoreHysteresis(0.5, 1.0)}
         with pytest.raises(ConfigurationError):
-            compute_pathway(base, {"T": np.zeros(4)}, tests)
+            pathway_from_tests(base, {"T": np.zeros(4)}, tests)
 
     def test_smaller_upper_threshold_dominates(self):
         # For the same trajectory, a lower activation threshold can only
@@ -338,7 +337,7 @@ class TestComputePathway:
         baselines = {"T": stats_from_sigma("T", 4, mu, sigma)}
         taus = {}
         for t_u in (0.75, 1.0, 1.5, 2.0):
-            pw = compute_pathway(
+            pw = pathway_from_tests(
                 base, {"T": values}, {"T": ZScoreHysteresis(0.5, t_u)}, baselines
             )
             taus[t_u] = vertex_series(pw, "T")
@@ -393,6 +392,6 @@ def test_whole_series_equals_oracles(cols):
             stats = stats_from_sigma(v, 5, mu, sigma)
             baselines[v] = stats
             oracle[v] = taus_oracle_zscore(values, stats.mean, stats.std(), lo, hi)
-    pw = compute_pathway(base, series, tests, baselines)
+    pw = pathway_from_tests(base, series, tests, baselines)
     for v in vertices:
         assert list(vertex_series(pw, v).astype(int)) == oracle[v]

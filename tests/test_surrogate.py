@@ -101,7 +101,7 @@ class TestParams:
             ModelParams(**kwargs)
 
     def test_negative_mass_rejected(self):
-        for mass in (-1.0, float("nan"), float("inf")):
+        for mass in (-1.0, float("nan"), float("inf"), 1e300):
             with pytest.raises(ConfigurationError, match="finite number >= 0"):
                 EruptionSpec(mass=mass)
 

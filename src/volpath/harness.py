@@ -159,11 +159,13 @@ def run_lockstep(
         else:
             t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
             band_noise = np.empty((len(seeds), N_NOISE_BANDS))
-            normals = np.empty_like(band_noise)
+            normals = np.empty((params.n_steps, len(seeds), N_NOISE_BANDS))
             for b, rng in enumerate(rngs):
                 member = initialize(params, grid, rng=rng)
                 t[b, :, 0] = zone_t.evaluate_state(member)
                 band_noise[b] = member.band_noise
+                # one call yields the stream one call per step would: row m - 1 drives step m
+                normals[:, b] = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
             shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
             heated_aod = np.array(shares)[:, None] * zone_aod
             bands = np.array([zone_number(s.zone) for s in zone_t.specs])
@@ -176,10 +178,8 @@ def run_lockstep(
                     state.step_index, state.time = m, state.time + params.dt
                 hook.observe(state)
                 continue
-            for b, rng in enumerate(rngs):
-                normals[b] = rng.standard_normal(N_NOISE_BANDS)
             t[:, :, m] = stepper.advance_zone_temperature(
-                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals
+                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals[m - 1]
             )
             finite = np.isfinite(t[:, :, m]).all(axis=1)
             if not finite.all():
@@ -214,11 +214,15 @@ def tracer_unit_rows(
     """The 12 canonical tracer QOI rows, (12, n_steps + 1), of 1 Tg erupted at eruption's site.
 
     The site is the eruption's day, latitude and levels.  The tracers are
-    linear in the mass, so mass M at the site has M times these rows.
+    linear in the mass, so mass M at the site has M times these rows.  They
+    are also the same in every longitude (the source fills its whole row,
+    chemistry is pointwise, transport meridional, area weights uniform in
+    longitude), so the run steps a one-column slab of grid.
     """
     specs = [s for s in registry_canonical() if s.field != "T"]
-    hook = TrackerHook(grid, specs, params.n_steps, params.dt)
-    run_lockstep(params, replace(eruption, mass=1.0), grid, [], hook)
+    slab = replace(grid, nlon=1, area_weight=grid.area_weight.sum(axis=1, keepdims=True))
+    hook = TrackerHook(slab, specs, params.n_steps, params.dt)
+    run_lockstep(params, replace(eruption, mass=1.0), slab, [], hook)
     return hook.series
 
 

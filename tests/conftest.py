@@ -59,17 +59,29 @@ def random_state(grid, rng, step_index=0):
 
 
 class NanDrawsFrom:
-    """A run's rng whose draws turn NaN from the one that drives step `step`."""
+    """A run's rng whose step draws turn NaN from the row that drives step `step`.
+
+    initialize draws twice (perturbation, band noise).  Every later draw is
+    the step stream, N_NOISE_BANDS normals per step, whether a run draws one
+    step's row per call or many steps' rows in one call, so the poison goes
+    by position in that stream.
+    """
 
     def __init__(self, rng, step):
         self.rng = rng
-        # initialize draws twice (perturbation, band noise), then each step once
-        self.calls_left = 2 + step
+        self.init_calls_left = 2
+        self.drawn = 0  # step-stream normals drawn so far
+        self.first_nan = (step - 1) * N_NOISE_BANDS
 
     def standard_normal(self, *args, **kwargs):
-        self.calls_left -= 1
         draws = self.rng.standard_normal(*args, **kwargs)
-        return draws if self.calls_left > 0 else np.full_like(draws, np.nan)
+        if self.init_calls_left:
+            self.init_calls_left -= 1
+            return draws
+        flat = draws.reshape(-1)  # a view, in draw order
+        flat[max(self.first_nan - self.drawn, 0):] = np.nan
+        self.drawn += flat.size
+        return draws
 
 
 def total_sulfur_kg(state, grid):

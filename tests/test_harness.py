@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NanDrawsFrom, STEPPER_CASES, collect_grid
+from conftest import NanDrawsFrom, STEPPER_CASES, collect_grid, total_sulfur_kg
 from volpath import harness, surrogate
 from volpath.errors import ConfigurationError, NumericalFailureError
-from volpath.grid import LevelRange, build_grid
+from volpath.grid import LevelRange, build_grid, zone_number
 from volpath.harness import (
     DEFAULT_EXPERIMENTS,
     ExperimentPlan,
@@ -22,13 +22,17 @@ from volpath.harness import (
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
+    run_lockstep,
     run_member,
     synthetic_registry,
     tracer_unit_rows,
 )
 from volpath.pathway import base_dag_canonical, canonical_tests, compute_pathway, score_tables
-from volpath.qoi import level_share, registry_canonical
-from volpath.surrogate import EruptionSpec, ModelParams
+from volpath.qoi import RegistryEvaluator, level_share, registry_canonical
+from volpath.surrogate import (
+    N_NOISE_BANDS, PRESET_PARAMS, TG_TO_KG, EruptionSpec, ModelParams, Stepper, initialize,
+    make_rng,
+)
 
 
 @pytest.fixture
@@ -303,6 +307,17 @@ class TestLockstep:
             "non-finite field values at step 5"
         )
 
+    def test_nan_draws_fail_a_3d_run_at_the_same_step(self, tiny_setup, monkeypatch):
+        # a 3-D run draws one step's row per call; the poison still starts at step 5
+        grid, params, eruption = tiny_setup
+        make_rng = harness.make_rng
+        monkeypatch.setattr(harness, "make_rng", lambda seed: NanDrawsFrom(make_rng(seed), 5))
+        hook = TrackerHook(grid, [], params.n_steps, params.dt)
+        with pytest.raises(NumericalFailureError) as info:
+            run_member(params, eruption, grid, derive_seed(4, "eruption", 1), hook)
+        assert info.value.step_index == 5
+        assert str(info.value).endswith("failed: non-finite field values at step 5")
+
     def test_tracer_failure_names_the_unit_run(self, tiny_setup, monkeypatch):
         grid, params, eruption = tiny_setup
         poison_tracers_at(monkeypatch, member=0, step=12)
@@ -406,6 +421,101 @@ class TestSuperposition:
         assert calls == []
         list(run_experiment_grid(plan, params, grid, baselines, EruptionSpec()))
         assert len(calls) == params.n_steps
+
+
+def unit_rows_3d(params, eruption, grid):
+    """Oracle: the 1 Tg tracer run's 12 tracer QOI rows, stepped on the whole 3-D grid."""
+    specs = [s for s in registry_canonical() if s.field != "T"]
+    hook = TrackerHook(grid, specs, params.n_steps, params.dt)
+    run_lockstep(params, replace(eruption, mass=1.0), grid, [], hook)
+    return hook.series
+
+
+def per_step_draw_t(params, eruption, grid, seeds, unit):
+    """Oracle: the members' (B, 4, n_steps + 1) T-QOI rows, each step's normals drawn in a call
+    of their own, from the AOD rows of eruption.mass * unit."""
+    specs = registry_canonical()
+    tracer_ids = [s.id for s in specs if s.field != "T"]
+    zone_t = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
+    tracers = eruption.mass * unit
+    zone_aod = tracers[[tracer_ids.index(f"AOD({s.zone})") for s in zone_t.specs]]
+    stepper = Stepper(params, eruption, grid)
+    rngs = [make_rng(seed) for seed in seeds]
+    t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
+    band_noise = np.empty((len(seeds), N_NOISE_BANDS))
+    for b, rng in enumerate(rngs):
+        member = initialize(params, grid, rng=rng)
+        t[b, :, 0] = zone_t.evaluate_state(member)
+        band_noise[b] = member.band_noise
+    shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
+    heated_aod = np.array(shares)[:, None] * zone_aod
+    bands = np.array([zone_number(s.zone) for s in zone_t.specs])
+    for m in range(1, params.n_steps + 1):
+        normals = np.array([rng.standard_normal(N_NOISE_BANDS) for rng in rngs])
+        t[:, :, m] = stepper.advance_zone_temperature(
+            t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals
+        )
+    return t
+
+
+DEFAULT_GRID = dict(nlat=32, nlon=64, nlev=16, p_top=1.0, p_surface=1000.0)
+
+
+class TestSlab:
+    @pytest.mark.parametrize(
+        "params, eruption",
+        [
+            pytest.param(PRESET_PARAMS, EruptionSpec(), id="default"),
+            # 210 days after the eruption, so that these cases stay cheap
+            pytest.param(ModelParams(n_steps=1200), EruptionSpec(lat=-40.0), id="southern"),
+            # the source is the last row, which has no northern neighbor: no transport
+            pytest.param(ModelParams(n_steps=1200), EruptionSpec(lat=89.0),
+                         id="source-in-last-row"),
+            pytest.param(ModelParams(n_steps=1200, v_transport=0.0), EruptionSpec(),
+                         id="no-v-transport"),
+        ],
+    )
+    def test_unit_rows_equal_the_3d_run(self, params, eruption):
+        grid = build_grid(**DEFAULT_GRID)
+        unit = tracer_unit_rows(params, eruption, grid)
+        expected = unit_rows_3d(params, eruption, grid)
+        assert (expected[:, -1] > 0).any()
+        np.testing.assert_allclose(unit, expected, rtol=1e-12, atol=0)
+
+    def test_slab_conserves_sulfur(self, monkeypatch):
+        # criterion 4 on the grid that tracer_unit_rows steps
+        grids = []
+        lockstep = harness.run_lockstep
+        monkeypatch.setattr(harness, "run_lockstep",
+                            lambda p, e, grid, *a: grids.append(grid) or lockstep(p, e, grid, *a))
+        tracer_unit_rows(ModelParams(n_steps=1), EruptionSpec(), build_grid(**DEFAULT_GRID))
+        (slab,) = grids
+        params = replace(PRESET_PARAMS, tau_decay=None)
+        eruption = EruptionSpec(mass=1.0)
+        stepper = Stepper(params, eruption, slab)
+        state = initialize(params, slab, rng=make_rng(derive_seed(0, "conservation", 0)))
+        assert state.so2.shape == (32, 1, 16)
+        worst = 0.0
+        for m in range(1, params.n_steps + 1):
+            stepper.advance_tracers(state)
+            state.step_index, state.time = m, state.time + params.dt
+            if state.time > eruption.day:
+                err = abs(total_sulfur_kg(state, slab) - TG_TO_KG) / TG_TO_KG
+                worst = max(worst, err)
+        assert state.time > eruption.day
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
+    def test_one_draw_call_per_member_keeps_every_t_bit(self, params, eruption):
+        grid = build_grid(nlat=8, nlon=8, nlev=8, p_top=1.0, p_surface=1000.0)
+        seeds = [derive_seed(4, "eruption", b) for b in range(3)]
+        unit = tracer_unit_rows(params, eruption, grid)
+        expected = per_step_draw_t(params, eruption, grid, seeds, unit)
+        series = canonical_series(params, eruption, grid, seeds, unit if eruption.mass else None)
+        t_ids = [s.id for s in registry_canonical() if s.field == "T"]
+        for b, member in enumerate(series):
+            for k, qid in enumerate(t_ids):
+                assert np.array_equal(member[qid], expected[b, k]), (b, qid)
 
 
 class TestBench:

@@ -468,43 +468,59 @@ class TestCli:
         assert err == "configuration error: grid: 8 x 8 x 8 is too large to hold\n"
         assert not (tmp_path / "out").exists()
 
+    # every case has its own id, so adding a case renames no other; the older
+    # ids are the ones pytest numbered them by, so their names did not change
     @pytest.mark.parametrize(
         "doc, named",
         [
-            ({"T(e)": {"n_members": -1, "mean": [240.0], "m2": [0.0]}},
-             ["T(e)", "'n_members' must be an integer >= 0"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [[0.5]]}},
-             ["T(e)", "'m2' must be a non-empty list of numbers"]),
-            ({"T(e)": {"n_members": 2, "mean": [], "m2": []}},
-             ["T(e)", "'mean' must be a non-empty list of numbers"]),
-            ({"T(e)": {"n_members": "2", "mean": [240.0], "m2": [0.0]}}, ["T(e)", "'n_members'"]),
-            ({"T(e)": {"n_members": 2, "mean": "abc", "m2": [0.0]}}, ["T(e)", "'mean'"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.5]}},
-             ["T(e)", "'mean' has 2 steps, 'm2' has 1"]),
+            pytest.param({"T(e)": {"n_members": -1, "mean": [240.0], "m2": [0.0]}},
+                         ["T(e)", "'n_members' must be an integer >= 0"],
+                         id="doc0-named0"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [[0.5]]}},
+                         ["T(e)", "'m2' must be a non-empty list of numbers"],
+                         id="doc1-named1"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [], "m2": []}},
+                         ["T(e)", "'mean' must be a non-empty list of numbers"],
+                         id="doc2-named2"),
+            pytest.param({"T(e)": {"n_members": "2", "mean": [240.0], "m2": [0.0]}},
+                         ["T(e)", "'n_members'"], id="doc3-named3"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": "abc", "m2": [0.0]}},
+                         ["T(e)", "'mean'"], id="doc4-named4"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.5]}},
+                         ["T(e)", "'mean' has 2 steps, 'm2' has 1"], id="doc5-named5"),
             # the form before m2 was stored
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "std": [0.5]}},
-             ["T(e)", "missing field 'm2'; the 'std' form is no longer read"]),
-            ({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"]),
-            ([1, 2], ["mapping"]),
-            ("{not json", ["not valid JSON"]),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "std": [0.5]}},
+                         ["T(e)", "missing field 'm2'; the 'std' form is no longer read"],
+                         id="doc6-named6"),
+            pytest.param({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"], id="doc7-named7"),
+            pytest.param([1, 2], ["mapping"], id="doc8-named8"),
+            pytest.param("{not json", ["not valid JSON"], id="{not json-named9"),
             # json reads NaN and Infinity
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("nan")]}},
-             ["T(e)", "'m2' must hold finite numbers >= 0"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("inf")]}},
-             ["T(e)", "'m2' must hold finite numbers >= 0"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [-0.5]}},
-             ["T(e)", "'m2' must hold finite numbers >= 0"]),
-            ({"T(e)": {"n_members": 2, "mean": [float("nan")], "m2": [0.5]}},
-             ["T(e)", "'mean' must hold finite numbers"]),
-            ({"T(e)": {"n_members": True, "mean": [240.0], "m2": [0.0]}},
-             ["T(e)", "'n_members' must be an integer >= 0"]),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("nan")]}},
+                         ["T(e)", "'m2' must hold finite numbers >= 0"],
+                         id="doc10-named10"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("inf")]}},
+                         ["T(e)", "'m2' must hold finite numbers >= 0"],
+                         id="doc11-named11"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [-0.5]}},
+                         ["T(e)", "'m2' must hold finite numbers >= 0"],
+                         id="doc12-named12"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [float("nan")], "m2": [0.5]}},
+                         ["T(e)", "'mean' must hold finite numbers"],
+                         id="doc13-named13"),
+            pytest.param({"T(e)": {"n_members": True, "mean": [240.0], "m2": [0.0]}},
+                         ["T(e)", "'n_members' must be an integer >= 0"],
+                         id="doc14-named14"),
             # only JSON numbers count, and a boolean is not one
-            ({"T(e)": {"n_members": 2, "mean": ["240.5", 241.0], "m2": [0.0, 0.5]}},
-             ["T(e)", "'mean' must be a non-empty list of numbers"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [True, 0.5]}},
-             ["T(e)", "'m2' must be a non-empty list of numbers"]),
-            ({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [None]}},
-             ["T(e)", "'m2' must be a non-empty list of numbers"]),
+            pytest.param({"T(e)": {"n_members": 2, "mean": ["240.5", 241.0], "m2": [0.0, 0.5]}},
+                         ["T(e)", "'mean' must be a non-empty list of numbers"],
+                         id="doc15-named15"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [True, 0.5]}},
+                         ["T(e)", "'m2' must be a non-empty list of numbers"],
+                         id="doc16-named16"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [None]}},
+                         ["T(e)", "'m2' must be a non-empty list of numbers"],
+                         id="doc17-named17"),
             # an integer beyond the float range
             pytest.param('{"T(e)": {"n_members": 2, "mean": [1' + "0" * 400 + '], "m2": [0.0]}}',
                          ["T(e)", "'mean' must hold finite numbers"], id="int-beyond-float"),
@@ -606,34 +622,49 @@ class TestCli:
         assert "'Ex9'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # every case has its own id, as in test_malformed_baseline_file_exits_2
     @pytest.mark.parametrize(
         "patch, key",
         [
-            ({"grid": {"nlat": "abc"}}, "grid.nlat"),
-            ({"grid": {"nlatt": 8}}, "grid.nlatt"),
-            ({"grid": [1, 2]}, "grid"),
-            ({"eruption": {"mass": "abc"}}, "eruption.mass"),
-            ({"eruption": {"injection_levels": [25.0]}}, "eruption.injection_levels"),
-            ({"plan": {"masses": 5}}, "plan.masses"),
-            ({"plan": {"masses": [5.0, -5.0]}}, "plan.masses"),
-            ({"plan": {"experiments": {"Ex1": 0.5}}}, "plan.experiments.Ex1"),
-            ({"plan": {"n_members": 2.7}}, "plan.n_members"),
-            ({"surrogate": {"overrides": {"n_steps": 10.5}}}, "surrogate.overrides.n_steps"),
-            ({"surrogate": {"overrides": {"k_heat": "warm"}}}, "surrogate.overrides.k_heat"),
-            ({"snapshot_days": [5000.0]}, "snapshot_days"),
-            ({"outputs": "out"}, "outputs"),
-            ({"snapshot_days": [1e308]}, "snapshot_days"),
-            ({"eruption": {"mass": -3}}, "eruption.mass"),
-            ({"surrogate": {"overrides": {"dt": -1}}}, "surrogate.overrides.dt"),
-            ({"surrogate": {"overrides": {"noise_memory": 1.0}}}, "surrogate.overrides.noise_memory"),
-            ({"eruption": {"injection_levels": [80.0, 20.0]}}, "eruption.injection_levels"),
+            pytest.param({"grid": {"nlat": "abc"}}, "grid.nlat", id="patch0-grid.nlat"),
+            pytest.param({"grid": {"nlatt": 8}}, "grid.nlatt", id="patch1-grid.nlatt"),
+            pytest.param({"grid": [1, 2]}, "grid", id="patch2-grid"),
+            pytest.param({"eruption": {"mass": "abc"}}, "eruption.mass",
+                         id="patch3-eruption.mass"),
+            pytest.param({"eruption": {"injection_levels": [25.0]}}, "eruption.injection_levels",
+                         id="patch4-eruption.injection_levels"),
+            pytest.param({"plan": {"masses": 5}}, "plan.masses", id="patch5-plan.masses"),
+            pytest.param({"plan": {"masses": [5.0, -5.0]}}, "plan.masses",
+                         id="patch6-plan.masses"),
+            pytest.param({"plan": {"experiments": {"Ex1": 0.5}}}, "plan.experiments.Ex1",
+                         id="patch7-plan.experiments.Ex1"),
+            pytest.param({"plan": {"n_members": 2.7}}, "plan.n_members",
+                         id="patch8-plan.n_members"),
+            pytest.param({"surrogate": {"overrides": {"n_steps": 10.5}}},
+                         "surrogate.overrides.n_steps",
+                         id="patch9-surrogate.overrides.n_steps"),
+            pytest.param({"surrogate": {"overrides": {"k_heat": "warm"}}},
+                         "surrogate.overrides.k_heat",
+                         id="patch10-surrogate.overrides.k_heat"),
+            pytest.param({"snapshot_days": [5000.0]}, "snapshot_days", id="patch11-snapshot_days"),
+            pytest.param({"outputs": "out"}, "outputs", id="patch12-outputs"),
+            pytest.param({"snapshot_days": [1e308]}, "snapshot_days", id="patch13-snapshot_days"),
+            pytest.param({"eruption": {"mass": -3}}, "eruption.mass", id="patch14-eruption.mass"),
+            pytest.param({"surrogate": {"overrides": {"dt": -1}}}, "surrogate.overrides.dt",
+                         id="patch15-surrogate.overrides.dt"),
+            pytest.param({"surrogate": {"overrides": {"noise_memory": 1.0}}},
+                         "surrogate.overrides.noise_memory",
+                         id="patch16-surrogate.overrides.noise_memory"),
+            pytest.param({"eruption": {"injection_levels": [80.0, 20.0]}},
+                         "eruption.injection_levels",
+                         id="patch17-eruption.injection_levels"),
             # selects none of the 8 levels, and the plan's masses erupt
-            ({"eruption": {"injection_levels": [1.5, 1.6]}}, "eruption.injection_levels"),
-            ({"eruption": {"lat": 100.0}}, "eruption.lat"),
-            (
-                {"plan": {"experiments": {"Ex1": [0.5, 1.0], "Ex2": [-1.0, -0.5]}}},
-                "plan.experiments.Ex2",
-            ),
+            pytest.param({"eruption": {"injection_levels": [1.5, 1.6]}},
+                         "eruption.injection_levels",
+                         id="patch18-eruption.injection_levels"),
+            pytest.param({"eruption": {"lat": 100.0}}, "eruption.lat", id="patch19-eruption.lat"),
+            pytest.param({"plan": {"experiments": {"Ex1": [0.5, 1.0], "Ex2": [-1.0, -0.5]}}},
+                         "plan.experiments.Ex2", id="patch20-plan.experiments.Ex2"),
             # a label is part of file names and of summary.csv rows
             pytest.param({"plan": {"experiments": {"x/../../../y": [0.5, 1.0]}}},
                          "plan.experiments.x/../../../y: a label", id="label-path"),
@@ -717,54 +748,91 @@ class TestCli:
         assert main(["export-dot", str(pw_path), "--day", "1", "--out", str(dot_path)]) == 0
         assert dot_path.read_text() == export_dot(tiny_pathway(), 1.0)
 
+    # every case has its own id, as in test_malformed_baseline_file_exits_2
     @pytest.mark.parametrize(
         "patch, named",
         [
-            ("{not json", "not valid JSON"),
-            ([1, 2], "mapping"),
-            ({"dt_days": float("inf")}, "'dt_days'"),
-            ({"dt_days": "0.5"}, "'dt_days'"),
-            ({"dt_days": 0.0}, "'dt_days'"),
-            ({"vertices": ["A", "B", 3]}, "'vertices'"),
-            ({"vertices": "ABC"}, "'vertices'"),
-            ({"edges": [["A"]]}, "'edges'"),
+            pytest.param("{not json", "not valid JSON", id="{not json-not valid JSON"),
+            pytest.param([1, 2], "mapping", id="patch1-mapping"),
+            pytest.param({"dt_days": float("inf")}, "'dt_days'", id="patch2-'dt_days'"),
+            pytest.param({"dt_days": "0.5"}, "'dt_days'", id="patch3-'dt_days'"),
+            pytest.param({"dt_days": 0.0}, "'dt_days'", id="patch4-'dt_days'"),
+            pytest.param({"vertices": ["A", "B", 3]}, "'vertices'", id="patch5-'vertices'"),
+            pytest.param({"vertices": "ABC"}, "'vertices'", id="patch6-'vertices'"),
+            pytest.param({"edges": [["A"]]}, "'edges'", id="patch7-'edges'"),
             # the form before intervals: one '0'/'1' row string per step
-            ({"activation": ["000", "100", "110", "011"], "n_steps": None, "intervals": None},
-             "missing field 'intervals'; the 'activation' row form is no longer read"),
-            ({"vertices": ["A", "A", "C"]}, "duplicate vertices"),
-            ({"edges": [["A", "B"], ["B", "C"], ["C", "A"]]}, "graph contains a cycle"),
-            ({"edges": [["A", "Z"]]}, "references unknown vertex"),
-            ({"n_steps": None}, "missing field 'n_steps'"),
-            ({"n_steps": 3.0}, "'n_steps'"),
-            ({"n_steps": "3"}, "'n_steps'"),
-            ({"n_steps": True}, "'n_steps'"),
-            ({"n_steps": -1}, "'n_steps'"),
-            ({"dt_days": True}, "'dt_days' must be a positive number, got True"),
-            ({"intervals": "1-3"}, "'intervals' must hold 3 lists"),
-            ({"intervals": [[[1, 3]], [[2, 4]]]}, "'intervals' must hold 3 lists"),
-            ({"intervals": [[[1, 3.0]], [[2, 4]], [[3, 4]]]}, "'intervals' of vertex 'A'"),
-            ({"intervals": [[[1, 3]], [[2, "4"]], [[3, 4]]]}, "'intervals' of vertex 'B'"),
-            ({"intervals": [[[1, 3]], [[2, 4]], [[3, True]]]}, "'intervals' of vertex 'C'"),
-            ({"intervals": [[[1, 3]], [[2, 4]], [[3]]]}, "'intervals' of vertex 'C'"),
-            ({"intervals": [[[1, 3]], [2, 4], [[3, 4]]]}, "'intervals' of vertex 'B'"),
-            ({"intervals": [[[-1, 3]], [[2, 4]], [[3, 4]]]},
-             "vertex 'A': [-1, 3] starts before step 0"),
-            ({"intervals": [[[1, 3]], [[2, 5]], [[3, 4]]]},
-             "vertex 'B': [2, 5] ends after n_steps + 1 = 4"),
-            ({"intervals": [[[1, 3]], [[2, 4]], [[3, 3]]]}, "vertex 'C': [3, 3] is empty"),
-            ({"intervals": [[[3, 1]], [[2, 4]], [[3, 4]]]}, "vertex 'A': [3, 1] is empty"),
-            ({"intervals": [[[2, 3], [0, 1]], [[2, 4]], [[3, 4]]]},
-             "vertex 'A': [0, 1] does not start after the previous interval's end 3"),
-            ({"intervals": [[[1, 3]], [[0, 2], [1, 4]], [[3, 4]]]},
-             "vertex 'B': [1, 4] does not start after the previous interval's end 2"),
-            ({"intervals": [[[1, 3]], [[2, 4]], [[0, 1], [1, 4]]]},
-             "vertex 'C': [1, 4] does not start after the previous interval's end 1"),
-            ({"edges": [["A", "B"], ["A", "B"]]}, "duplicate edges"),
+            pytest.param({"activation": ["000", "100", "110", "011"], "n_steps": None,
+                           "intervals": None},
+                         "missing field 'intervals'; the 'activation' row form is no longer read",
+                         id="patch8-missing field 'intervals'; the 'activation' row form is no "
+                            "longer read"),
+            pytest.param({"vertices": ["A", "A", "C"]}, "duplicate vertices",
+                         id="patch9-duplicate vertices"),
+            pytest.param({"edges": [["A", "B"], ["B", "C"], ["C", "A"]]},
+                         "graph contains a cycle",
+                         id="patch10-graph contains a cycle"),
+            pytest.param({"edges": [["A", "Z"]]}, "references unknown vertex",
+                         id="patch11-references unknown vertex"),
+            pytest.param({"n_steps": None}, "missing field 'n_steps'",
+                         id="patch12-missing field 'n_steps'"),
+            pytest.param({"n_steps": 3.0}, "'n_steps'", id="patch13-'n_steps'"),
+            pytest.param({"n_steps": "3"}, "'n_steps'", id="patch14-'n_steps'"),
+            pytest.param({"n_steps": True}, "'n_steps'", id="patch15-'n_steps'"),
+            pytest.param({"n_steps": -1}, "'n_steps'", id="patch16-'n_steps'"),
+            pytest.param({"dt_days": True}, "'dt_days' must be a positive number, got True",
+                         id="patch17-'dt_days' must be a positive number, got True"),
+            pytest.param({"intervals": "1-3"}, "'intervals' must hold 3 lists",
+                         id="patch18-'intervals' must hold 3 lists"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 4]]]}, "'intervals' must hold 3 lists",
+                         id="patch19-'intervals' must hold 3 lists"),
+            pytest.param({"intervals": [[[1, 3.0]], [[2, 4]], [[3, 4]]]},
+                         "'intervals' of vertex 'A'",
+                         id="patch20-'intervals' of vertex 'A'"),
+            pytest.param({"intervals": [[[1, 3]], [[2, "4"]], [[3, 4]]]},
+                         "'intervals' of vertex 'B'",
+                         id="patch21-'intervals' of vertex 'B'"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 4]], [[3, True]]]},
+                         "'intervals' of vertex 'C'",
+                         id="patch22-'intervals' of vertex 'C'"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 4]], [[3]]]}, "'intervals' of vertex 'C'",
+                         id="patch23-'intervals' of vertex 'C'"),
+            pytest.param({"intervals": [[[1, 3]], [2, 4], [[3, 4]]]}, "'intervals' of vertex 'B'",
+                         id="patch24-'intervals' of vertex 'B'"),
+            pytest.param({"intervals": [[[-1, 3]], [[2, 4]], [[3, 4]]]},
+                         "vertex 'A': [-1, 3] starts before step 0",
+                         id="patch25-vertex 'A': [-1, 3] starts before step 0"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 5]], [[3, 4]]]},
+                         "vertex 'B': [2, 5] ends after n_steps + 1 = 4",
+                         id="patch26-vertex 'B': [2, 5] ends after n_steps + 1 = 4"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 4]], [[3, 3]]]},
+                         "vertex 'C': [3, 3] is empty",
+                         id="patch27-vertex 'C': [3, 3] is empty"),
+            pytest.param({"intervals": [[[3, 1]], [[2, 4]], [[3, 4]]]},
+                         "vertex 'A': [3, 1] is empty",
+                         id="patch28-vertex 'A': [3, 1] is empty"),
+            pytest.param({"intervals": [[[2, 3], [0, 1]], [[2, 4]], [[3, 4]]]},
+                         "vertex 'A': [0, 1] does not start after the previous interval's end 3",
+                         id="patch29-vertex 'A': [0, 1] does not start after the previous "
+                            "interval's end 3"),
+            pytest.param({"intervals": [[[1, 3]], [[0, 2], [1, 4]], [[3, 4]]]},
+                         "vertex 'B': [1, 4] does not start after the previous interval's end 2",
+                         id="patch30-vertex 'B': [1, 4] does not start after the previous "
+                            "interval's end 2"),
+            pytest.param({"intervals": [[[1, 3]], [[2, 4]], [[0, 1], [1, 4]]]},
+                         "vertex 'C': [1, 4] does not start after the previous interval's end 1",
+                         id="patch31-vertex 'C': [1, 4] does not start after the previous "
+                            "interval's end 1"),
+            pytest.param({"edges": [["A", "B"], ["A", "B"]]}, "duplicate edges",
+                         id="patch32-duplicate edges"),
             # too big for numpy to shape, so nothing is allocated
-            ({"n_steps": 2**62}, "'n_steps' 4611686018427387904 is too large"),
-            ({"n_steps": 10**30}, "'n_steps' 1000000000000000000000000000000 is too large"),
+            pytest.param({"n_steps": 2**62}, "'n_steps' 4611686018427387904 is too large",
+                         id="patch33-'n_steps' 4611686018427387904 is too large"),
+            pytest.param({"n_steps": 10**30},
+                         "'n_steps' 1000000000000000000000000000000 is too large",
+                         id="patch34-'n_steps' 1000000000000000000000000000000 is too large"),
             # an integer beyond the float range
-            ({"dt_days": 10**400}, "'dt_days' must be a positive number"),
+            pytest.param({"dt_days": 10**400}, "'dt_days' must be a positive number",
+                         id="patch35-'dt_days' must be a positive number"),
         ],
     )
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):

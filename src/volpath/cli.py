@@ -138,12 +138,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for day in cfg.snapshot_days:
             path = out / "snapshots" / f"dag_m{mass:g}_{first_label}_day{day:g}.dot"
             atomic_write_text(path, export_dot(pathways[first_label, 0], day))
+        logger.info("%g Tg: %d members, %d pathway files", mass, cfg.plan.n_members, len(pathways))
         rows += mass_rows
     write_summary_csv(out / "summary.csv", rows)
     # every mass's member b erupts with the one seed
     seeds = [derive_seed(cfg.plan.seed, "eruption", b).seed for b in range(cfg.plan.n_members)]
     member_seeds = {f"{mass:g}/{b}": s for mass in cfg.plan.masses for b, s in enumerate(seeds)}
     write_manifest_json(out / "manifest.json", build_manifest(cfg, seeds=member_seeds))
+    logger.info("wrote every mass's files, summary.csv, manifest.json to %s", out)
     return 0
 
 
@@ -169,6 +171,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             counts.append(int(entry))
         except ValueError:
             raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
+        if counts[-1] < 1:
+            raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     out = Path(args.out or cfg.output_dir)

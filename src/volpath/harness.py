@@ -338,7 +338,8 @@ def run_experiment_grid(
 
 
 def synthetic_registry(count: int) -> list[QoiSpec]:
-    """count copies of the zonal-average-of-vertical-integral QOI (the expensive kind)."""
+    """count copies of the zonal-average-of-vertical-integral QOI (the expensive kind), cycling
+    through the 4 T reductions: an evaluator builds 4 weight spans and takes count products."""
     if count < 1:
         raise ConfigurationError("QOI count must be >= 1")
     canon = [s for s in registry_canonical() if s.field == "T"]

@@ -3,7 +3,8 @@
 Reductions are normalized (mean-valued) so QOI magnitudes match the field
 magnitudes the activation thresholds are written against.  RegistryEvaluator
 folds both means of each spec into one flat weight vector and keeps only the
-span of it that holds the spec's nonzero weights.
+span of it that holds the spec's nonzero weights.  Specs with the same field, zone
+and level range share one span, and each still takes its own product every step.
 """
 
 from __future__ import annotations
@@ -80,28 +81,31 @@ class RegistryEvaluator:
 
     Each spec collapses to a single flat weight vector, cut to the span that
     covers its zone rows and levels, so per-step evaluation is one short dot
-    product per QOI and allocates nothing proportional to the grid.
+    product per QOI and allocates nothing proportional to the grid.  Specs with
+    the same field, zone and level range share one span, built once.
     """
 
     def __init__(self, grid: SphericalGrid, specs: list[QoiSpec]):
         self.grid = grid
         self.specs = list(specs)
-        self._weights = []
+        reductions = {}
         for spec in self.specs:
-            wz = zone_weights(grid, spec.zone)
-            total = wz.sum()
-            if total == 0.0:
-                raise ConfigurationError(f"zone {spec.zone!r} is empty for {spec.id}")
-            wz = wz / total
-            w = wz
-            if spec.level_range is not None:
-                mask = level_mask(grid, spec.level_range)
-                if not mask.any():
-                    raise ConfigurationError(f"empty level range for {spec.id}")
-                wk = np.where(mask, grid.dp, 0.0)
-                wk = wk / wk[mask].sum()
-                w = wz[:, :, None] * wk[None, None, :]
-            self._weights.append((FIELD_ATTRS[spec.field], *_span(w.ravel())))
+            key = (spec.field, spec.zone, spec.level_range)
+            if key not in reductions:
+                wz = zone_weights(grid, spec.zone)
+                total = wz.sum()
+                if total == 0.0:
+                    raise ConfigurationError(f"zone {spec.zone!r} is empty for {spec.id}")
+                w = wz / total
+                if spec.level_range is not None:
+                    mask = level_mask(grid, spec.level_range)
+                    if not mask.any():
+                        raise ConfigurationError(f"empty level range for {spec.id}")
+                    wk = np.where(mask, grid.dp, 0.0)
+                    wk = wk / wk[mask].sum()
+                    w = w[:, :, None] * wk[None, None, :]
+                reductions[key] = (FIELD_ATTRS[spec.field], *_span(w.ravel()))
+        self._weights = [reductions[s.field, s.zone, s.level_range] for s in self.specs]
 
     @property
     def ids(self) -> list[str]:

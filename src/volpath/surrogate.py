@@ -247,7 +247,8 @@ class Stepper:
             self._advect_poleward(so4)
 
         # 4. AOD from the column sulfate burden
-        state.aod = params.k_aod * np.tensordot(so4, self.dp, axes=([2], [0]))
+        nlat, nlon, nlev = so4.shape
+        state.aod = params.k_aod * np.dot(so4.reshape(-1, nlev), self.dp).reshape(nlat, nlon)
 
         if not np.isfinite(so2.sum() + so4.sum() + state.aod.sum()):
             raise self._non_finite(state)

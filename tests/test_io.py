@@ -1,6 +1,7 @@
 """Config parsing, serialization round trips, DOT rendering, and the CLI."""
 
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -564,6 +565,23 @@ class TestCli:
             f"{m:g}/{b}": derive_seed(11, "eruption", b).seed for m in (5.0, 10.0) for b in range(2)
         }
 
+    def test_experiment_logs_each_mass_and_the_output_dir(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        caplog.set_level(logging.INFO, logger="volpath")
+        assert main(["experiment", str(cfg)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "5 Tg: 2 members, 2 pathway files",
+            "10 Tg: 2 members, 2 pathway files",
+            f"wrote every mass's files, summary.csv, manifest.json to {tmp_path / 'out'}",
+        ]
+
+    def test_experiment_logs_nothing_at_the_default_level(self, tmp_path, capsys, caplog,
+                                                         monkeypatch):
+        monkeypatch.delenv("VOLPATH_LOG", raising=False)
+        assert main(["experiment", str(write_config(tmp_path))]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not [r for r in caplog.records if r.name == "volpath"]
+
     def test_experiment_writes_each_mass_before_stepping_the_next(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         pathways = tmp_path / "out" / "pathways"
@@ -864,6 +882,16 @@ class TestCli:
         assert main(["bench", str(cfg), "--counts", "7,x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "--counts" in err and "'x'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_count_below_1_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr(harness, "run_member", lambda *a, **k: ran.append(a))
+        assert main(["bench", str(cfg), "--counts", "7,-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--counts" in err and "'-3'" in err
+        assert ran == []
         assert not (tmp_path / "out").exists()
 
     def test_bench_zero_repetitions_exits_2(self, tmp_path, capsys):

@@ -19,7 +19,9 @@ from volpath.grid import (
     level_mask,
     zone_weights,
 )
+from volpath.harness import synthetic_registry
 from volpath.qoi import FIELD_NAMES, QoiSpec, RegistryEvaluator, registry_canonical
+from volpath.surrogate import EruptionSpec, ModelParams, RunSeed, initialize, make_rng, step
 
 
 def grid_with_dp(dp_values):
@@ -191,6 +193,37 @@ class TestRegistryEvaluator:
         spec = QoiSpec(id="T(e)", field="T", zone="e", level_range=LevelRange(1.5, 1.6))
         with pytest.raises(ConfigurationError):
             RegistryEvaluator(small_grid, [spec])
+
+
+class TestSharedSpans:
+    def test_repeated_reductions_share_one_span(self):
+        grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)
+        ev = RegistryEvaluator(grid, synthetic_registry(875))
+        shared = {id(w): w for _, _, w in ev._weights}
+        canon_t = RegistryEvaluator(grid, [s for s in registry_canonical() if s.field == "T"])
+        assert len(ev._weights) == 875 and len(shared) == 4
+        canon_bytes = sum(w.nbytes for _, _, w in canon_t._weights)
+        assert sum(w.nbytes for w in shared.values()) == canon_bytes
+
+    def test_shared_spans_give_each_spec_its_canonical_value(self):
+        grid = build_grid(16, 8, 8, p_top=1.0, p_surface=1000.0)
+        params, rng = ModelParams(n_steps=20), make_rng(RunSeed(2))
+        state = initialize(params, grid, rng)
+        for _ in range(params.n_steps):
+            state = step(state, params, EruptionSpec(mass=10.0, day=0.0), grid, rng)
+        canon_t = [s for s in registry_canonical() if s.field == "T"]
+        t = RegistryEvaluator(grid, canon_t).evaluate_state(state)
+        got = RegistryEvaluator(grid, synthetic_registry(875)).evaluate_state(state)
+        assert np.array_equal(got, np.tile(t, 219)[:875])
+
+    def test_nan_in_a_shared_span_names_the_first_spec(self, small_grid):
+        t_e = QoiSpec("T(e)", "T", "e", STRATOSPHERE_RANGE)
+        specs = [QoiSpec("AOD(e)", "AOD", "e", None), replace(t_e, id="first"),
+                 replace(t_e, id="second")]
+        state = random_state(small_grid, np.random.default_rng(3), step_index=4)
+        state.temperature[:] = np.nan
+        with pytest.raises(NumericalFailureError, match="for first at step 4"):
+            RegistryEvaluator(small_grid, specs).evaluate_state(state)
 
 
 def extra_specs():

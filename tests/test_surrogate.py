@@ -276,6 +276,15 @@ class TestStepper:
                 assert np.array_equal(h, c) and np.array_equal(b, c)
         assert halves.step_index == params.n_steps
 
+    @pytest.mark.parametrize("dims", [(32, 64, 16), (32, 1, 16), (16, 8, 8), (64, 128, 16)])
+    def test_aod_equals_tensordot(self, dims):
+        grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
+        params = ModelParams()
+        state = random_state(grid, np.random.default_rng(7))
+        Stepper(params, EruptionSpec(mass=10.0, day=0.0), grid).advance_tracers(state)
+        oracle = params.k_aod * np.tensordot(state.so4, grid.dp, axes=([2], [0]))
+        assert np.array_equal(state.aod, oracle)
+
     def test_zone_temperature_steps_band_noise_as_the_field_does(self, small_grid, fast_params):
         stepper = Stepper(fast_params, EruptionSpec(mass=0.0), small_grid)
         field_rng, zone_rng = make_rng(RunSeed(3, 1)), make_rng(RunSeed(3, 1))

@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import ExperimentConfig, build_manifest, config_digest, load_config
 from .errors import ConfigurationError, VolpathError, checked
 from .export import (
@@ -173,6 +175,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
         if counts[-1] < 1:
             raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
+    try:  # the largest count's series, which numpy may refuse to hold
+        np.empty((max(counts), args.steps + 1))
+    except (MemoryError, ValueError):
+        raise ConfigurationError(f"--steps: {args.steps} steps are too many to hold") from None
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     out = Path(args.out or cfg.output_dir)

@@ -364,8 +364,12 @@ def bench_overhead(
 ) -> list[BenchRow]:
     """Per-step wall time of one run_member with the hook disabled vs enabled at each QOI count.
 
-    The hook-off pass runs a hook over no QOIs.  Each time covers the whole
-    run_member call, member set-up included, divided by n_steps.
+    The hook-off pass runs a hook over no QOIs.  Each time covers the whole run_member
+    call, member set-up included, divided by n_steps.  Each repetition times the hook-off
+    pass, then every count once.  A row's ratio is the mean of each repetition's count time
+    over its hook-off time, less the lowest and highest quarter (rounded down) of them, so
+    a slow spell of the host cancels or is dropped; its hook-off time is the same mean of the
+    hook-off times, and its tracked time is their product.
     """
     eruption = EruptionSpec(mass=10.0, day=0.0)
     bench_params = replace(params, n_steps=n_steps)
@@ -378,17 +382,17 @@ def bench_overhead(
         return (time.perf_counter() - start) / n_steps
 
     timed_run([])  # warm-up, so first-call costs do not land in the hook-off time
-    baseline = np.mean([timed_run([]) for _ in range(repetitions)])
-    rows = []
-    for count in qoi_counts:
-        specs = synthetic_registry(count)
-        tracked = np.mean([timed_run(specs) for _ in range(repetitions)])
-        rows.append(
-            BenchRow(
-                qoi_count=count,
-                baseline_s_per_step=float(baseline),
-                tracked_s_per_step=float(tracked),
-                ratio=float(tracked / baseline),
-            )
+    registries = [[]] + [synthetic_registry(count) for count in qoi_counts]
+    times = np.array([[timed_run(specs) for specs in registries] for _ in range(repetitions)])
+    times[:, 1:] /= times[:, :1]
+    k = repetitions // 4
+    baseline, *ratios = np.sort(times, axis=0)[k:repetitions - k].mean(axis=0)
+    return [
+        BenchRow(
+            qoi_count=count,
+            baseline_s_per_step=float(baseline),
+            tracked_s_per_step=float(ratio * baseline),
+            ratio=float(ratio),
         )
-    return rows
+        for count, ratio in zip(qoi_counts, ratios)
+    ]

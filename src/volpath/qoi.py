@@ -4,7 +4,8 @@ Reductions are normalized (mean-valued) so QOI magnitudes match the field
 magnitudes the activation thresholds are written against.  RegistryEvaluator
 folds both means of each spec into one flat weight vector and keeps only the
 span of it that holds the spec's nonzero weights.  Specs with the same field, zone
-and level range share one span, and each still takes its own product every step.
+and level range share one span and are evaluated by one np.vecdot call over a
+broadcast view of it; each still takes its own BLAS dot product every step.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ class RegistryEvaluator:
     Each spec collapses to a single flat weight vector, cut to the span that
     covers its zone rows and levels, so per-step evaluation is one short dot
     product per QOI and allocates nothing proportional to the grid.  Specs with
-    the same field, zone and level range share one span, built once.
+    the same field, zone and level range share one span, built once, and one
+    np.vecdot call over a stride-0 view of it takes each spec's own BLAS dot.
     """
 
     def __init__(self, grid: SphericalGrid, specs: list[QoiSpec]):
         self.grid = grid
         self.specs = list(specs)
         reductions = {}
-        for spec in self.specs:
+        for i, spec in enumerate(self.specs):
             key = (spec.field, spec.zone, spec.level_range)
             if key not in reductions:
                 wz = zone_weights(grid, spec.zone)
@@ -104,8 +106,11 @@ class RegistryEvaluator:
                     wk = np.where(mask, grid.dp, 0.0)
                     wk = wk / wk[mask].sum()
                     w = w[:, :, None] * wk[None, None, :]
-                reductions[key] = (FIELD_ATTRS[spec.field], *_span(w.ravel()))
-        self._weights = [reductions[s.field, s.zone, s.level_range] for s in self.specs]
+                reductions[key] = (FIELD_ATTRS[spec.field], *_span(w.ravel()), [])
+            reductions[key][-1].append(i)
+        # each reduction's field, span, spec rows, and weights viewed as one row per spec
+        self._reductions = [(attr, span, np.array(rows), np.broadcast_to(w, (len(rows), w.size)))
+                            for attr, span, w, rows in reductions.values()]
 
     @property
     def ids(self) -> list[str]:
@@ -114,8 +119,8 @@ class RegistryEvaluator:
     def evaluate_state(self, state: ModelState) -> np.ndarray:
         """Vector of all QOI values for one state, in registry order."""
         out = np.empty(len(self.specs))
-        for i, (attr, span, w) in enumerate(self._weights):
-            out[i] = w @ getattr(state, attr).ravel()[span]
+        for attr, span, rows, w in self._reductions:
+            out[rows] = np.vecdot(w, getattr(state, attr).ravel()[span])
         if not np.isfinite(out).all():
             bad = self.specs[int(np.argmax(~np.isfinite(out)))].id
             raise NumericalFailureError(

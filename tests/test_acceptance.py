@@ -395,7 +395,7 @@ def test_criterion_09_so2_polar_rarity(grid_run):
 @criterion(10, "tracking overhead grows with the number of tracked QOIs")
 def test_criterion_10_overhead_scaling(default_grid):
     counts = [7, 35, 175, 875]
-    rows = bench_overhead(counts, PRESET_PARAMS, default_grid, repetitions=3, n_steps=50)
+    rows = bench_overhead(counts, PRESET_PARAMS, default_grid, repetitions=9, n_steps=50)
     ratios = [r.ratio for r in rows]
     assert ratios == sorted(ratios), ratios
     extra = np.array([r.tracked_s_per_step - r.baseline_s_per_step for r in rows])

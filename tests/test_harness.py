@@ -535,3 +535,12 @@ class TestBench:
             assert r.baseline_s_per_step > 0
             assert r.tracked_s_per_step > 0
             assert r.ratio == pytest.approx(r.tracked_s_per_step / r.baseline_s_per_step)
+
+    def test_overhead_interleaves_counts_in_each_repetition(self, tiny_setup, monkeypatch):
+        grid, params, _ = tiny_setup
+        ran = []
+        monkeypatch.setattr(harness, "run_member",
+                            lambda *args: ran.append(len(args[-1].evaluator.specs)))
+        rows = bench_overhead([7, 1, 4], params, grid, repetitions=3, n_steps=3)
+        assert ran == [0] + [0, 7, 1, 4] * 3  # the warm-up, then every count once per repetition
+        assert [r.qoi_count for r in rows] == [7, 1, 4]

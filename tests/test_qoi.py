@@ -199,11 +199,13 @@ class TestSharedSpans:
     def test_repeated_reductions_share_one_span(self):
         grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)
         ev = RegistryEvaluator(grid, synthetic_registry(875))
-        shared = {id(w): w for _, _, w in ev._weights}
         canon_t = RegistryEvaluator(grid, [s for s in registry_canonical() if s.field == "T"])
-        assert len(ev._weights) == 875 and len(shared) == 4
-        canon_bytes = sum(w.nbytes for _, _, w in canon_t._weights)
-        assert sum(w.nbytes for w in shared.values()) == canon_bytes
+        # each reduction's weights are one array, broadcast to a row per spec
+        assert all(w.strides[0] == 0 for *_, w in ev._reductions)
+        shared = [w[0] for *_, w in ev._reductions]
+        assert sum(len(rows) for _, _, rows, _ in ev._reductions) == 875 and len(shared) == 4
+        canon_bytes = sum(w[0].nbytes for *_, w in canon_t._reductions)
+        assert sum(w.nbytes for w in shared) == canon_bytes
 
     def test_shared_spans_give_each_spec_its_canonical_value(self):
         grid = build_grid(16, 8, 8, p_top=1.0, p_surface=1000.0)
@@ -225,6 +227,21 @@ class TestSharedSpans:
         with pytest.raises(NumericalFailureError, match="for first at step 4"):
             RegistryEvaluator(small_grid, specs).evaluate_state(state)
 
+    @pytest.mark.parametrize("nan_field, named", [("aod", "b"), ("temperature", "a")])
+    def test_nan_names_the_first_spec_in_registry_order(self, small_grid, nan_field, named):
+        # T(e) is evaluated in one call for "a" and "c", but the check still
+        # scans the values in registry order
+        t_e = QoiSpec("a", "T", "e", STRATOSPHERE_RANGE)
+        specs = [t_e, QoiSpec("b", "AOD", "e", None), replace(t_e, id="c")]
+        state = random_state(small_grid, np.random.default_rng(3), step_index=4)
+        getattr(state, nan_field)[:] = np.nan
+        with pytest.raises(NumericalFailureError, match=f"for {named} at step 4"):
+            RegistryEvaluator(small_grid, specs).evaluate_state(state)
+
+    def test_empty_registry(self, small_grid):
+        state = random_state(small_grid, np.random.default_rng(0))
+        assert RegistryEvaluator(small_grid, []).evaluate_state(state).shape == (0,)
+
 
 def extra_specs():
     """Specs with level ranges other than the canonical one."""
@@ -234,6 +251,29 @@ def extra_specs():
         QoiSpec("SO2(e)/low", "SO2", "e", LevelRange(400.0, 999.0)),
         QoiSpec("T(s)/top", "T", "s", LevelRange(1.0, 80.0)),
     ]
+
+
+def repeated_shuffled(specs, seed=0):
+    """Each spec repeated 1 to 5 times under ids of its own, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    out = [replace(s, id=f"{s.id}#{k}") for s in specs for k in range(rng.integers(1, 6))]
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+def single_thread_mismatches(registry):
+    """span_mismatches on the default grid for the registry expression, at one BLAS thread
+    in a fresh process."""
+    code = (
+        "import sys; sys.path.insert(0, 'tests'); from test_qoi import *\n"
+        "grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)\n"
+        f"print(span_mismatches(grid, {registry}, 5))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 class TestSpanEvaluation:
@@ -250,14 +290,18 @@ class TestSpanEvaluation:
     def test_default_grid_single_thread(self):
         # The default grid's full-length products exceed that size, so they are
         # compared at one thread in a fresh process.
-        code = (
-            "import sys; sys.path.insert(0, 'tests'); from test_qoi import *\n"
-            "grid = build_grid(32, 64, 16, p_top=1.0, p_surface=1000.0)\n"
-            "print(span_mismatches(grid, registry_canonical() + extra_specs(), 5))\n"
-        )
-        root = Path(__file__).resolve().parent.parent
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0"
+        assert single_thread_mismatches("registry_canonical() + extra_specs()") == "0"
+
+    # Specs that share a reduction are evaluated in one np.vecdot call; each
+    # value must still equal its own full-length product, wherever it sits.
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (13, 7, 11), (16, 33, 7), (9, 5, 13)])
+    def test_repeated_shuffled_registry_bitwise(self, dims):
+        grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
+        specs = repeated_shuffled([s for s in registry_canonical() + extra_specs()
+                                   if zone_weights(grid, s.zone).any()], seed=sum(dims))
+        assert len(specs) > len({(s.field, s.zone, s.level_range) for s in specs})
+        assert span_mismatches(grid, specs, n_states=10) == 0
+
+    def test_repeated_shuffled_registry_default_grid_single_thread(self):
+        registry = "repeated_shuffled(registry_canonical() + extra_specs(), seed=1)"
+        assert single_thread_mismatches(registry) == "0"

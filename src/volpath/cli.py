@@ -178,7 +178,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:  # the largest count's series, which numpy may refuse to hold
         np.empty((max(counts), args.steps + 1))
     except (MemoryError, ValueError):
-        raise ConfigurationError(f"--steps: {args.steps} steps are too many to hold") from None
+        held = f"{args.steps} steps of {max(counts)} QOIs"
+        raise ConfigurationError(f"--steps: {held} are too many to hold") from None
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     out = Path(args.out or cfg.output_dir)

@@ -108,7 +108,6 @@ class RegistryEvaluator:
                     w = w[:, :, None] * wk[None, None, :]
                 reductions[key] = (FIELD_ATTRS[spec.field], *_span(w.ravel()), [])
             reductions[key][-1].append(i)
-        # each reduction's field, span, spec rows, and weights viewed as one row per spec
         self._reductions = [(attr, span, np.array(rows), np.broadcast_to(w, (len(rows), w.size)))
                             for attr, span, w, rows in reductions.values()]
 

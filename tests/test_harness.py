@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -544,3 +545,22 @@ class TestBench:
         rows = bench_overhead([7, 1, 4], params, grid, repetitions=3, n_steps=3)
         assert ran == [0] + [0, 7, 1, 4] * 3  # the warm-up, then every count once per repetition
         assert [r.qoi_count for r in rows] == [7, 1, 4]
+
+    def test_overhead_spells_cannot_reorder_counts(self, tiny_setup, monkeypatch):
+        # per-step times by repetition: hook-off, 7 QOIs, 35 QOIs
+        times = [[1.0, 1.1, 1.2] for _ in range(9)]
+        times[2] = [2.0, 2.2, 2.4]  # a slow spell spanning a repetition cancels in its ratios
+        times[4][1] *= 3  # a spell inside a repetition is trimmed, slow ...
+        times[6][2] /= 2  # ... or fast
+        durations = iter([1.0] + [t for rep in times for t in rep])
+        clock = SimpleNamespace(now=0.0, perf_counter=lambda: clock.now)
+
+        def run(*args):
+            clock.now += next(durations)
+
+        monkeypatch.setattr(harness, "time", clock)
+        monkeypatch.setattr(harness, "run_member", run)
+        grid, params, _ = tiny_setup
+        rows = bench_overhead([7, 35], params, grid, repetitions=9, n_steps=1)
+        assert [r.ratio for r in rows] == pytest.approx([1.1, 1.2])
+        assert [r.baseline_s_per_step for r in rows] == pytest.approx([1.0, 1.0])

@@ -894,15 +894,17 @@ class TestCli:
         assert ran == []
         assert not (tmp_path / "out").exists()
 
-    def test_bench_steps_too_many_to_hold_exits_2_before_any_run(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        # numpy refuses this shape without allocating; never try a size it could allocate
+    # numpy refuses these shapes without allocating; never try a size it could allocate
+    @pytest.mark.parametrize("flag", ["--steps", "--counts"])
+    def test_bench_series_too_large_to_hold_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                    monkeypatch, flag):
         cfg = write_config(tmp_path)
         ran = []
         monkeypatch.setattr(harness, "run_member", lambda *a, **k: ran.append(a))
-        assert main(["bench", str(cfg), "--steps", "100000000000000000000"]) == 2
+        assert main(["bench", str(cfg), flag, "100000000000000000000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: --steps:") and "too many" in err
+        assert "100000000000000000000" in err
         assert ran == []
         assert not (tmp_path / "out").exists()
 

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="QOI-count overhead benchmark")
     p.add_argument("config")
     p.add_argument("--counts", default="7,35,175,875")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -145,46 +145,46 @@ def run_lockstep(
     zone-mean temperatures, each member steps zone_t of its initial state in
     QOI space on its own rng, heated by zone_aod, the (k, n_steps + 1) AOD
     means of zone_t's k zones, and the (members, k, n_steps + 1) series is
-    returned.  A failure names the member, mass and seed, or the tracer run.
+    returned; it is checked once, when finished, for the first step at which
+    any value is non-finite (a non-finite T stays so).  A failure names the
+    member, mass and seed, or the tracer run.
     """
     stepper = Stepper(params, eruption, grid)
     rngs = [make_rng(seed) for seed in seeds]
     b = 0  # the member in hand, which a failure names
     try:
-        t = None
         if zone_t is None:
             # a tracer run draws nothing after initialize, so its seed is immaterial
             state = initialize(params, grid, rng=rngs[0] if seeds else make_rng(RunSeed(0)))
             hook.observe(state)
-        else:
-            t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
-            band_noise = np.empty((len(seeds), N_NOISE_BANDS))
-            normals = np.empty((params.n_steps, len(seeds), N_NOISE_BANDS))
-            for b, rng in enumerate(rngs):
-                member = initialize(params, grid, rng=rng)
-                t[b, :, 0] = zone_t.evaluate_state(member)
-                band_noise[b] = member.band_noise
-                # one call yields the stream one call per step would: row m - 1 drives step m
-                normals[:, b] = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
-            shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
-            heated_aod = np.array(shares)[:, None] * zone_aod
-            bands = np.array([zone_number(s.zone) for s in zone_t.specs])
-        for m in range(1, params.n_steps + 1):
-            if t is None:
+            for _ in range(params.n_steps):
                 stepper.advance_tracers(state)
                 if seeds:
-                    stepper.advance_temperature(state, state.aod, rngs[0])
-                else:  # advance_temperature's clock, which the injection day reads
-                    state.step_index, state.time = m, state.time + params.dt
+                    stepper.advance_temperature(state, rngs[0])
                 hook.observe(state)
-                continue
+            return None
+        t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
+        band_noise = np.empty((len(seeds), N_NOISE_BANDS))
+        normals = np.empty((params.n_steps, len(seeds), N_NOISE_BANDS))
+        for b, rng in enumerate(rngs):
+            member = initialize(params, grid, rng=rng)
+            t[b, :, 0] = zone_t.evaluate_state(member)
+            band_noise[b] = member.band_noise
+            # one call yields the stream one call per step would: row m - 1 drives step m
+            normals[:, b] = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
+        shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
+        heated_aod = np.array(shares)[:, None] * zone_aod
+        bands = np.array([zone_number(s.zone) for s in zone_t.specs])
+        for m in range(1, params.n_steps + 1):
             t[:, :, m] = stepper.advance_zone_temperature(
                 t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals[m - 1]
             )
-            finite = np.isfinite(t[:, :, m]).all(axis=1)
-            if not finite.all():
-                b = int(np.argmin(finite))
-                raise NumericalFailureError(f"non-finite field values at step {m}", step_index=m)
+        bad = ~np.isfinite(t)
+        if bad.any():
+            m = int(np.argmax(bad.any(axis=(0, 1))))
+            b = int(np.argmax(bad[:, :, m].any(axis=1)))
+            qid = zone_t.ids[int(np.argmax(bad[b, :, m]))]
+            raise NumericalFailureError(f"non-finite {qid} at step {m}", step_index=m)
     except Exception as exc:
         # the same object, so attributes such as step_index survive
         who = f"{eruption.mass:g} Tg tracer run"

@@ -10,10 +10,9 @@ The model advances a state (SO2, SO4, T, AOD) one step at a time:
   5. temperature: AOD-driven stratospheric heating, Newtonian relaxation
      toward an equilibrium temperature, and AR(1) band noise.
 
-A Stepper runs the step as two halves.  advance_tracers does 1-4 and draws
-no random numbers; advance_temperature does 5 from a given AOD with the
-run's own random stream.  Members of an ensemble differ only in their seed,
-so they can share one tracer half and step only their temperatures.
+A Stepper runs the step as two halves.  advance_tracers does 1-4, draws
+no random numbers and advances the clock; advance_temperature does 5 from
+the state's AOD with the run's own random stream.
 
 Step 5 is written twice, side by side in Stepper: advance_temperature on
 every cell of a 3-D field, and advance_zone_temperature on zone means.  Every
@@ -222,16 +221,19 @@ class Stepper:
         np.divide(mass, self.w, out=q)
 
     def advance_tracers(self, state: ModelState) -> None:
-        """Advance SO2, SO4 and AOD by one step in place; step index and time stay.
+        """Advance SO2, SO4 and AOD, then step index and time, by one step in place.
 
-        Draws no random numbers, so runs that differ only in their seed share
-        one tracer trajectory.
+        The only code that advances the clock; the injection reads the time at
+        the start of the step.  Draws no random numbers.
         """
         params, eruption = self.params, self.eruption
         so2, so4 = state.so2, state.so4
+        start = state.time
+        state.step_index += 1
+        state.time = start + params.dt
 
         # 1. injection
-        if eruption.mass > 0.0 and state.time <= eruption.day < state.time + params.dt:
+        if eruption.mass > 0.0 and start <= eruption.day < start + params.dt:
             so2[self.i_src, :, self.levels] += self.inject
 
         # 2. chemistry: exact exponential transfer, then SO4 removal
@@ -253,32 +255,26 @@ class Stepper:
         if not np.isfinite(so2.sum() + so4.sum() + state.aod.sum()):
             raise self._non_finite(state)
 
-    def advance_temperature(
-        self, state: ModelState, aod: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Advance temperature and band noise by one step in place, then step index and time.
+    def advance_temperature(self, state: ModelState, rng: np.random.Generator) -> None:
+        """Advance temperature and band noise by one step in place, heated by state.aod.
 
-        aod is the AOD that advance_tracers left for this step: state.aod, or
-        that of another state on the same tracer trajectory.
+        Runs after advance_tracers, which has already advanced the clock.
         """
         params, buf, temp = self.params, self.buf, state.temperature
-        dt = params.dt
 
         # 5. temperature: relaxation dt * ((t_eq - T) / tau_relax), heating in
         # the injection levels, band noise
         np.subtract(params.t_eq, temp, out=buf)
         np.divide(buf, params.tau_relax, out=buf)
-        np.multiply(dt, buf, out=buf)
+        np.multiply(params.dt, buf, out=buf)
         temp += buf
-        temp[:, :, self.levels] += self.heat * aod[:, :, None]
+        temp[:, :, self.levels] += self.heat * state.aod[:, :, None]
         innovations = self.noise_scale * rng.standard_normal(N_NOISE_BANDS)
         state.band_noise = params.noise_memory * state.band_noise + innovations
         temp += state.band_noise[self.bands][:, None, None]
 
         if not np.isfinite(temp.sum()):
             raise self._non_finite(state)
-        state.step_index += 1
-        state.time = state.time + dt
 
     def advance_zone_temperature(
         self,
@@ -309,10 +305,8 @@ class Stepper:
 
     @staticmethod
     def _non_finite(state: ModelState) -> NumericalFailureError:
-        m_next = state.step_index + 1
-        return NumericalFailureError(
-            f"non-finite field values at step {m_next}", step_index=m_next
-        )
+        m = state.step_index
+        return NumericalFailureError(f"non-finite field values at step {m}", step_index=m)
 
 
 def step(
@@ -335,5 +329,5 @@ def step(
     )
     stepper = Stepper(params, eruption, grid)
     stepper.advance_tracers(new)
-    stepper.advance_temperature(new, new.aod, rng)
+    stepper.advance_temperature(new, rng)
     return new

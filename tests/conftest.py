@@ -59,7 +59,8 @@ def random_state(grid, rng, step_index=0):
 
 
 class NanDrawsFrom:
-    """A run's rng whose step draws turn NaN from the row that drives step `step`.
+    """A run's rng whose step draws turn NaN from noise band `band` of the row that
+    drives step `step`.
 
     initialize draws twice (perturbation, band noise).  Every later draw is
     the step stream, N_NOISE_BANDS normals per step, whether a run draws one
@@ -67,11 +68,11 @@ class NanDrawsFrom:
     by position in that stream.
     """
 
-    def __init__(self, rng, step):
+    def __init__(self, rng, step, band=0):
         self.rng = rng
         self.init_calls_left = 2
         self.drawn = 0  # step-stream normals drawn so far
-        self.first_nan = (step - 1) * N_NOISE_BANDS
+        self.first_nan = (step - 1) * N_NOISE_BANDS + band
 
     def standard_normal(self, *args, **kwargs):
         draws = self.rng.standard_normal(*args, **kwargs)

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import NanDrawsFrom, STEPPER_CASES, collect_grid, total_sulfur_kg
 from volpath import harness, surrogate
+from volpath.cli import build_parser
 from volpath.errors import ConfigurationError, NumericalFailureError
 from volpath.grid import LevelRange, build_grid, zone_number
 from volpath.harness import (
@@ -293,20 +294,26 @@ class TestLockstep:
         grid, params, eruption = tiny_setup
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
         make_rng = harness.make_rng
+        # {member: (step, first noise band)} at which members turn NaN: the first
+        # step is named, then the first member and T-QOI at that step
+        cases = [
+            ({1: (5, 0), 2: (5, 0)}, 1, 5, "T(e)"),
+            ({1: (5, 0), 2: (3, 2)}, 2, 3, "T(s)"),
+        ]
+        for poison, member, step, qid in cases:
+            def poisoned_rng(seed, poison=poison):
+                rng = make_rng(seed)
+                at = poison.get(seed.member_index)
+                return rng if at is None else NanDrawsFrom(rng, *at)
 
-        def poisoned_rng(seed):
-            # members 1 and 2 both fail at step 5; the first of them is named
-            rng = make_rng(seed)
-            return rng if seed.member_index == 0 else NanDrawsFrom(rng, step=5)
-
-        monkeypatch.setattr(harness, "make_rng", poisoned_rng)
-        with pytest.raises(NumericalFailureError) as info:
-            superposed_series(params, eruption, grid, seeds)
-        assert info.value.step_index == 5
-        assert str(info.value) == (
-            f"member 1 (mass 10.0 Tg, seed {seeds[1].seed}) failed: "
-            "non-finite field values at step 5"
-        )
+            monkeypatch.setattr(harness, "make_rng", poisoned_rng)
+            with pytest.raises(NumericalFailureError) as info:
+                superposed_series(params, eruption, grid, seeds)
+            assert info.value.step_index == step
+            assert str(info.value) == (
+                f"member {member} (mass 10.0 Tg, seed {seeds[member].seed}) failed: "
+                f"non-finite {qid} at step {step}"
+            )
 
     def test_nan_draws_fail_a_3d_run_at_the_same_step(self, tiny_setup, monkeypatch):
         # a 3-D run draws one step's row per call; the poison still starts at step 5
@@ -497,9 +504,8 @@ class TestSlab:
         state = initialize(params, slab, rng=make_rng(derive_seed(0, "conservation", 0)))
         assert state.so2.shape == (32, 1, 16)
         worst = 0.0
-        for m in range(1, params.n_steps + 1):
+        for _ in range(params.n_steps):
             stepper.advance_tracers(state)
-            state.step_index, state.time = m, state.time + params.dt
             if state.time > eruption.day:
                 err = abs(total_sulfur_kg(state, slab) - TG_TO_KG) / TG_TO_KG
                 worst = max(worst, err)
@@ -547,12 +553,6 @@ class TestBench:
         assert [r.qoi_count for r in rows] == [7, 1, 4]
 
     def test_overhead_spells_cannot_reorder_counts(self, tiny_setup, monkeypatch):
-        # per-step times by repetition: hook-off, 7 QOIs, 35 QOIs
-        times = [[1.0, 1.1, 1.2] for _ in range(9)]
-        times[2] = [2.0, 2.2, 2.4]  # a slow spell spanning a repetition cancels in its ratios
-        times[4][1] *= 3  # a spell inside a repetition is trimmed, slow ...
-        times[6][2] /= 2  # ... or fast
-        durations = iter([1.0] + [t for rep in times for t in rep])
         clock = SimpleNamespace(now=0.0, perf_counter=lambda: clock.now)
 
         def run(*args):
@@ -561,6 +561,14 @@ class TestBench:
         monkeypatch.setattr(harness, "time", clock)
         monkeypatch.setattr(harness, "run_member", run)
         grid, params, _ = tiny_setup
-        rows = bench_overhead([7, 35], params, grid, repetitions=9, n_steps=1)
-        assert [r.ratio for r in rows] == pytest.approx([1.1, 1.2])
-        assert [r.baseline_s_per_step for r in rows] == pytest.approx([1.0, 1.0])
+        default = build_parser().parse_args(["bench", "config.yaml"]).repetitions
+        for repetitions in (9, default):
+            # per-step times by repetition: hook-off, 7 QOIs, 35 QOIs
+            times = [[1.0, 1.1, 1.2] for _ in range(repetitions)]
+            times[2] = [2.0, 2.2, 2.4]  # a slow spell spanning a repetition cancels in its ratios
+            times[3][1] *= 3  # a spell inside a repetition is trimmed, slow ...
+            times[4][2] /= 2  # ... or fast
+            durations = iter([1.0] + [t for rep in times for t in rep])
+            rows = bench_overhead([7, 35], params, grid, repetitions=repetitions, n_steps=1)
+            assert [r.ratio for r in rows] == pytest.approx([1.1, 1.2]), repetitions
+            assert [r.baseline_s_per_step for r in rows] == pytest.approx([1.0, 1.0])

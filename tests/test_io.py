@@ -955,6 +955,6 @@ class TestCli:
         seed = derive_seed(11, "eruption", 3).seed
         assert capsys.readouterr().err == (
             f"error: member 3 (mass 10.0 Tg, seed {seed}) failed: "
-            "non-finite field values at step 7\n"
+            "non-finite T(e) at step 7\n"
         )
         assert not (tmp_path / "out").exists()

@@ -1,5 +1,5 @@
 """Package layout: one-way imports, none inside functions, a caller for every public name,
-and one loop that steps runs."""
+one loop that steps runs and one function that advances its clock."""
 
 import ast
 from pathlib import Path
@@ -119,23 +119,29 @@ STEPPING = {"harness.run_lockstep", "surrogate.step"}
 STEPPER_METHODS = {"advance_tracers", "advance_temperature", "advance_zone_temperature"}
 
 
-def stepper_calls(path):
-    """(innermost enclosing function or class, line) of each call to a Stepper method."""
-    calls = []
+def scoped_nodes(path):
+    """(innermost enclosing function or class, node) of every node below a module."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
+                yield from visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in STEPPER_METHODS:
-                    calls.append((scope, child.lineno))
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(parse(path), path.stem)
+    return visit(parse(path), path.stem)
+
+
+def stepper_calls(path):
+    """(innermost enclosing function or class, line) of each call to a Stepper method."""
+    calls = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in STEPPER_METHODS:
+                calls.append((scope, node.lineno))
     return calls
 
 
@@ -144,3 +150,21 @@ def test_one_loop_steps_runs():
     strays = [f"{scope} (line {line})" for scope, line in calls if scope not in STEPPING]
     assert strays == [], "only harness.run_lockstep may step a run"
     assert "harness.run_lockstep" in {scope for scope, _ in calls}
+
+
+#: The one function that advances a run's clock, and the exception that records
+#: the step it failed at
+CLOCK_WRITERS = {"surrogate.Stepper.advance_tracers", "errors.NumericalFailureError.__init__"}
+
+
+def test_one_owner_of_the_clock():
+    writes = [
+        (scope, node.lineno)
+        for path in MODULES
+        for scope, node in scoped_nodes(path)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in {"step_index", "time"}
+    ]
+    strays = [f"{scope} (line {line})" for scope, line in writes if scope not in CLOCK_WRITERS]
+    assert strays == [], "only Stepper.advance_tracers may advance a run's clock"
+    assert "surrogate.Stepper.advance_tracers" in {scope for scope, _ in writes}

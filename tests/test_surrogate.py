@@ -268,7 +268,7 @@ class TestStepper:
                                    for _ in range(3))
         for _ in range(params.n_steps):
             stepper.advance_tracers(halves)
-            stepper.advance_temperature(halves, halves.aod, rngs[0])
+            stepper.advance_temperature(halves, rngs[0])
             stepped = step(stepped, params, eruption, grid, rngs[1])
             oracle = step_oracle(oracle, params, eruption, grid, rngs[2])
             for h, b, c in zip(state_arrays(halves), state_arrays(stepped),
@@ -293,7 +293,7 @@ class TestStepper:
         band_noise = state.band_noise[None, :].copy()
         t = np.full((1, 4), 240.0)
         for _ in range(fast_params.n_steps):
-            stepper.advance_temperature(state, state.aod, field_rng)
+            stepper.advance_temperature(state, field_rng)
             normals = zone_rng.standard_normal((1, N_NOISE_BANDS))
             t = stepper.advance_zone_temperature(t, band_noise, np.zeros(4), np.arange(1, 5),
                                                  normals)

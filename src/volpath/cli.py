@@ -35,7 +35,6 @@ from .harness import (
     derive_seed,
     run_baseline_ensemble,
     run_experiment_grid,
-    tracer_unit_rows,
 )
 from .pathway import (
     InactiveTest,
@@ -80,8 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # built before any step, so a bad baseline exits before the member runs
     tables = score_tables(base, tests, baselines, cfg.params.n_steps)
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
-    unit = tracer_unit_rows(cfg.params, cfg.eruption, grid) if cfg.eruption.mass else None
-    series = canonical_series(cfg.params, cfg.eruption, grid, [seed], unit)[0]
+    [(_, [series])] = canonical_series(cfg.params, cfg.eruption, grid, [seed], (cfg.eruption.mass,))
     pathway = compute_pathway(base, series, tables, cfg.params.dt)
 
     digest = config_digest(cfg)

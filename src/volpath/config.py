@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, checked
+from .errors import ConfigurationError, checked, distinct_names
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
@@ -206,6 +206,8 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
             )
 
     snapshot_days = _reals("snapshot_days", raw.get("snapshot_days", []))
+    # a day's {:g} form names its DOT snapshots, so two days must not share it
+    distinct_names("snapshot_days", snapshot_days)
     for day in snapshot_days:
         # the step export_dot will look up
         try:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one helper that names a bad key."""
+"""Exception hierarchy shared across the package, and the helpers that name a bad key."""
 
 
 class VolpathError(Exception):
@@ -31,3 +31,11 @@ def checked(where: str, check, *args, **kwargs):
         return check(*args, **kwargs)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def distinct_names(where: str, values: tuple[float, ...]) -> None:
+    """Raise naming where unless values differ in the {:g} form that names output files."""
+    if len({f"{value:g}" for value in values}) < len(values):
+        raise ConfigurationError(
+            f"{where} must differ in the {{:g}} form that names output files, got {list(values)}"
+        )

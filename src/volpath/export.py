@@ -114,8 +114,13 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
             note = "; the 'activation' row form is no longer read" if legacy else ""
             raise ConfigurationError(f"pathway: missing field {key!r}{note}")
     vertices, edges = doc["vertices"], doc["edges"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ConfigurationError("pathway: 'vertices' must be a list of QOI ids")
+    # export_dot writes each id between double quotes, which '"' or a trailing backslash would end
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, str) and '"' not in v and "\\" not in v for v in vertices
+    ):
+        raise ConfigurationError(
+            "pathway: 'vertices' must be a list of QOI ids without '\"' or '\\'"
+        )
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
     ):

@@ -3,16 +3,16 @@ threshold grid, and the QOI-count overhead benchmark.
 
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
-the same in-situ-extracted series.  run_lockstep is the one loop that
-advances runs.  canonical_series records through it for simulate and the
-ensembles.  The tracers draw no random numbers and are linear in the mass,
-so every mass's 12 tracer rows are the mass times one 1 Tg run's (within
-1e-12 relative of a direct run), a mass-0 ensemble takes no tracer step, and
-each member steps its 4 T-QOIs in QOI space from those rows' AOD.
-run_member, the paper's single-member in-situ path and the overhead
-benchmark's, steps the whole state and shows it to the caller's hook.  Member
-seeds are derived from the plan seed with a stable hash so any cell of the
-grid can be reproduced alone.
+the same in-situ-extracted series.  run_lockstep steps one whole state.
+canonical_series records one ensemble at every mass in one call: simulate's
+one member, the baseline or the experiment grid's members.  The tracers draw
+no random numbers and are linear in the mass, so every mass's 12 tracer rows
+are the mass times one 1 Tg run's (within 1e-12 relative of a direct run), a
+mass-0 ensemble takes no tracer step, and each member, started once, steps
+its 4 T-QOIs in QOI space from those rows' AOD.  run_member, the paper's
+single-member in-situ path and the overhead benchmark's, steps the whole
+state and shows it to the caller's hook.  Member seeds are derived from the
+plan seed with a stable hash so any cell of the grid can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError, checked
+from .errors import ConfigurationError, NumericalFailureError, checked, distinct_names
 from .grid import SphericalGrid, zone_number
 from .pathway import (
     PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests, compute_pathway,
@@ -67,11 +67,7 @@ class ExperimentPlan:
         for mass in self.masses:
             checked("plan.masses", EruptionSpec, mass)
         # a mass's {:g} form names its output files and manifest seed keys
-        if len({f"{mass:g}" for mass in self.masses}) < len(self.masses):
-            raise ConfigurationError(
-                f"plan.masses must differ in the {{:g}} form that names output files, "
-                f"got {list(self.masses)}"
-            )
+        distinct_names("plan.masses", self.masses)
         for label, t_l, t_u in self.experiments:
             where = f"plan.experiments.{label}"
             # a label goes into file names and into summary.csv's comma-separated rows
@@ -128,72 +124,39 @@ def activation_summaries(
     )
 
 
+def _member(seed: RunSeed, mass: float) -> str:
+    return f"member {seed.member_index} (mass {mass} Tg, seed {seed.seed})"
+
+
 def run_lockstep(
     params: ModelParams,
     eruption: EruptionSpec,
     grid: SphericalGrid,
-    seeds: list[RunSeed],
-    hook: TrackerHook | None,
-    zone_t: RegistryEvaluator | None = None,
-    zone_aod: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Step one eruption's runs together: the one loop that advances runs.
+    seed: RunSeed | None,
+    hook: TrackerHook,
+) -> None:
+    """Step one state in place, shown to hook at steps 0..n_steps: the loop for whole states.
 
-    Without zone_t, one state advances in place and hook observes it at steps
-    0..n_steps: seeds' one member's whole state or, with no seeds, only the
-    tracers, which draw no random numbers.  With zone_t, an evaluator of
-    zone-mean temperatures, each member steps zone_t of its initial state in
-    QOI space on its own rng, heated by zone_aod, the (k, n_steps + 1) AOD
-    means of zone_t's k zones, and the (members, k, n_steps + 1) series is
-    returned; it is checked once, when finished, for the first step at which
-    any value is non-finite (a non-finite T stays so).  A failure names the
-    member, mass and seed, or the tracer run.
+    The state is seed's member's or, with no seed, only the tracers, which
+    draw no random numbers.  A failure names the member, mass and seed, or
+    the tracer run.
     """
     stepper = Stepper(params, eruption, grid)
-    rngs = [make_rng(seed) for seed in seeds]
-    b = 0  # the member in hand, which a failure names
+    # a tracer run draws nothing after initialize, so its seed is immaterial
+    rng = make_rng(RunSeed(0) if seed is None else seed)
     try:
-        if zone_t is None:
-            # a tracer run draws nothing after initialize, so its seed is immaterial
-            state = initialize(params, grid, rng=rngs[0] if seeds else make_rng(RunSeed(0)))
+        state = initialize(params, grid, rng=rng)
+        hook.observe(state)
+        for _ in range(params.n_steps):
+            stepper.advance_tracers(state)
+            if seed is not None:
+                stepper.advance_temperature(state, rng)
             hook.observe(state)
-            for _ in range(params.n_steps):
-                stepper.advance_tracers(state)
-                if seeds:
-                    stepper.advance_temperature(state, rngs[0])
-                hook.observe(state)
-            return None
-        t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
-        band_noise = np.empty((len(seeds), N_NOISE_BANDS))
-        normals = np.empty((params.n_steps, len(seeds), N_NOISE_BANDS))
-        for b, rng in enumerate(rngs):
-            member = initialize(params, grid, rng=rng)
-            t[b, :, 0] = zone_t.evaluate_state(member)
-            band_noise[b] = member.band_noise
-            # one call yields the stream one call per step would: row m - 1 drives step m
-            normals[:, b] = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
-        shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
-        heated_aod = np.array(shares)[:, None] * zone_aod
-        bands = np.array([zone_number(s.zone) for s in zone_t.specs])
-        for m in range(1, params.n_steps + 1):
-            t[:, :, m] = stepper.advance_zone_temperature(
-                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals[m - 1]
-            )
-        bad = ~np.isfinite(t)
-        if bad.any():
-            m = int(np.argmax(bad.any(axis=(0, 1))))
-            b = int(np.argmax(bad[:, :, m].any(axis=1)))
-            qid = zone_t.ids[int(np.argmax(bad[b, :, m]))]
-            raise NumericalFailureError(f"non-finite {qid} at step {m}", step_index=m)
     except Exception as exc:
+        who = f"{eruption.mass:g} Tg tracer run" if seed is None else _member(seed, eruption.mass)
         # the same object, so attributes such as step_index survive
-        who = f"{eruption.mass:g} Tg tracer run"
-        if seeds:
-            seed = seeds[b]
-            who = f"member {seed.member_index} (mass {eruption.mass} Tg, seed {seed.seed})"
         exc.args = (f"{who} failed: {exc}",)
         raise
-    return t
 
 
 def run_member(
@@ -203,8 +166,8 @@ def run_member(
     seed: RunSeed,
     hook: TrackerHook,
 ) -> MemberResult:
-    """One simulation with the in-situ hook called every step: a one-member run_lockstep."""
-    run_lockstep(params, eruption, grid, [seed], hook)
+    """One simulation with the in-situ hook called every step: run_lockstep of seed's member."""
+    run_lockstep(params, eruption, grid, seed, hook)
     return MemberResult(series=hook.series_by_id())
 
 
@@ -222,7 +185,7 @@ def tracer_unit_rows(
     specs = [s for s in registry_canonical() if s.field != "T"]
     slab = replace(grid, nlon=1, area_weight=grid.area_weight.sum(axis=1, keepdims=True))
     hook = TrackerHook(slab, specs, params.n_steps, params.dt)
-    run_lockstep(params, replace(eruption, mass=1.0), slab, [], hook)
+    run_lockstep(params, replace(eruption, mass=1.0), slab, None, hook)
     return hook.series
 
 
@@ -231,36 +194,71 @@ def canonical_series(
     eruption: EruptionSpec,
     grid: SphericalGrid,
     seeds: list[RunSeed],
-    unit: np.ndarray | None,
-) -> list[dict[str, np.ndarray]]:
-    """The canonical QOI series of one eruption's members, stepped in lockstep.
+    masses: tuple[float, ...],
+) -> Iterator[tuple[float, list[dict[str, np.ndarray]]]]:
+    """The canonical QOI series of seeds' members erupting each mass at eruption's site.
 
-    The 12 tracer rows are eruption.mass times unit, the tracer_unit_rows of
-    the site (None at mass 0, whose rows are +0.0), and every member's series
-    holds them as shared read-only views; rows that overflow raise first.
-    Each member's 4 T-QOIs are stepped in QOI space from their AOD.  Both
-    equal run_member's to rounding: within 1e-12 relative, or 1e-12 *
-    noise_amp for T near 0 K (tests/test_harness.py).
+    Yields (mass, one series per member) for each mass in order, before the
+    next mass steps.  A mass's 12 tracer rows are the mass times the site's
+    tracer_unit_rows (+0.0 at mass 0), shared read-only by every member; rows
+    that overflow raise first.  Members share seeds across masses, so each
+    starts once, and each mass steps the members' 4 T-QOIs in QOI space from
+    copies of those starts.  Both equal run_member's to rounding: within
+    1e-12 relative, or 1e-12 * noise_amp for T near 0 K (tests/test_harness.py).
     """
+    if not masses:
+        return
     specs = registry_canonical()
     tracer_specs = [s for s in specs if s.field != "T"]
+    unit = tracer_unit_rows(params, eruption, grid) if any(masses) else None
     zone_t = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
-    tracers = np.zeros((len(tracer_specs), params.n_steps + 1))
-    if eruption.mass:
-        tracers = eruption.mass * unit
-    bad = ~np.isfinite(tracers)
-    if bad.any():
-        m = int(np.argmax(bad.any(axis=0)))
-        qid = tracer_specs[int(np.argmax(bad[:, m]))].id
-        why = f"{qid} of the scaled 1 Tg tracer run is non-finite at step {m}"
-        raise NumericalFailureError(f"mass {eruption.mass} Tg: {why}", step_index=m)
-    tracers.flags.writeable = False
+    # every mass steps the same zone recurrence; built at mass 0 only if every mass is 0
+    stepper = Stepper(params, replace(eruption, mass=max(masses)), grid)
+    shares = np.array([level_share(grid, s, stepper.levels) for s in zone_t.specs])
+    bands = np.array([zone_number(s.zone) for s in zone_t.specs])
     row = {(s.field, s.zone): i for i, s in enumerate(tracer_specs)}
-    zone_aod = tracers[[row["AOD", s.zone] for s in zone_t.specs]]
-    t = run_lockstep(params, eruption, grid, seeds, None, zone_t, zone_aod)
-    shared = {s.id: values for s, values in zip(tracer_specs, tracers)}
-    # the registry is field-major with T last, so each dict keeps registry order
-    return [{**shared, **dict(zip(zone_t.ids, member))} for member in t]
+    aod_rows = [row["AOD", s.zone] for s in zone_t.specs]
+    t0 = np.empty((len(seeds), len(zone_t.specs)))
+    band_noise0 = np.empty((len(seeds), N_NOISE_BANDS))
+    normals = np.empty((params.n_steps, len(seeds), N_NOISE_BANDS))
+    for b, seed in enumerate(seeds):
+        rng = make_rng(seed)
+        try:
+            start = initialize(params, grid, rng=rng)
+            t0[b] = zone_t.evaluate_state(start)
+            band_noise0[b] = start.band_noise
+            # one call yields the stream one call per step would: row m - 1 drives step m
+            normals[:, b] = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
+        except Exception as exc:
+            exc.args = (f"{_member(seed, masses[0])} failed: {exc}",)
+            raise
+    start = None  # no 3-D field is held while the masses step
+    for mass in masses:
+        tracers = mass * unit if mass else np.zeros((len(tracer_specs), params.n_steps + 1))
+        bad = ~np.isfinite(tracers)
+        if bad.any():
+            m = int(np.argmax(bad.any(axis=0)))
+            qid = tracer_specs[int(np.argmax(bad[:, m]))].id
+            why = f"{qid} of the scaled 1 Tg tracer run is non-finite at step {m}"
+            raise NumericalFailureError(f"mass {mass} Tg: {why}", step_index=m)
+        tracers.flags.writeable = False
+        heated_aod = shares[:, None] * tracers[aod_rows]
+        t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
+        t[:, :, 0] = t0
+        band_noise = band_noise0.copy()  # advances in place, so each mass steps a copy
+        for m in range(1, params.n_steps + 1):
+            t[:, :, m] = stepper.advance_zone_temperature(
+                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals[m - 1]
+            )
+        bad = ~np.isfinite(t)  # checked once, when finished: a non-finite T stays so
+        if bad.any():
+            m = int(np.argmax(bad.any(axis=(0, 1))))
+            b = int(np.argmax(bad[:, :, m].any(axis=1)))
+            why = f"failed: non-finite {zone_t.ids[int(np.argmax(bad[b, :, m]))]} at step {m}"
+            raise NumericalFailureError(f"{_member(seeds[b], mass)} {why}", step_index=m)
+        shared = {s.id: values for s, values in zip(tracer_specs, tracers)}
+        # the registry is field-major with T last, so each dict keeps registry order
+        yield mass, [{**shared, **dict(zip(zone_t.ids, member))} for member in t]
 
 
 def run_baseline_ensemble(
@@ -270,13 +268,13 @@ def run_baseline_ensemble(
     eruption_template: EruptionSpec,
 ) -> dict[str, BaselineStats]:
     """Eruption-free ensemble; per-step mean/std of the QOIs every experiment z-scores."""
-    quiet = replace(eruption_template, mass=0.0)
     seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
     # score_tables reads only the z-scored baselines, so only those are kept
     tests = canonical_tests(*plan.experiments[0][1:])
     zscored = [s.id for s in registry_canonical() if isinstance(tests[s.id], ZScoreHysteresis)]
     stats = {qid: BaselineStats(qid, params.n_steps) for qid in zscored}
-    for series in canonical_series(params, quiet, grid, seeds, None):
+    [(_, members)] = canonical_series(params, eruption_template, grid, seeds, (0.0,))
+    for series in members:
         for qid, st in stats.items():
             st.update(series[qid])
     return stats
@@ -309,11 +307,8 @@ def run_experiment_grid(
     base = base_dag_canonical()
     never = params.dt * params.n_steps
     seeds = [derive_seed(plan.seed, "eruption", b) for b in range(plan.n_members)]
-    # the one tracer run, before any mass, which every mass scales
-    unit = tracer_unit_rows(params, eruption_template, grid) if any(plan.masses) else None
-    for mass in plan.masses:
-        eruption = replace(eruption_template, mass=mass)
-        per_member_series = canonical_series(params, eruption, grid, seeds, unit)
+    ensembles = canonical_series(params, eruption_template, grid, seeds, plan.masses)
+    for mass, per_member_series in ensembles:
         pathways, rows = {}, []
         for label, t_l, t_u in plan.experiments:
             tables = score_tables(base, canonical_tests(t_l, t_u), baselines, params.n_steps)

@@ -143,7 +143,8 @@ class TestBaselineEnsemble:
             assert (st.std()[1:] > 0).all()
         # the quiet members' tracers stay zero, so a tracer baseline would hold nothing
         seeds = [derive_seed(11, "baseline", b) for b in range(3)]
-        for series in canonical_series(params, EruptionSpec(mass=0.0), grid, seeds, None):
+        [(_, members)] = canonical_series(params, EruptionSpec(), grid, seeds, (0.0,))
+        for series in members:
             assert len(series) == 16
             for qid, values in series.items():
                 if not qid.startswith("T("):
@@ -176,22 +177,27 @@ class TestExperimentGrid:
             assert np.array_equal(pathways_a[key].activation, pathways_b[key].activation)
 
     def test_yields_each_mass_before_stepping_the_next(self, tiny_setup, monkeypatch):
-        grid, params, _ = tiny_setup
+        grid, params, eruption = tiny_setup
         plan = ExperimentPlan(masses=(5.0, 10.0), experiments=DEFAULT_EXPERIMENTS[:2],
                               n_members=2, baseline_members=2, seed=11)
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
         stepped, tabled = [], []
-        series, tables = canonical_series, score_tables
-        monkeypatch.setattr(harness, "canonical_series",
-                            lambda p, e, *a: stepped.append(e.mass) or series(p, e, *a))
+        advance, tables = harness.Stepper.advance_zone_temperature, score_tables
+        # each zone step's heated AOD, which tells the masses apart
+        monkeypatch.setattr(harness.Stepper, "advance_zone_temperature",
+                            lambda self, t, noise, aod, *a: stepped.append(aod.max())
+                            or advance(self, t, noise, aod, *a))
         monkeypatch.setattr(harness, "score_tables", lambda *a: tabled.append(a) or tables(*a))
-        grid_run = run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+        grid_run = run_experiment_grid(plan, params, grid, baselines, eruption)
         mass, pathways, rows = next(grid_run)
-        assert (mass, stepped) == (5.0, [5.0])
+        assert mass == 5.0 and len(stepped) == params.n_steps
         assert set(pathways) == {(label, b) for label in ("Ex1", "Ex2") for b in range(2)}
         assert {(r.mass, r.experiment) for r in rows} == {(5.0, "Ex1"), (5.0, "Ex2")}
         assert [m for m, *_ in grid_run] == [10.0]
-        assert stepped == [5.0, 10.0]
+        assert len(stepped) == 2 * params.n_steps
+        # the second mass's steps are heated twice as much as the first's
+        assert max(stepped) > 0
+        assert stepped[params.n_steps:] == [2 * aod for aod in stepped[:params.n_steps]]
         # the score tables are built once per (mass, experiment), not per member
         assert len(tabled) == 2 * 2
 
@@ -208,6 +214,42 @@ class TestExperimentGrid:
         # every mass reads the one 1 Tg tracer run, which steps before any member
         assert info.value.step_index == 7
         assert str(info.value) == "1 Tg tracer run failed: non-finite SO2"
+
+
+class TestStarts:
+    def test_each_member_starts_once_per_ensemble(self, tiny_setup, monkeypatch):
+        grid, params, eruption = tiny_setup
+        started = []  # the longitudes of each state initialized
+        monkeypatch.setattr(harness, "initialize",
+                            lambda p, g, **k: started.append(g.nlon) or initialize(p, g, **k))
+        plan = ExperimentPlan(masses=(5.0, 10.0), experiments=(("Ex1", 0.5, 0.75),),
+                              n_members=3, baseline_members=3, seed=11)
+        baselines = run_baseline_ensemble(plan, params, grid, eruption)
+        assert started == [8] * 3
+        list(run_experiment_grid(plan, params, grid, baselines, eruption))
+        # the 1 Tg tracer run on its one-column slab, then each member once for both masses
+        assert started == [8] * 3 + [1] + [8] * 3
+
+    def test_a_non_finite_start_names_its_member_and_the_first_mass(self, tiny_setup,
+                                                                    monkeypatch):
+        grid, params, eruption = tiny_setup
+        started = []
+
+        def poisoned(*args, **kwargs):
+            started.append(initialize(*args, **kwargs))
+            if len(started) == 3:  # after the tracer run's and member 0's, member 1's
+                started[-1].temperature[:] = np.nan
+            return started[-1]
+
+        monkeypatch.setattr(harness, "initialize", poisoned)
+        plan = ExperimentPlan(masses=(5.0, 10.0), n_members=3, baseline_members=3, seed=11)
+        with pytest.raises(NumericalFailureError) as info:
+            list(run_experiment_grid(plan, params, grid, {}, eruption))
+        assert info.value.step_index == 0
+        assert str(info.value) == (
+            f"member 1 (mass 5.0 Tg, seed {derive_seed(11, 'eruption', 1).seed}) failed: "
+            "non-finite QOI value for T(e) at step 0"
+        )
 
 
 def poison_tracers_at(monkeypatch, member, step):
@@ -233,12 +275,6 @@ def poison_tracers_at(monkeypatch, member, step):
     monkeypatch.setattr(harness.Stepper, "advance_tracers", poisoned)
 
 
-def superposed_series(params, eruption, grid, seeds):
-    """canonical_series as the commands call it: from the site's 1 Tg rows, none at mass 0."""
-    unit = tracer_unit_rows(params, eruption, grid) if eruption.mass else None
-    return canonical_series(params, eruption, grid, seeds, unit)
-
-
 def assert_matches_run_member(grid, params, eruption, n_members):
     """canonical_series against run_member, which steps the 3-D temperature, member by member.
 
@@ -249,7 +285,7 @@ def assert_matches_run_member(grid, params, eruption, n_members):
     relative, with a floor of 1e-12 * noise_amp for temperatures near 0 K.
     """
     seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
-    lockstep = superposed_series(params, eruption, grid, seeds)
+    [(_, lockstep)] = canonical_series(params, eruption, grid, seeds, (eruption.mass,))
     assert len(lockstep) == n_members
     for series, seed in zip(lockstep, seeds):
         hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
@@ -308,7 +344,7 @@ class TestLockstep:
 
             monkeypatch.setattr(harness, "make_rng", poisoned_rng)
             with pytest.raises(NumericalFailureError) as info:
-                superposed_series(params, eruption, grid, seeds)
+                list(canonical_series(params, eruption, grid, seeds, (eruption.mass,)))
             assert info.value.step_index == step
             assert str(info.value) == (
                 f"member {member} (mass 10.0 Tg, seed {seeds[member].seed}) failed: "
@@ -358,7 +394,7 @@ class TestLockstep:
                             lambda self, *a: stepped.append(a))
         seeds = [derive_seed(4, "eruption", b) for b in range(2)]
         with pytest.raises(NumericalFailureError) as info:
-            canonical_series(params, huge, grid, seeds, unit)
+            list(canonical_series(params, huge, grid, seeds, (mass,)))
         assert stepped == []
         assert info.value.step_index == step
         assert str(info.value) == (
@@ -383,11 +419,9 @@ def activation_flips(grid, params, eruption, masses, n_members):
     base = base_dag_canonical()
     tables = score_tables(base, canonical_tests(0.5, 1.0), baselines, params.n_steps)
     seeds = [derive_seed(4, "eruption", b) for b in range(n_members)]
-    unit = tracer_unit_rows(params, eruption, grid)
     flips = []
-    for mass in masses:
+    for mass, superposed in canonical_series(params, eruption, grid, seeds, masses):
         at_mass = replace(eruption, mass=mass)
-        superposed = canonical_series(params, at_mass, grid, seeds, unit if mass else None)
         for b, (series, seed) in enumerate(zip(superposed, seeds)):
             hook = TrackerHook(grid, registry_canonical(), params.n_steps, params.dt)
             direct = run_member(params, at_mass, grid, seed, hook).series
@@ -435,7 +469,7 @@ def unit_rows_3d(params, eruption, grid):
     """Oracle: the 1 Tg tracer run's 12 tracer QOI rows, stepped on the whole 3-D grid."""
     specs = [s for s in registry_canonical() if s.field != "T"]
     hook = TrackerHook(grid, specs, params.n_steps, params.dt)
-    run_lockstep(params, replace(eruption, mass=1.0), grid, [], hook)
+    run_lockstep(params, replace(eruption, mass=1.0), grid, None, hook)
     return hook.series
 
 
@@ -518,7 +552,7 @@ class TestSlab:
         seeds = [derive_seed(4, "eruption", b) for b in range(3)]
         unit = tracer_unit_rows(params, eruption, grid)
         expected = per_step_draw_t(params, eruption, grid, seeds, unit)
-        series = canonical_series(params, eruption, grid, seeds, unit if eruption.mass else None)
+        [(_, series)] = canonical_series(params, eruption, grid, seeds, (eruption.mass,))
         t_ids = [s.id for s in registry_canonical() if s.field == "T"]
         for b, member in enumerate(series):
             for k, qid in enumerate(t_ids):

@@ -21,7 +21,7 @@ from volpath.config import (
     load_config,
     parse_config,
 )
-from volpath.errors import ConfigurationError, NumericalFailureError
+from volpath.errors import ConfigurationError
 from volpath.export import (
     atomic_write_text,
     baselines_from_dict,
@@ -586,36 +586,53 @@ class TestCli:
         cfg = write_config(tmp_path)
         pathways = tmp_path / "out" / "pathways"
         on_disk = []
-        series = harness.canonical_series
+        advance = harness.Stepper.advance_zone_temperature
 
-        def listing_series(params, eruption, *args):
-            if eruption.mass:  # not the baseline ensemble
-                on_disk.append(sorted(p.name for p in pathways.glob("*")))
-            return series(params, eruption, *args)
+        def listing_step(self, *args):
+            on_disk.append(sorted(p.name for p in pathways.glob("*")))
+            return advance(self, *args)
 
-        monkeypatch.setattr(harness, "canonical_series", listing_series)
+        monkeypatch.setattr(harness.Stepper, "advance_zone_temperature", listing_step)
         assert main(["experiment", str(cfg)]) == 0
-        assert on_disk == [[], ["pathway_m5_Ex1_b0.json", "pathway_m5_Ex1_b1.json"]]
+        # 40 steps each of the baseline, 5 Tg and 10 Tg ensembles
+        m5 = ["pathway_m5_Ex1_b0.json", "pathway_m5_Ex1_b1.json"]
+        assert on_disk == [[]] * 40 + [[]] * 40 + [m5] * 40
 
     def test_experiment_failure_keeps_finished_masses_only(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, snapshot_days=[5.0])
         out = tmp_path / "out"
-        series = harness.canonical_series
+        called = []
+        advance = harness.Stepper.advance_zone_temperature
 
-        def failing_at_10_tg(params, eruption, *args):
-            if eruption.mass == 10.0:
-                raise NumericalFailureError("non-finite field values at step 3")
-            return series(params, eruption, *args)
+        def failing_at_10_tg(self, *args):
+            called.append(True)
+            t = advance(self, *args)
+            # after 40 steps of the baseline and 40 of 5 Tg, step 3 of 10 Tg
+            if len(called) == 40 + 40 + 3:
+                t[1, 2] = np.nan
+            return t
 
-        monkeypatch.setattr(harness, "canonical_series", failing_at_10_tg)
+        monkeypatch.setattr(harness.Stepper, "advance_zone_temperature", failing_at_10_tg)
         assert main(["experiment", str(cfg)]) == 1
-        assert capsys.readouterr().err == "error: non-finite field values at step 3\n"
+        seed = derive_seed(11, "eruption", 1).seed
+        assert capsys.readouterr().err == (
+            f"error: member 1 (mass 10.0 Tg, seed {seed}) failed: non-finite T(t) at step 3\n"
+        )
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
             "baselines.json",
             "pathways/pathway_m5_Ex1_b0.json",
             "pathways/pathway_m5_Ex1_b1.json",
             "snapshots/dag_m5_Ex1_day5.dot",
         ]
+
+    def test_experiment_without_masses_writes_baselines_and_an_empty_summary(self, tmp_path):
+        plan = {**tiny_config_dict(tmp_path)["plan"], "masses": []}
+        assert main(["experiment", str(write_config(tmp_path, plan=plan))]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "baselines.json", "manifest.json", "summary.csv",
+        ]
+        assert (out / "summary.csv").read_text() == summary_csv_text([])
 
     def test_experiment_from_written_baseline_is_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -697,6 +714,10 @@ class TestCli:
             # masses name output files by their {:g} form
             pytest.param({"plan": {"masses": [5.0, 5.000001]}}, "plan.masses", id="masses-collide"),
             pytest.param({"plan": {"masses": [5.0, 10.0, 5.0]}}, "plan.masses", id="masses-repeat"),
+            # and snapshot days their DOT files: both of these are day123456
+            pytest.param({"snapshot_days": [123456.0, 123456.25],
+                          "surrogate": {"overrides": {"n_steps": 500000}}},
+                         "snapshot_days must differ in the {:g} form", id="snapshot-days-collide"),
             # the 4 row centers, at -67.5, -22.5, 22.5 and 67.5, miss zones s and t
             pytest.param({"grid": {"nlat": 4}},
                          "grid.nlat: zone 's' of SO2(s) holds none of the 4 rows",
@@ -733,7 +754,8 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(raw))
         ran = []
-        monkeypatch.setattr(harness, "run_lockstep", lambda *a, **k: ran.append(a))
+        # every run, whole-state or an ensemble member, starts from initialize
+        monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
         assert main(["experiment", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
@@ -851,6 +873,10 @@ class TestCli:
             # an integer beyond the float range
             pytest.param({"dt_days": 10**400}, "'dt_days' must be a positive number",
                          id="patch35-'dt_days' must be a positive number"),
+            # export_dot quotes each id, which these would end early
+            pytest.param({"vertices": ['A"B', "B", "C"]}, "'vertices'", id="quote-in-vertex"),
+            pytest.param({"vertices": ["A\\", "B", "C"]}, "'vertices'",
+                         id="trailing-backslash-in-vertex"),
         ],
     )
     def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):

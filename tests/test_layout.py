@@ -1,5 +1,5 @@
 """Package layout: one-way imports, none inside functions, a caller for every public name,
-one loop that steps runs and one function that advances its clock."""
+the only functions that step runs and the one function that advances their clock."""
 
 import ast
 from pathlib import Path
@@ -113,9 +113,10 @@ def test_every_public_name_has_a_caller():
     assert unread == []
 
 
-#: The functions allowed to call a Stepper method: the one loop that steps
-#: runs and the one-step function
-STEPPING = {"harness.run_lockstep", "surrogate.step"}
+#: The functions allowed to call a Stepper method: the loop that steps one
+#: whole state, the zone-mean loop of an ensemble's members and the one-step
+#: function
+STEPPING = {"harness.run_lockstep", "harness.canonical_series", "surrogate.step"}
 STEPPER_METHODS = {"advance_tracers", "advance_temperature", "advance_zone_temperature"}
 
 
@@ -145,11 +146,11 @@ def stepper_calls(path):
     return calls
 
 
-def test_one_loop_steps_runs():
+def test_only_the_stepping_functions_step_runs():
     calls = [call for path in MODULES for call in stepper_calls(path)]
     strays = [f"{scope} (line {line})" for scope, line in calls if scope not in STEPPING]
-    assert strays == [], "only harness.run_lockstep may step a run"
-    assert "harness.run_lockstep" in {scope for scope, _ in calls}
+    assert strays == [], f"only {sorted(STEPPING)} may step a run"
+    assert {scope for scope, _ in calls} == STEPPING
 
 
 #: The one function that advances a run's clock, and the exception that records

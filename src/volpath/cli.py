@@ -44,6 +44,7 @@ from .pathway import (
     compute_pathway,
     score_tables,
 )
+from .surrogate import N_NOISE_BANDS
 
 logger = logging.getLogger("volpath")
 
@@ -173,8 +174,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
         if counts[-1] < 1:
             raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
-    try:  # the largest count's series, which numpy may refuse to hold
-        np.empty((max(counts), args.steps + 1))
+    try:  # the largest count's series and the run's step normals, which numpy may refuse to hold
+        np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
     except (MemoryError, ValueError):
         held = f"{args.steps} steps of {max(counts)} QOIs"
         raise ConfigurationError(f"--steps: {held} are too many to hold") from None

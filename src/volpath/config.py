@@ -21,6 +21,7 @@ from .pathway import step_at_day
 from .qoi import registry_canonical
 from .surrogate import (
     AIR_MASS_PER_HPA_KG,
+    N_NOISE_BANDS,
     EruptionSpec,
     ModelParams,
     PRESET_ID,
@@ -175,8 +176,9 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
 
-    try:
+    try:  # the grid and one 3-D field of a run
         built = build_grid(**grid)
+        np.empty((grid["nlat"], grid["nlon"], grid["nlev"]))
     except (MemoryError, ValueError):  # numpy cannot allocate, or refuses, the arrays
         raise ConfigurationError(
             f"grid: {grid['nlat']} x {grid['nlon']} x {grid['nlev']} is too large to hold"
@@ -186,6 +188,14 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     except (MemoryError, ValueError):
         raise ConfigurationError(
             f"surrogate.overrides.n_steps: {params.n_steps} steps are too many to hold"
+        ) from None
+    members = max(plan.n_members, plan.baseline_members)
+    key = "plan.n_members" if members == plan.n_members else "plan.baseline_members"
+    try:  # the step normals of the larger ensemble
+        np.empty((params.n_steps, members, N_NOISE_BANDS))
+    except (MemoryError, ValueError):
+        raise ConfigurationError(
+            f"{key}: {members} members of {params.n_steps} steps are too many to hold"
         ) from None
     # a Stepper's checks, made here so that they name their key before any run
     checked("surrogate.overrides.v_transport", transport_fraction, params, built)

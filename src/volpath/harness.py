@@ -146,11 +146,14 @@ def run_lockstep(
     rng = make_rng(RunSeed(0) if seed is None else seed)
     try:
         state = initialize(params, grid, rng=rng)
+        if seed is not None:  # one call draws the stream one call per step would
+            normals = rng.standard_normal((params.n_steps, N_NOISE_BANDS))
+            noise = stepper.noise_path(state.band_noise, normals)
         hook.observe(state)
-        for _ in range(params.n_steps):
+        for m in range(params.n_steps):
             stepper.advance_tracers(state)
             if seed is not None:
-                stepper.advance_temperature(state, rng)
+                stepper.advance_temperature(state, noise[m])
             hook.observe(state)
     except Exception as exc:
         who = f"{eruption.mass:g} Tg tracer run" if seed is None else _member(seed, eruption.mass)
@@ -202,8 +205,8 @@ def canonical_series(
     next mass steps.  A mass's 12 tracer rows are the mass times the site's
     tracer_unit_rows (+0.0 at mass 0), shared read-only by every member; rows
     that overflow raise first.  Members share seeds across masses, so each
-    starts once, and each mass steps the members' 4 T-QOIs in QOI space from
-    copies of those starts.  Both equal run_member's to rounding: within
+    starts once, with one noise path, and each mass steps their 4 T-QOIs in
+    QOI space from those starts.  Both equal run_member's to rounding: within
     1e-12 relative, or 1e-12 * noise_amp for T near 0 K (tests/test_harness.py).
     """
     if not masses:
@@ -232,7 +235,8 @@ def canonical_series(
         except Exception as exc:
             exc.args = (f"{_member(seed, masses[0])} failed: {exc}",)
             raise
-    start = None  # no 3-D field is held while the masses step
+    noise = stepper.noise_path(band_noise0, normals)[:, :, bands]  # every mass adds the same
+    start = normals = None  # neither a 3-D field nor all bands' noise is held while masses step
     for mass in masses:
         tracers = mass * unit if mass else np.zeros((len(tracer_specs), params.n_steps + 1))
         bad = ~np.isfinite(tracers)
@@ -245,11 +249,8 @@ def canonical_series(
         heated_aod = shares[:, None] * tracers[aod_rows]
         t = np.empty((len(seeds), len(zone_t.specs), params.n_steps + 1))
         t[:, :, 0] = t0
-        band_noise = band_noise0.copy()  # advances in place, so each mass steps a copy
-        for m in range(1, params.n_steps + 1):
-            t[:, :, m] = stepper.advance_zone_temperature(
-                t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals[m - 1]
-            )
+        for m, bn in enumerate(noise, 1):
+            t[:, :, m] = stepper.advance_zone_temperature(t[:, :, m - 1], heated_aod[:, m], bn)
         bad = ~np.isfinite(t)  # checked once, when finished: a non-finite T stays so
         if bad.any():
             m = int(np.argmax(bad.any(axis=(0, 1))))

@@ -10,15 +10,15 @@ The model advances a state (SO2, SO4, T, AOD) one step at a time:
   5. temperature: AOD-driven stratospheric heating, Newtonian relaxation
      toward an equilibrium temperature, and AR(1) band noise.
 
-A Stepper runs the step as two halves.  advance_tracers does 1-4, draws
-no random numbers and advances the clock; advance_temperature does 5 from
-the state's AOD with the run's own random stream.
+A Stepper runs the step as two halves and draws nothing.  advance_tracers
+does 1-4 and advances the clock; advance_temperature does 5 from the state's
+AOD and a row of noise_path, the one AR(1), fed the normals that a run draws.
 
-Step 5 is written twice, side by side in Stepper: advance_temperature on
-every cell of a 3-D field, and advance_zone_temperature on zone means.  Every
-term of 5 is linear in a normalized mean over cells that lie in one noise
-band, so the means of an ensemble's members advance as their fields would,
-to rounding, without any field.
+Step 5's relaxation and heating are written twice in Stepper: on a 3-D field
+(advance_temperature) and on zone means (advance_zone_temperature).  Every term
+of 5 is linear in a normalized mean over cells that lie in one noise band, so
+the means of an ensemble's members advance as their fields would, to rounding,
+without any field; the noise does not read T, so one path serves every mass.
 
 The tracer subsystem is linear in the injected mass, so an ensemble of mass
 M reads M times one 1 Tg run's tracer QOIs (harness), and mass 0 steps none.
@@ -255,10 +255,20 @@ class Stepper:
         if not np.isfinite(so2.sum() + so4.sum() + state.aod.sum()):
             raise self._non_finite(state)
 
-    def advance_temperature(self, state: ModelState, rng: np.random.Generator) -> None:
-        """Advance temperature and band noise by one step in place, heated by state.aod.
+    def noise_path(self, start: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Overwrite and return a run's normals (steps, ..., N_NOISE_BANDS) with the band noise
+        after each step: row m - 1 becomes noise_memory * bn + noise_scale * row, where bn is
+        the band noise after step m - 1, or start for m = 1."""
+        bn = start
+        for z in normals:
+            z *= self.noise_scale
+            bn = np.add(self.params.noise_memory * bn, z, out=z)
+        return normals
 
-        Runs after advance_tracers, which has already advanced the clock.
+    def advance_temperature(self, state: ModelState, noise: np.ndarray) -> None:
+        """Advance temperature by one step in place, heated by state.aod, plus a noise_path row.
+
+        Runs after advance_tracers, which advanced the clock; noise becomes state.band_noise.
         """
         params, buf, temp = self.params, self.buf, state.temperature
 
@@ -269,38 +279,26 @@ class Stepper:
         np.multiply(params.dt, buf, out=buf)
         temp += buf
         temp[:, :, self.levels] += self.heat * state.aod[:, :, None]
-        innovations = self.noise_scale * rng.standard_normal(N_NOISE_BANDS)
-        state.band_noise = params.noise_memory * state.band_noise + innovations
-        temp += state.band_noise[self.bands][:, None, None]
+        state.band_noise = noise
+        temp += noise[self.bands][:, None, None]
 
         if not np.isfinite(temp.sum()):
             raise self._non_finite(state)
 
     def advance_zone_temperature(
-        self,
-        t: np.ndarray,
-        band_noise: np.ndarray,
-        heated_aod: np.ndarray,
-        bands: np.ndarray,
-        normals: np.ndarray,
+        self, t: np.ndarray, heated_aod: np.ndarray, noise: np.ndarray
     ) -> np.ndarray:
         """advance_temperature on zone means: the next (B, k) zone temperatures of B members.
 
-        t (B, k) holds each member's normalized zone-mean temperatures, and each
-        mean follows t + dt * ((t_eq - t) / tau_relax) + heat * h * AOD(z) +
-        noise[band(z)].  heated_aod (k,) is h * AOD(z): the zone's AOD mean
-        times the share h of the mean's level weight that lies in self.levels.
-        bands (k,) is the noise band that holds each zone.  normals
-        (B, N_NOISE_BANDS) are each member's draws for the step, and band_noise
-        (B, N_NOISE_BANDS) advances in place with advance_temperature's
-        operations, so its bits are those of the 3-D run.
+        t (B, k) holds each member's normalized zone-mean temperatures, and each mean follows
+        t + dt * ((t_eq - t) / tau_relax) + heat * h * AOD(z) + noise(z).  heated_aod (k,) is
+        h * AOD(z): the zone's AOD mean times the share h of the mean's level weight that lies
+        in self.levels.  noise (B, k) is a row of noise_path gathered to each zone's band.
         """
         params = self.params
-        band_noise *= params.noise_memory
-        band_noise += self.noise_scale * normals
         nxt = t + params.dt * ((params.t_eq - t) / params.tau_relax)
         nxt += self.heat * heated_aod
-        nxt += band_noise[:, bands]
+        nxt += noise
         return nxt
 
     @staticmethod
@@ -318,8 +316,8 @@ def step(
 ) -> ModelState:
     """Advance one step; returns a new state, the input is not modified.
 
-    Builds a Stepper on every call; a run of many steps builds one and calls
-    its two halves instead.
+    Builds a Stepper and draws one step's normals on every call; a run of many
+    steps builds one, draws once and calls its two halves instead.
     """
     new = replace(
         state,
@@ -329,5 +327,6 @@ def step(
     )
     stepper = Stepper(params, eruption, grid)
     stepper.advance_tracers(new)
-    stepper.advance_temperature(new, rng)
+    [noise] = stepper.noise_path(state.band_noise, rng.standard_normal((1, N_NOISE_BANDS)))
+    stepper.advance_temperature(new, noise)
     return new

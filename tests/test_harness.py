@@ -185,8 +185,8 @@ class TestExperimentGrid:
         advance, tables = harness.Stepper.advance_zone_temperature, score_tables
         # each zone step's heated AOD, which tells the masses apart
         monkeypatch.setattr(harness.Stepper, "advance_zone_temperature",
-                            lambda self, t, noise, aod, *a: stepped.append(aod.max())
-                            or advance(self, t, noise, aod, *a))
+                            lambda self, t, aod, *a: stepped.append(aod.max())
+                            or advance(self, t, aod, *a))
         monkeypatch.setattr(harness, "score_tables", lambda *a: tabled.append(a) or tables(*a))
         grid_run = run_experiment_grid(plan, params, grid, baselines, eruption)
         mass, pathways, rows = next(grid_run)
@@ -475,7 +475,7 @@ def unit_rows_3d(params, eruption, grid):
 
 def per_step_draw_t(params, eruption, grid, seeds, unit):
     """Oracle: the members' (B, 4, n_steps + 1) T-QOI rows, each step's normals drawn in a call
-    of their own, from the AOD rows of eruption.mass * unit."""
+    of their own and its AR(1) stepped on its own, from the AOD rows of eruption.mass * unit."""
     specs = registry_canonical()
     tracer_ids = [s.id for s in specs if s.field != "T"]
     zone_t = RegistryEvaluator(grid, [s for s in specs if s.field == "T"])
@@ -492,10 +492,12 @@ def per_step_draw_t(params, eruption, grid, seeds, unit):
     shares = [level_share(grid, s, stepper.levels) for s in zone_t.specs]
     heated_aod = np.array(shares)[:, None] * zone_aod
     bands = np.array([zone_number(s.zone) for s in zone_t.specs])
+    scale = params.noise_amp * np.sqrt(params.dt)
     for m in range(1, params.n_steps + 1):
         normals = np.array([rng.standard_normal(N_NOISE_BANDS) for rng in rngs])
+        band_noise = params.noise_memory * band_noise + scale * normals
         t[:, :, m] = stepper.advance_zone_temperature(
-            t[:, :, m - 1], band_noise, heated_aod[:, m], bands, normals
+            t[:, :, m - 1], heated_aod[:, m], band_noise[:, bands]
         )
     return t
 

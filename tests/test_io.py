@@ -47,7 +47,7 @@ from volpath.pathway import (
     score_tables,
 )
 from volpath.stats import BaselineStats
-from volpath.surrogate import PRESET_ID
+from volpath.surrogate import N_NOISE_BANDS, PRESET_ID
 
 
 def tiny_config_dict(tmp_path, **extra):
@@ -582,6 +582,19 @@ class TestCli:
         assert capsys.readouterr() == ("", "")
         assert not [r for r in caplog.records if r.name == "volpath"]
 
+    def test_experiment_draws_one_noise_path_per_ensemble(self, tmp_path, monkeypatch):
+        plan = {**tiny_config_dict(tmp_path)["plan"], "n_members": 3}
+        cfg = write_config(tmp_path, plan=plan)
+        paths = []
+        noise_path = harness.Stepper.noise_path
+        monkeypatch.setattr(harness.Stepper, "noise_path",
+                            lambda self, start, normals: paths.append(normals.shape)
+                            or noise_path(self, start, normals))
+        assert main(["experiment", str(cfg)]) == 0
+        # the baseline's 2 members, then the 3 members that both masses share; the 1 Tg
+        # tracer run draws none
+        assert paths == [(40, 2, N_NOISE_BANDS), (40, 3, N_NOISE_BANDS)]
+
     def test_experiment_writes_each_mass_before_stepping_the_next(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         pathways = tmp_path / "out" / "pathways"
@@ -737,6 +750,16 @@ class TestCli:
             pytest.param({"surrogate": {"overrides": {"n_steps": 10**20}}},
                          "surrogate.overrides.n_steps: 100000000000000000000 steps are too many",
                          id="n-steps-too-large"),
+            # numpy cannot allocate one 3-D field, though the grid's weights are small
+            pytest.param({"grid": {"nlon": 100000, "nlev": 100000}},
+                         "grid: 8 x 100000 x 100000 is too large to hold", id="field-too-large"),
+            # numpy refuses the larger ensemble's step normals before allocating anything
+            pytest.param({"plan": {"baseline_members": 10**20}},
+                         "plan.baseline_members: 100000000000000000000 members of 40 steps are "
+                         "too many to hold", id="baseline-members-too-large"),
+            pytest.param({"plan": {"n_members": 10**20}},
+                         "plan.n_members: 100000000000000000000 members of 40 steps are "
+                         "too many to hold", id="members-too-large"),
             # finite in Tg, not in kg
             pytest.param({"eruption": {"mass": 1e300}}, "eruption.mass", id="mass-overflows-kg"),
             pytest.param({"plan": {"masses": [5.0, 1e300]}}, "plan.masses",

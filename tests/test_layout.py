@@ -1,5 +1,6 @@
 """Package layout: one-way imports, none inside functions, a caller for every public name,
-the only functions that step runs and the one function that advances their clock."""
+the only functions that step runs or draw their random numbers, and the one function that
+advances their clock."""
 
 import ast
 from pathlib import Path
@@ -117,7 +118,9 @@ def test_every_public_name_has_a_caller():
 #: whole state, the zone-mean loop of an ensemble's members and the one-step
 #: function
 STEPPING = {"harness.run_lockstep", "harness.canonical_series", "surrogate.step"}
-STEPPER_METHODS = {"advance_tracers", "advance_temperature", "advance_zone_temperature"}
+STEPPER_METHODS = {
+    "advance_tracers", "advance_temperature", "advance_zone_temperature", "noise_path",
+}
 
 
 def scoped_nodes(path):
@@ -134,23 +137,38 @@ def scoped_nodes(path):
     return visit(parse(path), path.stem)
 
 
-def stepper_calls(path):
-    """(innermost enclosing function or class, line) of each call to a Stepper method."""
+def calls_to(path, names):
+    """(innermost enclosing function or class, line) of each call to a function in names."""
     calls = []
     for scope, node in scoped_nodes(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in STEPPER_METHODS:
+            if name in names:
                 calls.append((scope, node.lineno))
     return calls
 
 
 def test_only_the_stepping_functions_step_runs():
-    calls = [call for path in MODULES for call in stepper_calls(path)]
+    calls = [call for path in MODULES for call in calls_to(path, STEPPER_METHODS)]
     strays = [f"{scope} (line {line})" for scope, line in calls if scope not in STEPPING]
     assert strays == [], f"only {sorted(STEPPING)} may step a run"
     assert {scope for scope, _ in calls} == STEPPING
+
+
+#: The functions allowed to draw random numbers: a run's start, and the step
+#: normals of the one-step function, a whole-state run and an ensemble.  A
+#: Stepper draws nothing.
+DRAWING = {
+    "surrogate.initialize", "surrogate.step", "harness.run_lockstep", "harness.canonical_series",
+}
+
+
+def test_only_the_runs_draw():
+    calls = [call for path in MODULES for call in calls_to(path, {"standard_normal"})]
+    strays = [f"{scope} (line {line})" for scope, line in calls if scope not in DRAWING]
+    assert strays == [], f"only {sorted(DRAWING)} may draw random numbers"
+    assert {scope for scope, _ in calls} == DRAWING
 
 
 #: The one function that advances a run's clock, and the exception that records

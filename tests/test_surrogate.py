@@ -266,9 +266,12 @@ class TestStepper:
         # so a reordered operation shows in the last bit
         halves, stepped, oracle = (random_state(grid, np.random.default_rng(5))
                                    for _ in range(3))
-        for _ in range(params.n_steps):
+        # the halves draw the run's normals in one call, as run_lockstep does
+        normals = rngs[0].standard_normal((params.n_steps, N_NOISE_BANDS))
+        noise = stepper.noise_path(halves.band_noise, normals)
+        for m in range(params.n_steps):
             stepper.advance_tracers(halves)
-            stepper.advance_temperature(halves, rngs[0])
+            stepper.advance_temperature(halves, noise[m])
             stepped = step(stepped, params, eruption, grid, rngs[1])
             oracle = step_oracle(oracle, params, eruption, grid, rngs[2])
             for h, b, c in zip(state_arrays(halves), state_arrays(stepped),
@@ -286,18 +289,28 @@ class TestStepper:
         assert np.array_equal(state.aod, oracle)
 
     def test_zone_temperature_steps_band_noise_as_the_field_does(self, small_grid, fast_params):
+        # one noise path drives both halves, and equals the AR(1) stepped one draw at a time;
+        # from a uniform field without AOD, each zone mean steps as its band's cells do
         stepper = Stepper(fast_params, EruptionSpec(mass=0.0), small_grid)
-        field_rng, zone_rng = make_rng(RunSeed(3, 1)), make_rng(RunSeed(3, 1))
-        state = random_state(small_grid, np.random.default_rng(5))
-        state.band_noise = np.random.default_rng(6).standard_normal(N_NOISE_BANDS)
-        band_noise = state.band_noise[None, :].copy()
-        t = np.full((1, 4), 240.0)
-        for _ in range(fast_params.n_steps):
-            stepper.advance_temperature(state, field_rng)
-            normals = zone_rng.standard_normal((1, N_NOISE_BANDS))
-            t = stepper.advance_zone_temperature(t, band_noise, np.zeros(4), np.arange(1, 5),
-                                                 normals)
-            assert np.array_equal(band_noise[0], state.band_noise)
+        state = initialize(fast_params, small_grid, rng=make_rng(RunSeed(3)))
+        state.temperature[:] = 240.0
+        start = np.random.default_rng(6).standard_normal(N_NOISE_BANDS)
+        normals = make_rng(RunSeed(3, 1)).standard_normal((fast_params.n_steps, N_NOISE_BANDS))
+        noise = stepper.noise_path(start, normals.copy())
+        scale = fast_params.noise_amp * np.sqrt(fast_params.dt)
+        bn, t, bands = start, np.full((1, 4), 240.0), zone_of_rows(small_grid)
+        assert set(bands) > {0}
+        for z, row in zip(normals, noise):
+            bn = fast_params.noise_memory * bn + scale * z
+            assert np.array_equal(row, bn)
+            stepper.advance_temperature(state, row)
+            assert state.band_noise is row
+            # the zones e, s, t, p are the noise bands 1-4
+            t = stepper.advance_zone_temperature(t, np.zeros(4), row[None, 1:])
+            for i, band in enumerate(bands):
+                assert band == 0 or (state.temperature[i] == t[0, band - 1]).all(), (i, band)
+        # noise_path overwrote only the normals it was given
+        assert np.array_equal(start, np.random.default_rng(6).standard_normal(N_NOISE_BANDS))
 
     def test_step_leaves_input_unchanged(self, small_grid, fast_params):
         eruption = EruptionSpec(mass=10.0, day=0.0)

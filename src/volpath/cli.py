@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, build_manifest, config_digest, load_config
-from .errors import ConfigurationError, VolpathError, checked
+from .errors import ConfigurationError, VolpathError, allocating, checked
 from .export import (
     atomic_write_text,
     export_dot,
@@ -33,17 +33,11 @@ from .harness import (
     bench_overhead,
     canonical_series,
     derive_seed,
+    experiment_tables,
     run_baseline_ensemble,
     run_experiment_grid,
 )
-from .pathway import (
-    InactiveTest,
-    ZScoreHysteresis,
-    base_dag_canonical,
-    canonical_tests,
-    compute_pathway,
-    score_tables,
-)
+from .pathway import base_dag_canonical, canonical_tests, compute_pathway, score_tables
 from .surrogate import N_NOISE_BANDS
 
 logger = logging.getLogger("volpath")
@@ -68,15 +62,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     base = base_dag_canonical()
     tests = canonical_tests(*cfg.plan.experiments[0][1:])
-    baselines = None
-    if args.baseline:
-        baselines = read_baselines_json(args.baseline)
-    else:
-        # no baseline: z-score tests cannot be scored, leave them inactive
-        tests = {
-            qid: InactiveTest() if isinstance(test, ZScoreHysteresis) else test
-            for qid, test in tests.items()
-        }
+    # no baseline: the z-score tests never activate
+    baselines = read_baselines_json(args.baseline) if args.baseline else None
     # built before any step, so a bad baseline exits before the member runs
     tables = score_tables(base, tests, baselines, cfg.params.n_steps)
     seed = derive_seed(cfg.plan.seed, "eruption", args.member)
@@ -98,8 +85,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     grid = cfg.build_grid()
     baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
     # the check every consumer of the file makes, so no unusable file is written
-    tests = canonical_tests(*cfg.plan.experiments[0][1:])
-    score_tables(base_dag_canonical(), tests, baselines, cfg.params.n_steps)
+    experiment_tables(cfg.plan, cfg.params.n_steps, baselines)
     write_baselines_json(out / "baselines.json", baselines)
     write_manifest_json(out / "manifest.json", build_manifest(cfg))
     return 0
@@ -121,9 +107,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         baselines = read_baselines_json(args.baseline)
     else:
         baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
-    # every experiment z-scores the same vertices, so one check covers them all
-    tests = canonical_tests(*cfg.plan.experiments[0][1:])
-    score_tables(base_dag_canonical(), tests, baselines, cfg.params.n_steps)
+    # the one check of the baselines, before any of them is written or any member steps
+    tables = experiment_tables(cfg.plan, cfg.params.n_steps, baselines)
     if not args.baseline:
         write_baselines_json(out / "baselines.json", baselines)
 
@@ -131,7 +116,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     first_label = cfg.plan.experiments[0][0]
     rows = []
     # each mass's files are written before the next mass steps
-    grid_run = run_experiment_grid(cfg.plan, cfg.params, grid, baselines, cfg.eruption)
+    grid_run = run_experiment_grid(cfg.plan, cfg.params, grid, tables, cfg.eruption)
     for mass, pathways, mass_rows in grid_run:
         for (label, member), pathway in pathways.items():
             name = f"pathway_m{mass:g}_{label}_b{member}.json"
@@ -174,11 +159,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
         if counts[-1] < 1:
             raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
-    try:  # the largest count's series and the run's step normals, which numpy may refuse to hold
+    # the largest count's series and the run's step normals
+    with allocating(f"--steps: {args.steps} steps of {max(counts)} QOIs are too many to hold"):
         np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
-    except (MemoryError, ValueError):
-        held = f"{args.steps} steps of {max(counts)} QOIs"
-        raise ConfigurationError(f"--steps: {held} are too many to hold") from None
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     out = Path(args.out or cfg.output_dir)
@@ -239,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("baseline", "experiments", "out"):
+            if getattr(args, flag, None) == "":
+                raise ConfigurationError(f"--{flag} must not be empty")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, checked, distinct_names
+from .errors import ConfigurationError, allocating, checked, distinct_names
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
@@ -176,27 +176,17 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
         seed=_integer("plan.seed", plan_raw.get("seed", defaults.seed)),
     )
 
-    try:  # the grid and one 3-D field of a run
+    # the grid and one 3-D field of a run
+    shape = f"{grid['nlat']} x {grid['nlon']} x {grid['nlev']}"
+    with allocating(f"grid: {shape} is too large to hold"):
         built = build_grid(**grid)
         np.empty((grid["nlat"], grid["nlon"], grid["nlev"]))
-    except (MemoryError, ValueError):  # numpy cannot allocate, or refuses, the arrays
-        raise ConfigurationError(
-            f"grid: {grid['nlat']} x {grid['nlon']} x {grid['nlev']} is too large to hold"
-        ) from None
-    try:  # a member's canonical series, which numpy may refuse to hold
+    with allocating(f"surrogate.overrides.n_steps: {params.n_steps} steps are too many to hold"):
         np.empty((len(registry_canonical()), params.n_steps + 1))
-    except (MemoryError, ValueError):
-        raise ConfigurationError(
-            f"surrogate.overrides.n_steps: {params.n_steps} steps are too many to hold"
-        ) from None
     members = max(plan.n_members, plan.baseline_members)
     key = "plan.n_members" if members == plan.n_members else "plan.baseline_members"
-    try:  # the step normals of the larger ensemble
+    with allocating(f"{key}: {members} members of {params.n_steps} steps are too many to hold"):
         np.empty((params.n_steps, members, N_NOISE_BANDS))
-    except (MemoryError, ValueError):
-        raise ConfigurationError(
-            f"{key}: {members} members of {params.n_steps} steps are too many to hold"
-        ) from None
     # a Stepper's checks, made here so that they name their key before any run
     checked("surrogate.overrides.v_transport", transport_fraction, params, built)
     checked("eruption.lat", lat_row_index, built, eruption.lat)

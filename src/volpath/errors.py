@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and the helpers that name a bad key."""
 
+from contextlib import contextmanager
+
 
 class VolpathError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +41,12 @@ def distinct_names(where: str, values: tuple[float, ...]) -> None:
         raise ConfigurationError(
             f"{where} must differ in the {{:g}} form that names output files, got {list(values)}"
         )
+
+
+@contextmanager
+def allocating(message: str):
+    """Raise ConfigurationError(message) where the block asks numpy for too large an array."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ConfigurationError(message) from None

@@ -3,7 +3,8 @@ threshold grid, and the QOI-count overhead benchmark.
 
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
-the same in-situ-extracted series.  run_lockstep steps one whole state.
+the same in-situ-extracted series, under score tables built once per
+experiment (experiment_tables).  run_lockstep steps one whole state.
 canonical_series records one ensemble at every mass in one call: simulate's
 one member, the baseline or the experiment grid's members.  The tracers draw
 no random numbers and are linear in the mass, so every mass's 12 tracer rows
@@ -28,8 +29,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericalFailureError, checked, distinct_names
 from .grid import SphericalGrid, zone_number
 from .pathway import (
-    PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests, compute_pathway,
-    score_tables,
+    ABSOLUTE_BOUNDS, PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests,
+    compute_pathway, score_tables,
 )
 from .qoi import QoiSpec, RegistryEvaluator, level_share, registry_canonical
 from .stats import BaselineStats, ensemble_summarize, first_activation, total_active
@@ -271,8 +272,7 @@ def run_baseline_ensemble(
     """Eruption-free ensemble; per-step mean/std of the QOIs every experiment z-scores."""
     seeds = [derive_seed(plan.seed, "baseline", b) for b in range(plan.baseline_members)]
     # score_tables reads only the z-scored baselines, so only those are kept
-    tests = canonical_tests(*plan.experiments[0][1:])
-    zscored = [s.id for s in registry_canonical() if isinstance(tests[s.id], ZScoreHysteresis)]
+    zscored = [s.id for s in registry_canonical() if s.field not in ABSOLUTE_BOUNDS]
     stats = {qid: BaselineStats(qid, params.n_steps) for qid in zscored}
     [(_, members)] = canonical_series(params, eruption_template, grid, seeds, (0.0,))
     for series in members:
@@ -293,17 +293,29 @@ class SummaryRow:
     se_total: float
 
 
+def experiment_tables(
+    plan: ExperimentPlan, n_steps: int, baselines: dict[str, BaselineStats]
+) -> dict[str, tuple[np.ndarray, ...]]:
+    """Each experiment's score_tables by label, in plan order: the check of baselines."""
+    base = base_dag_canonical()
+    return {
+        label: score_tables(base, canonical_tests(t_l, t_u), baselines, n_steps)
+        for label, t_l, t_u in plan.experiments
+    }
+
+
 def run_experiment_grid(
     plan: ExperimentPlan,
     params: ModelParams,
     grid: SphericalGrid,
-    baselines: dict[str, BaselineStats],
+    tables: dict[str, tuple[np.ndarray, ...]],
     eruption_template: EruptionSpec,
 ) -> Iterator[tuple[float, dict[tuple[str, int], PathwayDag], list[SummaryRow]]]:
-    """Eruption ensembles at every mass, analyzed under every threshold experiment.
+    """Eruption ensembles at every mass, analyzed under each experiment's tables.
 
-    Yields (mass, {(experiment, member_index): PathwayDag}, summary rows) as
-    each mass finishes, before the next mass is stepped.
+    tables is experiment_tables' result.  Yields (mass, {(experiment,
+    member_index): PathwayDag}, summary rows) as each mass finishes, before
+    the next mass is stepped.
     """
     base = base_dag_canonical()
     never = params.dt * params.n_steps
@@ -311,13 +323,11 @@ def run_experiment_grid(
     ensembles = canonical_series(params, eruption_template, grid, seeds, plan.masses)
     for mass, per_member_series in ensembles:
         pathways, rows = {}, []
-        for label, t_l, t_u in plan.experiments:
-            tables = score_tables(base, canonical_tests(t_l, t_u), baselines, params.n_steps)
+        for label, table in tables.items():
             summaries = []
             for b, series in enumerate(per_member_series):
-                pathways[label, b] = pathway = compute_pathway(base, series, tables, params.dt)
+                pathways[label, b] = pathway = compute_pathway(base, series, table, params.dt)
                 summaries.append(activation_summaries(pathway, never))
-            del tables  # so that no two experiments' tables are live together
             # (B, 2, r) -> first and total days, each (B, r)
             firsts, totals = np.array(summaries).swapaxes(0, 1)
             mean_first, se_first = ensemble_summarize(firsts)

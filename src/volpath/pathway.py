@@ -5,7 +5,9 @@ hold band between its lower and upper thresholds; the per-step active vertex
 sets induce subgraphs of the static base-DAG, recorded as an activation matrix.
 The QOI series are extracted in situ; `compute_pathway` builds the matrix from
 the recorded series, running every test type through one vectorized kernel,
-`hysteresis`.
+`hysteresis`.  `score_tables` builds an experiment's thresholds and the
+baseline mean and sigma of its z-scored columns alone, once per run, and is
+the one check of a baseline against the run.
 """
 
 from __future__ import annotations
@@ -95,12 +97,7 @@ class ZScoreHysteresis:
             )
 
 
-@dataclass(frozen=True)
-class InactiveTest:
-    """Placeholder test that never activates (used when no baseline is available)."""
-
-
-BoundsTest = AbsoluteHysteresis | ZScoreHysteresis | InactiveTest
+BoundsTest = AbsoluteHysteresis | ZScoreHysteresis
 
 
 def hysteresis(scores: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -172,28 +169,28 @@ def score_tables(
     baselines: dict[str, "object"] | None,
     n_steps: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Thresholds (r,) each, score mean and sigma (n_steps + 1, r) each, z-scored flags (r,).
+    """Thresholds (r,) each, z-scored columns (k,), their mean and sigma (n_steps + 1, k) each.
 
-    Absolute and inactive tests score the raw value.  Every z-score baseline
-    is checked against the run here: present, n_steps + 1 steps long, from at
-    least two members, and sigma > 0 on steps 1..n_steps.
+    Every z-score baseline is checked against the run here: present,
+    n_steps + 1 steps long, from at least two members, and sigma > 0 on steps
+    1..n_steps.  With baselines None there is no baseline: z-score tests
+    score the raw value against infinite thresholds, so they never activate.
     """
     missing = [v for v in base.vertices if v not in tests]
     if missing:
         raise ConfigurationError(f"no bounds test for vertices: {missing}")
     n = n_steps + 1
-    baselines = baselines or {}
     lower = np.empty(base.r)
     upper = np.empty(base.r)
-    zscored = np.zeros(base.r, dtype=bool)
-    # absolute and inactive tests score the raw value: (value - 0) / 1
-    mean = np.zeros((n, base.r))
-    std = np.ones((n, base.r))
+    zscored, means, stds = [], [], []
     for l, v in enumerate(base.vertices):
         test = tests[v]
         if isinstance(test, AbsoluteHysteresis):
             lower[l], upper[l] = test.lower, test.upper
-        elif isinstance(test, ZScoreHysteresis):
+        elif baselines is None:
+            # any score but NaN is <= inf; NaN holds the initial 0
+            lower[l] = upper[l] = np.inf
+        else:
             lower[l], upper[l] = test.t_l, test.t_u
             if v not in baselines:
                 raise ConfigurationError(f"z-score test for {v} has no baseline entry")
@@ -202,23 +199,22 @@ def score_tables(
                 raise ConfigurationError(
                     f"baseline for {v} has {bl.mean.size} steps, the run needs {n}"
                 )
-            mean[:, l] = bl.mean[:n]
+            zscored.append(l)
+            means.append(bl.mean[:n])
             # std() raises unless the baseline has at least two members
-            std[:, l] = bl.std()[:n]
-            zscored[l] = True
-        else:
-            # InactiveTest: any score but NaN is <= inf; NaN holds the initial 0
-            lower[l] = upper[l] = np.inf
+            stds.append(bl.std()[:n])
+    mean = np.array(means).reshape(-1, n).T
+    std = np.array(stds).reshape(-1, n).T
     # step 0 is forced inactive, so its sigma is never checked or used
     std[:1] = 1.0
     bad = np.argwhere(std <= 0.0)
     if len(bad):
         m, l = bad[0]
         raise DegenerateBaselineError(
-            f"baseline sigma for {base.vertices[l]} is not positive at step {m}; "
+            f"baseline sigma for {base.vertices[zscored[l]]} is not positive at step {m}; "
             "z-score test is not well-defined"
         )
-    return lower, upper, mean, std, zscored
+    return lower, upper, np.array(zscored, dtype=int), mean, std
 
 
 def compute_pathway(
@@ -230,19 +226,19 @@ def compute_pathway(
     """Run the activation algorithm over full recorded series (one per vertex).
 
     tables is score_tables' result, whose len(mean) steps every series has.
-    Z-score tests score (value - mean_m) / sigma_m against per-step baseline
-    matrices and are forced inactive at m = 0; absolute and inactive tests
-    score the raw value.  One hysteresis call covers every vertex and step.
+    Z-scored columns score (value - mean_m) / sigma_m against per-step
+    baseline matrices and are forced inactive at m = 0; every other column
+    scores the raw value.  One hysteresis call covers every vertex and step.
     """
-    lower, upper, mean, std, zscored = tables
+    lower, upper, zscored, mean, std = tables
     missing = [v for v in base.vertices if v not in series]
     if missing:
         raise ConfigurationError(f"no series for vertices: {missing}")
     lengths = sorted({len(series[v]) for v in base.vertices})
     if lengths != [len(mean)]:
         raise ConfigurationError(f"series lengths {lengths} differ from the tables' {len(mean)}")
-    values = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
-    scores = (values - mean) / std
+    scores = np.stack([np.asarray(series[v], dtype=float) for v in base.vertices], axis=1)
+    scores[:, zscored] = (scores[:, zscored] - mean) / std
     scores[:1, zscored] = -np.inf
     return PathwayDag(base=base, activation=hysteresis(scores, lower, upper), dt=dt)
 

@@ -23,6 +23,7 @@ from volpath.harness import (
     TrackerHook,
     bench_overhead,
     derive_seed,
+    experiment_tables,
     run_baseline_ensemble,
     run_experiment_grid,
     run_member,
@@ -82,7 +83,8 @@ def default_grid():
 def run_full_grid(grid):
     plan = ExperimentPlan()
     baselines = run_baseline_ensemble(plan, PRESET_PARAMS, grid, EruptionSpec())
-    result = collect_grid(run_experiment_grid(plan, PRESET_PARAMS, grid, baselines, EruptionSpec()))
+    tables = experiment_tables(plan, PRESET_PARAMS.n_steps, baselines)
+    result = collect_grid(run_experiment_grid(plan, PRESET_PARAMS, grid, tables, EruptionSpec()))
     return plan, baselines, result
 
 
@@ -313,7 +315,8 @@ def test_criterion_06_along_a_dense_mass_sweep():
                           n_members=2, baseline_members=2, seed=6)
     eruption = EruptionSpec(day=2.0)
     baselines = run_baseline_ensemble(plan, params, grid, eruption)
-    result = collect_grid(run_experiment_grid(plan, params, grid, baselines, eruption))
+    tables = experiment_tables(plan, params.n_steps, baselines)
+    result = collect_grid(run_experiment_grid(plan, params, grid, tables, eruption))
     tracers = [s.id for s in registry_canonical() if s.field != "T"]
     for qid in tracers:
         rows = [summary_row(result, mass, "Ex2", qid) for mass in masses]

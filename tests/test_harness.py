@@ -22,6 +22,7 @@ from volpath.harness import (
     bench_overhead,
     canonical_series,
     derive_seed,
+    experiment_tables,
     run_baseline_ensemble,
     run_experiment_grid,
     run_lockstep,
@@ -162,11 +163,12 @@ class TestExperimentGrid:
             seed=11,
         )
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
+        tables = experiment_tables(plan, params.n_steps, baselines)
         rows_a, pathways_a = collect_grid(
-            run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+            run_experiment_grid(plan, params, grid, tables, EruptionSpec())
         )
         rows_b, pathways_b = collect_grid(
-            run_experiment_grid(plan, params, grid, baselines, EruptionSpec())
+            run_experiment_grid(plan, params, grid, tables, EruptionSpec())
         )
         assert len(rows_a) == 2 * 1 * 16
         assert set(pathways_a) == {
@@ -181,14 +183,15 @@ class TestExperimentGrid:
         plan = ExperimentPlan(masses=(5.0, 10.0), experiments=DEFAULT_EXPERIMENTS[:2],
                               n_members=2, baseline_members=2, seed=11)
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
+        tables = experiment_tables(plan, params.n_steps, baselines)
         stepped, tabled = [], []
-        advance, tables = harness.Stepper.advance_zone_temperature, score_tables
+        advance, score = harness.Stepper.advance_zone_temperature, score_tables
         # each zone step's heated AOD, which tells the masses apart
         monkeypatch.setattr(harness.Stepper, "advance_zone_temperature",
                             lambda self, t, aod, *a: stepped.append(aod.max())
                             or advance(self, t, aod, *a))
-        monkeypatch.setattr(harness, "score_tables", lambda *a: tabled.append(a) or tables(*a))
-        grid_run = run_experiment_grid(plan, params, grid, baselines, eruption)
+        monkeypatch.setattr(harness, "score_tables", lambda *a: tabled.append(a) or score(*a))
+        grid_run = run_experiment_grid(plan, params, grid, tables, eruption)
         mass, pathways, rows = next(grid_run)
         assert mass == 5.0 and len(stepped) == params.n_steps
         assert set(pathways) == {(label, b) for label in ("Ex1", "Ex2") for b in range(2)}
@@ -198,8 +201,8 @@ class TestExperimentGrid:
         # the second mass's steps are heated twice as much as the first's
         assert max(stepped) > 0
         assert stepped[params.n_steps:] == [2 * aod for aod in stepped[:params.n_steps]]
-        # the score tables are built once per (mass, experiment), not per member
-        assert len(tabled) == 2 * 2
+        # the score tables are built once per run, before the grid, not per mass
+        assert tabled == []
 
     def test_member_failure_keeps_exception_and_context(self, tiny_setup, monkeypatch):
         grid, params, _ = tiny_setup
@@ -226,7 +229,8 @@ class TestStarts:
                               n_members=3, baseline_members=3, seed=11)
         baselines = run_baseline_ensemble(plan, params, grid, eruption)
         assert started == [8] * 3
-        list(run_experiment_grid(plan, params, grid, baselines, eruption))
+        tables = experiment_tables(plan, params.n_steps, baselines)
+        list(run_experiment_grid(plan, params, grid, tables, eruption))
         # the 1 Tg tracer run on its one-column slab, then each member once for both masses
         assert started == [8] * 3 + [1] + [8] * 3
 
@@ -461,7 +465,8 @@ class TestSuperposition:
                               n_members=2, baseline_members=3, seed=11)
         baselines = run_baseline_ensemble(plan, params, grid, EruptionSpec())
         assert calls == []
-        list(run_experiment_grid(plan, params, grid, baselines, EruptionSpec()))
+        tables = experiment_tables(plan, params.n_steps, baselines)
+        list(run_experiment_grid(plan, params, grid, tables, EruptionSpec()))
         assert len(calls) == params.n_steps
 
 

@@ -670,6 +670,79 @@ class TestCli:
         assert "'Ex9'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--baseline"], id="simulate-baseline"),
+        pytest.param(["experiment", "--baseline"], id="experiment-baseline"),
+        pytest.param(["experiment", "--experiments"], id="experiments"),
+        pytest.param(["experiment", "--out"], id="experiment-out"),
+        pytest.param(["simulate", "--out"], id="simulate-out"),
+        pytest.param(["baseline", "--out"], id="baseline-out"),
+        pytest.param(["bench", "--out"], id="bench-out"),
+    ])
+    def test_empty_flag_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                     argv):
+        command, flag = argv
+        read = []
+        monkeypatch.setattr(cli, "load_config", lambda path: read.append(path))
+        assert main([command, str(write_config(tmp_path)), flag, ""]) == 2
+        assert capsys.readouterr().err == f"configuration error: {flag} must not be empty\n"
+        assert read == []
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_builds_each_experiments_tables_once(self, tmp_path, monkeypatch):
+        experiments = {"Ex1": [0.5, 0.75], "Ex2": [0.5, 1.0], "Ex3": [0.5, 1.5]}
+        plan = {**tiny_config_dict(tmp_path)["plan"], "experiments": experiments}
+        cfg = write_config(tmp_path, plan=plan)
+        built, during_grid = [], []
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "score_tables",
+                                lambda *a: built.append(a) or score_tables(*a))
+        grid_run = harness.run_experiment_grid
+
+        def counted(*args):
+            before = len(built)
+            yield from grid_run(*args)
+            during_grid.append(len(built) - before)
+
+        monkeypatch.setattr(cli, "run_experiment_grid", counted)
+        assert main(["experiment", str(cfg)]) == 0
+        # once per experiment, before the grid; never per mass
+        assert len(built) == len(experiments) and during_grid == [0]
+        built.clear()
+        assert main(["baseline", str(cfg), "--out", str(tmp_path / "bl")]) == 0
+        assert len(built) == len(experiments)
+
+    def test_each_mass_alone_writes_its_cells(self, tmp_path):
+        """experiment on one mass, given the plan's baselines, writes that mass's pathway
+        files and summary rows byte for byte (config_digest aside); simulate on one of its
+        members writes the same intervals as its first experiment's pathway file."""
+        plan = {**tiny_config_dict(tmp_path)["plan"], "masses": [0.0, 5.0, 20.0],
+                "experiments": {"Ex1": [0.5, 0.75], "Ex2": [0.5, 1.5]}}
+        full = tmp_path / "full"
+        assert main(["experiment", str(write_config(tmp_path, plan=plan)), "--out", str(full)]) == 0
+        baseline = str(full / "baselines.json")
+        header, *rows = (full / "summary.csv").read_text().splitlines()
+
+        def cells(out, mass):
+            return {p.name: re.sub(r'"config_digest":"[0-9a-f]+"', "", p.read_text())
+                    for p in (out / "pathways").glob(f"pathway_m{mass:g}_*.json")}
+
+        for mass in plan["masses"]:
+            alone = tmp_path / f"m{mass:g}"
+            cfg = str(write_config(tmp_path, plan={**plan, "masses": [mass]}))
+            assert main(["experiment", cfg, "--baseline", baseline, "--out", str(alone)]) == 0
+            assert cells(alone, mass) == cells(full, mass)
+            assert len(cells(alone, mass)) == 2 * 2
+            mass_rows = [row for row in rows if float(row.split(",")[0]) == mass]
+            assert (alone / "summary.csv").read_text().splitlines() == [header, *mass_rows]
+            for b in range(2):
+                one = tmp_path / f"m{mass:g}_b{b}"
+                assert main(["simulate", cfg, "--mass", f"{mass:g}", "--member", str(b),
+                             "--baseline", baseline, "--out", str(one)]) == 0
+                cell = full / "pathways" / f"pathway_m{mass:g}_Ex1_b{b}.json"
+                simulated = json.loads((one / "pathway.json").read_text())
+                assert simulated["intervals"] == json.loads(cell.read_text())["intervals"]
+
     # every case has its own id, as in test_malformed_baseline_file_exits_2
     @pytest.mark.parametrize(
         "patch, key",

@@ -10,7 +10,6 @@ from volpath.pathway import (
     ABSOLUTE_BOUNDS,
     AbsoluteHysteresis,
     BaseDag,
-    InactiveTest,
     PathwayDag,
     ZScoreHysteresis,
     base_dag_canonical,
@@ -156,9 +155,10 @@ class TestBoundsTestBranches:
         assert list(taus) == [True] * 151 + [False] * 151
 
     def test_inactive_test_never_activates(self):
+        # without a baseline a z-score test never activates
         base = BaseDag(vertices=("T",), edges=())
         values = np.array([1e9, np.inf, -1e9, np.nan, 1e9])
-        pw = pathway_from_tests(base, {"T": values}, {"T": InactiveTest()})
+        pw = pathway_from_tests(base, {"T": values}, {"T": ZScoreHysteresis(0.5, 1.0)})
         assert not pw.activation.any()
 
     def test_degenerate_sigma_rejected(self):
@@ -178,7 +178,7 @@ class TestBoundsTestBranches:
     def test_missing_baseline_rejected(self):
         base = BaseDag(vertices=("T",), edges=())
         with pytest.raises(ConfigurationError, match="no baseline"):
-            pathway_from_tests(base, {"T": np.zeros(4)}, {"T": ZScoreHysteresis(0.5, 1.0)})
+            pathway_from_tests(base, {"T": np.zeros(4)}, {"T": ZScoreHysteresis(0.5, 1.0)}, {})
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
@@ -323,7 +323,7 @@ class TestComputePathway:
         base = BaseDag(vertices=("T",), edges=())
         tests = {"T": ZScoreHysteresis(0.5, 1.0)}
         with pytest.raises(ConfigurationError):
-            pathway_from_tests(base, {"T": np.zeros(4)}, tests)
+            pathway_from_tests(base, {"T": np.zeros(4)}, tests, {})
 
     def test_smaller_upper_threshold_dominates(self):
         # For the same trajectory, a lower activation threshold can only
@@ -350,10 +350,11 @@ values_st = st.floats(-3.0, 3.0, allow_nan=False, width=32)
 
 @st.composite
 def series_instances(draw):
-    """Random absolute and z-score columns, thresholds and baselines."""
+    """Random absolute and z-score columns, thresholds, and baselines or none at all."""
     n = draw(st.integers(1, 40))
     n_abs = draw(st.integers(0, 3))
     n_z = draw(st.integers(0 if n_abs else 1, 3))
+    with_baseline = draw(st.booleans())
     cols = []
     for kind in ["abs"] * n_abs + ["z"] * n_z:
         if kind == "abs":  # lower < upper
@@ -362,23 +363,25 @@ def series_instances(draw):
         else:  # t_l <= t_u and t_u > 0
             hi = draw(st.sampled_from([0.25, 0.75, 1.5]))
             lo = hi - draw(st.sampled_from([0.0, 0.5, 1.0]))
-        # values exactly on a threshold are drawn often
-        picks = st.one_of(values_st, st.sampled_from([lo, hi]))
+        # values exactly on a threshold are drawn often; without a baseline, so are NaN and ±inf
+        special = [lo, hi] if with_baseline else [lo, hi, np.nan, np.inf, -np.inf]
+        picks = st.one_of(values_st, st.sampled_from(special))
         values = np.array(draw(st.lists(picks, min_size=n, max_size=n)))
         mu = sigma = None
-        if kind == "z":
+        if kind == "z" and with_baseline:
             mu = np.array(draw(st.lists(values_st, min_size=n, max_size=n)))
             # powers of two survive stats_from_sigma exactly, keeping z on a threshold
             sigmas = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0))
             sigma = np.array(draw(st.lists(sigmas, min_size=n, max_size=n)))
             values = mu + sigma * values  # z equals the drawn value, ties included
         cols.append((kind, lo, hi, values, mu, sigma))
-    return cols
+    return cols, with_baseline
 
 
 @settings(max_examples=200, deadline=None)
 @given(series_instances())
-def test_whole_series_equals_oracles(cols):
+def test_whole_series_equals_oracles(instance):
+    cols, with_baseline = instance
     vertices = tuple(f"v{i}" for i in range(len(cols)))
     base = BaseDag(vertices=vertices, edges=())
     tests, baselines, series, oracle = {}, {}, {}, {}
@@ -387,11 +390,14 @@ def test_whole_series_equals_oracles(cols):
         if kind == "abs":
             tests[v] = AbsoluteHysteresis(lo, hi)
             oracle[v] = taus_oracle_absolute(values, lo, hi)
-        else:
+        elif with_baseline:
             tests[v] = ZScoreHysteresis(lo, hi)
             stats = stats_from_sigma(v, 5, mu, sigma)
             baselines[v] = stats
             oracle[v] = taus_oracle_zscore(values, stats.mean, stats.std(), lo, hi)
-    pw = pathway_from_tests(base, series, tests, baselines)
+        else:  # no baseline: never active, whatever the value
+            tests[v] = ZScoreHysteresis(lo, hi)
+            oracle[v] = [0] * len(values)
+    pw = pathway_from_tests(base, series, tests, baselines if with_baseline else None)
     for v in vertices:
         assert list(vertex_series(pw, v).astype(int)) == oracle[v]

@@ -49,6 +49,15 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig) -> Path:
+    """The output directory, checked before any step: the part of it that exists is a directory."""
+    out, where = (Path(args.out), "--out") if args.out else (Path(cfg.output_dir), "output_dir")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"{where}: {existing} is not a directory")
+    return out
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.member < 0:
         raise ConfigurationError(f"--member must be >= 0, got {args.member}")
@@ -57,7 +66,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, eruption=checked("--mass", replace, cfg.eruption, mass=args.mass))
     if args.seed is not None:
         cfg = replace(cfg, plan=replace(cfg.plan, seed=args.seed))
-    out = Path(args.out or cfg.output_dir)
+    out = _output_dir(args, cfg)
     grid = cfg.build_grid()
 
     base = base_dag_canonical()
@@ -81,7 +90,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out = Path(args.out or cfg.output_dir)
+    out = _output_dir(args, cfg)
     grid = cfg.build_grid()
     baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
     # the check every consumer of the file makes, so no unusable file is written
@@ -100,7 +109,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--experiments: unknown labels {unknown}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
-    out = Path(args.out or cfg.output_dir)
+    out = _output_dir(args, cfg)
     grid = cfg.build_grid()
 
     if args.baseline:
@@ -162,9 +171,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # the largest count's series and the run's step normals
     with allocating(f"--steps: {args.steps} steps of {max(counts)} QOIs are too many to hold"):
         np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
+    out = _output_dir(args, cfg)
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
-    out = Path(args.out or cfg.output_dir)
     write_bench_csv(out / "bench.csv", rows)
     for r in rows:
         print(f"{r.qoi_count} QOIs: ratio {r.ratio:.3f}")
@@ -229,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (VolpathError, OSError, IndexError) as exc:
+    except (VolpathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, allocating, checked, distinct_names
+from .errors import ConfigurationError, allocating, checked, distinct_names, read_input
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
@@ -102,14 +102,7 @@ def _reals(where: str, value, count: int | None = None) -> tuple[float, ...]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment configuration file; an empty file means the defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"configuration file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(read_input(path, "configuration", yaml.safe_load, yaml.YAMLError))
 
 
 def parse_config(raw: dict | None) -> ExperimentConfig:
@@ -210,10 +203,7 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     distinct_names("snapshot_days", snapshot_days)
     for day in snapshot_days:
         # the step export_dot will look up
-        try:
-            step_at_day(day, params.dt, params.n_steps)
-        except IndexError as exc:
-            raise ConfigurationError(f"snapshot_days: {exc}") from None
+        checked("snapshot_days", step_at_day, day, params.dt, params.n_steps)
 
     output_dir = raw.get("output_dir", "out")
     if not (isinstance(output_dir, str) and output_dir):

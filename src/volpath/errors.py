@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the helpers that name a bad key."""
+"""Exception hierarchy, the helpers that name a bad key, and read_input, the one file reader."""
 
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class VolpathError(Exception):
@@ -50,3 +51,14 @@ def allocating(message: str):
         yield
     except (MemoryError, ValueError):
         raise ConfigurationError(message) from None
+
+
+def read_input(path: str | Path, what: str, parse, malformed):
+    """parse(the file's text).  A file missing, unreadable (a directory, no permission),
+    undecodable, nested too deep or malformed raises naming what kind of file and its path."""
+    try:
+        return parse(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError, RecursionError, malformed) as exc:
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from None

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, allocating, checked, read_input
 from .harness import BenchRow, SummaryRow
 from .pathway import BaseDag, PathwayDag, materialize_dag, step_at_day
 from .stats import BaselineStats
@@ -72,10 +72,8 @@ def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
         raise ConfigurationError(
             f"pathway: 'intervals' must hold {base.r} lists, one per vertex"
         )
-    try:
+    with allocating(f"pathway: 'n_steps' {n_steps} is too large to hold"):
         activation = np.zeros((n_steps + 1, base.r), dtype=bool)
-    except (MemoryError, ValueError):
-        raise ConfigurationError(f"pathway: 'n_steps' {n_steps} is too large to hold") from None
     for l, (v, runs) in enumerate(zip(base.vertices, intervals)):
         where = f"pathway: 'intervals' of vertex {v!r}"
         if not isinstance(runs, list) or not all(
@@ -125,13 +123,14 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
         isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges
     ):
         raise ConfigurationError("pathway: 'edges' must be a list of [from, to] vertex pairs")
-    base = BaseDag(vertices=tuple(vertices), edges=tuple((a, b) for a, b in edges))
+    edges = tuple((a, b) for a, b in edges)
+    base = checked("pathway: 'vertices' and 'edges'", BaseDag, tuple(vertices), edges)
     dt = doc["dt_days"]
-    # an integer beyond the float range fails the upper bound, before float() can overflow
+    # kept as written, so the file writes back byte for byte; past the float range fails the bound
     if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
         raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
     activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
-    return PathwayDag(base=base, activation=activation, dt=float(dt))
+    return PathwayDag(base=base, activation=activation, dt=dt)
 
 
 def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: str) -> None:
@@ -139,19 +138,8 @@ def write_pathway_json(path: str | Path, pathway: PathwayDag, manifest_digest: s
     atomic_write_text(path, json.dumps(doc, separators=(",", ":")))
 
 
-def _read_json(path: str | Path, what: str):
-    """The JSON document in a pathway or baseline file; what names the kind in errors."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"{what} file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{what} file {path} is not valid JSON: {exc}") from None
-
-
 def read_pathway_json(path: str | Path) -> PathwayDag:
-    return pathway_from_dict(_read_json(path, "pathway"))
+    return pathway_from_dict(read_input(path, "pathway", json.loads, json.JSONDecodeError))
 
 
 def export_dot(pathway: PathwayDag, day: float, active_only: bool = False) -> str:
@@ -287,7 +275,7 @@ def write_baselines_json(path: str | Path, baselines: dict[str, BaselineStats]) 
 
 
 def read_baselines_json(path: str | Path) -> dict[str, BaselineStats]:
-    return baselines_from_dict(_read_json(path, "baseline"))
+    return baselines_from_dict(read_input(path, "baseline", json.loads, json.JSONDecodeError))
 
 
 def write_manifest_json(path: str | Path, manifest: dict) -> None:

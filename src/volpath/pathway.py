@@ -152,14 +152,14 @@ def materialize_dag(
 
 
 def step_at_day(day: float, dt: float, n_steps: int) -> int:
-    """The step nearest day; raises IndexError unless it lies in [0, n_steps]."""
+    """The step nearest day; raises ConfigurationError unless it lies in [0, n_steps]."""
     if not np.isfinite(day):
-        raise IndexError(f"day {day} is not a finite number")
+        raise ConfigurationError(f"day {day} is not a finite number")
     # day / dt overflows to inf for days near the float maximum
     step = day / dt
     m = int(round(step)) if np.isfinite(step) else step
     if not 0 <= m <= n_steps:
-        raise IndexError(f"day {day} maps to step {m}, outside [0, {n_steps}]")
+        raise ConfigurationError(f"day {day} maps to step {m}, outside [0, {n_steps}]")
     return m
 
 

@@ -93,6 +93,57 @@ def tiny_baseline():
 PATHWAY_FIELDS = [k for k in pathway_to_dict(tiny_pathway(), "abc") if k != "config_digest"]
 BASELINE_FIELDS = list(baselines_to_dict({"T(e)": tiny_baseline()})["T(e)"])
 
+#: input file contents placed by place_input rather than written as text
+DIRECTORY, NO_PERMISSION = "<a directory>", "<no permission>"
+#: the contents no reader can read, whatever the file's kind, with what the error says
+UNREADABLE = [
+    pytest.param(DIRECTORY, "<file>: [Errno 21] Is a directory", id="directory"),
+    pytest.param(b"\xff\xfe\x00bad", "<file>: 'utf-8' codec can't decode", id="not-utf-8"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "<file>: maximum recursion depth exceeded",
+                 id="nested-100000-deep"),
+    pytest.param(NO_PERMISSION, "<file>: [Errno 13] Permission denied", id="no-permission"),
+]
+
+
+def place_input(path, content, monkeypatch):
+    """Put content at path: a directory, a file that refuses to be read, bytes or text."""
+    if content == DIRECTORY:
+        path.mkdir()
+        return
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    if content == NO_PERMISSION:
+        # the tests may run as root, which reads any file, so the refusal is patched in
+        read_text = Path.read_text
+
+        def refusing(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refusing)
+
+
+#: JSON text no field of a pathway or baselines file should hold: the wrong type, NaN, +-inf,
+#: a negative number, huge integers (the last beyond the parser's digit limit), an empty
+#: list, and nesting, the deepest beyond the parser's recursion limit
+HOSTILE_JSON = st.sampled_from([
+    '"abc"', "null", "true", "{}", "NaN", "Infinity", "-Infinity", "-1", "-0.5",
+    "1" + "0" * 30, "1" + "0" * 400, "1" * 5000, "[]",
+]) | st.sampled_from([1, 3, 100_000]).map(lambda depth: "[" * depth + "]" * depth)
+
+
+def read_or_write_back(path, text, field, read, write):
+    """The property of a reader: given text with one field made hostile, it either raises
+    naming the field or the file, or returns a value the writer turns back into text."""
+    path.write_text(text)
+    try:
+        value = read(path)
+    except ConfigurationError as exc:
+        assert f"'{field}'" in str(exc) or str(path) in str(exc), str(exc)
+    else:
+        write(path, value)
+        assert path.read_text() == text
+
 
 class TestConfig:
     def test_defaults(self):
@@ -238,6 +289,16 @@ class TestPathwaySerialization:
         assert again.read_bytes() == path.read_bytes()
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(PATHWAY_FIELDS), value=HOSTILE_JSON)
+    def test_hostile_field_is_named_or_written_back(self, tmp_path_factory, field, value):
+        doc = {**pathway_to_dict(tiny_pathway(), "abc"), field: "<hostile>"}
+        text = json.dumps(doc, separators=(",", ":")).replace('"<hostile>"', value)
+        path = tmp_path_factory.mktemp("pw") / "pathway.json"
+        read_or_write_back(path, text, field, read_pathway_json,
+                           lambda path, pathway: write_pathway_json(path, pathway, "abc"))
+
+
 class TestBaselineSerialization:
     def test_round_trip(self, tmp_path):
         # a default-length run: rebuilding m2 from a stored std changes bits here
@@ -258,6 +319,15 @@ class TestBaselineSerialization:
         del doc["T(e)"][key]
         with pytest.raises(ConfigurationError, match=rf"T\(e\): missing field '{key}'"):
             baselines_from_dict(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(BASELINE_FIELDS), value=HOSTILE_JSON)
+    def test_hostile_field_is_named_or_written_back(self, tmp_path_factory, field, value):
+        doc = baselines_to_dict({"T(e)": tiny_baseline(), "T(s)": tiny_baseline()})
+        doc["T(e)"][field] = "<hostile>"
+        text = json.dumps(doc).replace('"<hostile>"', value)
+        path = tmp_path_factory.mktemp("bl") / "baselines.json"
+        read_or_write_back(path, text, field, read_baselines_json, write_baselines_json)
 
 
 class TestCsv:
@@ -310,7 +380,7 @@ class TestDot:
         assert '"C"' not in dot
 
     def test_day_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError, match="outside"):
             export_dot(tiny_pathway(), day=100.0)
 
     @pytest.mark.parametrize(
@@ -495,7 +565,8 @@ class TestCli:
                          id="doc6-named6"),
             pytest.param({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"], id="doc7-named7"),
             pytest.param([1, 2], ["mapping"], id="doc8-named8"),
-            pytest.param("{not json", ["not valid JSON"], id="{not json-named9"),
+            pytest.param("{not json", ["cannot read baseline file <file>: Expecting"],
+                         id="{not json-named9"),
             # json reads NaN and Infinity
             pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("nan")]}},
                          ["T(e)", "'m2' must hold finite numbers >= 0"],
@@ -525,19 +596,25 @@ class TestCli:
             # an integer beyond the float range
             pytest.param('{"T(e)": {"n_members": 2, "mean": [1' + "0" * 400 + '], "m2": [0.0]}}',
                          ["T(e)", "'mean' must hold finite numbers"], id="int-beyond-float"),
+            # beyond the parser's limit on the digits of an integer
+            pytest.param('{"T(e)": {"n_members": 2, "mean": [' + "1" * 5000 + '], "m2": [0.0]}}',
+                         ["cannot read baseline file <file>: Exceeds the limit"],
+                         id="int-beyond-digit-limit"),
+            *(pytest.param(case.values[0], [f"cannot read baseline file {case.values[1]}"],
+                           id=case.id) for case in UNREADABLE),
         ],
     )
     def test_malformed_baseline_file_exits_2(self, tmp_path, capsys, monkeypatch, doc, named):
         cfg = write_config(tmp_path)
         path = tmp_path / "baselines.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        place_input(path, doc if isinstance(doc, (str, bytes)) else json.dumps(doc), monkeypatch)
         ran = []
         monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **k: ran.append(a))
         assert main(["experiment", str(cfg), "--baseline", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         for text in named:
-            assert text in err
+            assert text.replace("<file>", str(path)) in err
         assert ran == []
 
     def test_experiment_grid_outputs(self, tmp_path):
@@ -837,18 +914,37 @@ class TestCli:
             pytest.param({"eruption": {"mass": 1e300}}, "eruption.mass", id="mass-overflows-kg"),
             pytest.param({"plan": {"masses": [5.0, 1e300]}}, "plan.masses",
                          id="masses-overflow-kg"),
+            # checked before any member steps, not after the first mass (<file> is the config)
+            pytest.param({"output_dir": "<file>"}, "output_dir: <file> is not a directory",
+                         id="output-dir-is-a-file"),
+            pytest.param({"output_dir": "<file>/out"}, "output_dir: <file> is not a directory",
+                         id="output-dir-under-a-file"),
+            # the file itself
+            pytest.param("grid: [unclosed", "cannot read configuration file <file>: while",
+                         id="unclosed-flow"),
+            # YAML's own conversions raise ValueError: a 13th month, digits beyond the limit
+            pytest.param("output_dir: 2020-13-01", "cannot read configuration file <file>: month",
+                         id="bad-date"),
+            pytest.param("plan: {seed: " + "1" * 5000 + "}",
+                         "cannot read configuration file <file>: Exceeds the limit",
+                         id="int-beyond-digit-limit"),
+            *(pytest.param(case.values[0], f"cannot read configuration file {case.values[1]}",
+                           id=case.id) for case in UNREADABLE),
         ],
     )
     def test_malformed_config_exits_2_naming_key(
         self, tmp_path, capsys, monkeypatch, patch, key
     ):
-        raw = tiny_config_dict(tmp_path)
-        for section, value in patch.items():
-            if isinstance(value, dict) and isinstance(raw.get(section), dict):
-                value = {**raw[section], **value}
-            raw[section] = value
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump(raw))
+        if isinstance(patch, dict):
+            raw = tiny_config_dict(tmp_path)
+            for section, value in patch.items():
+                if isinstance(value, dict) and isinstance(raw.get(section), dict):
+                    value = {**raw[section], **value}
+                raw[section] = value
+            patch = yaml.safe_dump(raw).replace("<file>", str(path))
+        place_input(path, patch, monkeypatch)
+        key = key.replace("<file>", str(path))
         ran = []
         # every run, whole-state or an ensemble member, starts from initialize
         monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
@@ -858,6 +954,19 @@ class TestCli:
         assert ran == []
         assert list(tmp_path.rglob("*")) == [path]
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "baseline", "experiment", "bench"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        cfg = write_config(tmp_path)
+        ran = []
+        monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
+        assert main([command, str(cfg), "--out", str(cfg / "out" if under else cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: --out: {cfg} is not a directory\n"
+        assert ran == []
+        assert list(tmp_path.rglob("*")) == [cfg]
+
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
         write_pathway_json(pw_path, tiny_pathway(), "abc")
@@ -866,16 +975,19 @@ class TestCli:
             "export-dot", str(pw_path), "--day", "1.0", "--out", str(dot_path),
         ]) == 0
         assert "digraph" in dot_path.read_text()
-        assert main(["export-dot", str(pw_path), "--day", "999"]) == 1
+        # a day outside the run is bad input, as it is in snapshot_days
+        assert main(["export-dot", str(pw_path), "--day", "999"]) == 2
         assert "outside [0, 3]" in capsys.readouterr().err
         for day, step in (("1e308", "inf"), ("-1e308", "-inf")):
-            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 1
+            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: day {float(day)} maps to step {step}, outside [0, 3]\n", day
+            assert err == (
+                f"configuration error: day {float(day)} maps to step {step}, outside [0, 3]\n"
+            ), day
         for day in ("nan", "inf", "-inf"):
-            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 1
+            assert main(["export-dot", str(pw_path), f"--day={day}"]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: day {float(day)} is not a finite number\n", day
+            assert err == f"configuration error: day {float(day)} is not a finite number\n", day
 
     def test_export_dot_creates_output_directory(self, tmp_path):
         pw_path = tmp_path / "pathway.json"
@@ -888,7 +1000,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "patch, named",
         [
-            pytest.param("{not json", "not valid JSON", id="{not json-not valid JSON"),
+            pytest.param("{not json", "cannot read pathway file <file>: Expecting",
+                         id="{not json-not valid JSON"),
             pytest.param([1, 2], "mapping", id="patch1-mapping"),
             pytest.param({"dt_days": float("inf")}, "'dt_days'", id="patch2-'dt_days'"),
             pytest.param({"dt_days": "0.5"}, "'dt_days'", id="patch3-'dt_days'"),
@@ -973,22 +1086,28 @@ class TestCli:
             pytest.param({"vertices": ['A"B', "B", "C"]}, "'vertices'", id="quote-in-vertex"),
             pytest.param({"vertices": ["A\\", "B", "C"]}, "'vertices'",
                          id="trailing-backslash-in-vertex"),
+            # beyond the parser's limit on the digits of an integer
+            pytest.param({"n_steps": "<long>"},
+                         "cannot read pathway file <file>: Exceeds the limit",
+                         id="int-beyond-digit-limit"),
+            *(pytest.param(case.values[0], f"cannot read pathway file {case.values[1]}",
+                           id=case.id) for case in UNREADABLE),
         ],
     )
-    def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, patch, named):
+    def test_malformed_pathway_file_exits_2(self, tmp_path, capsys, monkeypatch, patch, named):
         path = tmp_path / "pathway.json"
         if isinstance(patch, dict):
             doc = pathway_to_dict(tiny_pathway(), "abc")
             doc.update(patch)
             # None marks a field left out of the file
             doc = {k: v for k, v in doc.items() if v is not None}
-            patch = json.dumps(doc)
-        elif not isinstance(patch, str):
+            patch = json.dumps(doc).replace('"<long>"', "1" * 5000)
+        elif not isinstance(patch, (str, bytes)):
             patch = json.dumps(patch)
-        path.write_text(patch)
+        place_input(path, patch, monkeypatch)
         assert main(["export-dot", str(path), "--day", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and named in err
+        assert err.startswith("configuration error:") and named.replace("<file>", str(path)) in err
 
     def test_bench_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path)

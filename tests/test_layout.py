@@ -1,6 +1,6 @@
 """Package layout: one-way imports, none inside functions, a caller for every public name,
-the only functions that step runs or draw their random numbers, and the one function that
-advances their clock."""
+the only functions that step runs or draw their random numbers, the one function that
+advances their clock, and the one function that reads an input file."""
 
 import ast
 from pathlib import Path
@@ -187,3 +187,11 @@ def test_one_owner_of_the_clock():
     strays = [f"{scope} (line {line})" for scope, line in writes if scope not in CLOCK_WRITERS]
     assert strays == [], "only Stepper.advance_tracers may advance a run's clock"
     assert "surrogate.Stepper.advance_tracers" in {scope for scope, _ in writes}
+
+
+def test_one_reader_of_input_files():
+    """The configuration, pathway and baselines files are all read by errors.read_input, so
+    every bad input file fails the one way."""
+    readers = {"read_text", "read_bytes", "open"}
+    calls = [call for path in MODULES for call in calls_to(path, readers)]
+    assert {scope for scope, _ in calls} == {"errors.read_input"}, calls

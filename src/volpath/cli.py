@@ -38,7 +38,7 @@ from .harness import (
     run_experiment_grid,
 )
 from .pathway import base_dag_canonical, canonical_tests, compute_pathway, score_tables
-from .surrogate import N_NOISE_BANDS
+from .surrogate import N_NOISE_BANDS, injection_slice
 
 logger = logging.getLogger("volpath")
 
@@ -49,12 +49,18 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig) -> Path:
-    """The output directory, checked before any step: the part of it that exists is a directory."""
+def _can_hold(where: str, *dirs: Path) -> None:
+    """Raise naming where unless, of each of dirs, the part that exists is a directory."""
+    for path in dirs:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigurationError(f"{where}: {existing} is not a directory")
+
+
+def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig, *subdirs: str) -> Path:
+    """The output directory and the subdirectories written into, checked before any step."""
     out, where = (Path(args.out), "--out") if args.out else (Path(cfg.output_dir), "output_dir")
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigurationError(f"{where}: {existing} is not a directory")
+    _can_hold(where, out, *(out / d for d in subdirs))
     return out
 
 
@@ -68,6 +74,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, plan=replace(cfg.plan, seed=args.seed))
     out = _output_dir(args, cfg)
     grid = cfg.build_grid()
+    # only --mass can erupt where parse_config saw every mass at 0
+    checked("--mass", injection_slice, grid, cfg.eruption)
 
     base = base_dag_canonical()
     tests = canonical_tests(*cfg.plan.experiments[0][1:])
@@ -109,7 +117,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--experiments: unknown labels {unknown}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
-    out = _output_dir(args, cfg)
+    out = _output_dir(args, cfg, "pathways", "snapshots")
     grid = cfg.build_grid()
 
     if args.baseline:
@@ -145,6 +153,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    if args.out:  # checked before rendering, as _output_dir checks a directory
+        _can_hold("--out", Path(args.out).parent)
+        if Path(args.out).is_dir():
+            raise ConfigurationError(f"--out: {args.out} is a directory")
     pathway = read_pathway_json(args.pathway)
     dot = export_dot(pathway, args.day, active_only=args.active_only)
     if args.out:

@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, allocating, checked, distinct_names, read_input
+from .errors import ConfigurationError, allocating, checked, distinct_names, read_input, shown
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
@@ -67,7 +67,8 @@ def _mapping(where: str, value) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{where or 'the configuration'} must be a mapping, got {value!r}")
+        what = where or "the configuration"
+        raise ConfigurationError(f"{what} must be a mapping, got {shown(value)}")
     unknown = [f"{where}.{k}" if where else str(k) for k in value if k not in _KEYS[where]]
     if unknown:
         raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
@@ -81,7 +82,7 @@ def _real(where: str, value) -> float:
     except (TypeError, ValueError, OverflowError):
         number = float("nan")
     if isinstance(value, bool) or not math.isfinite(number):
-        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+        raise ConfigurationError(f"{where} must be a finite number, got {shown(value)}")
     return number
 
 
@@ -89,14 +90,14 @@ def _integer(where: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{where} must be an integer, got {shown(value)}")
     return value
 
 
 def _reals(where: str, value, count: int | None = None) -> tuple[float, ...]:
     if not isinstance(value, list) or count not in (None, len(value)):
         what = "a list" if count is None else f"a list of {count} numbers"
-        raise ConfigurationError(f"{where} must be {what}, got {value!r}")
+        raise ConfigurationError(f"{where} must be {what}, got {shown(value)}")
     return tuple(_real(f"{where}[{i}]", x) for i, x in enumerate(value))
 
 
@@ -120,7 +121,7 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     surrogate_raw = _mapping("surrogate", raw.get("surrogate"))
     preset = surrogate_raw.get("preset", PRESET_ID)
     if preset != PRESET_ID:
-        raise ConfigurationError(f"surrogate.preset: unknown preset {preset!r}")
+        raise ConfigurationError(f"surrogate.preset: unknown preset {shown(preset)}")
     overrides = dict(_mapping("surrogate.overrides", surrogate_raw.get("overrides")))
     for key, value in overrides.items():
         where = f"surrogate.overrides.{key}"
@@ -154,7 +155,7 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     experiments = plan_raw.get("experiments", {e[0]: list(e[1:]) for e in defaults.experiments})
     if not isinstance(experiments, dict) or not experiments:
         raise ConfigurationError(
-            f"plan.experiments must map labels to [T_l, T_u], got {experiments!r}"
+            f"plan.experiments must map labels to [T_l, T_u], got {shown(experiments)}"
         )
     plan = ExperimentPlan(
         masses=_reals("plan.masses", plan_raw.get("masses", list(defaults.masses))),
@@ -170,15 +171,16 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     )
 
     # the grid and one 3-D field of a run
-    shape = f"{grid['nlat']} x {grid['nlon']} x {grid['nlev']}"
+    shape = " x ".join(shown(grid[k]) for k in ("nlat", "nlon", "nlev"))
     with allocating(f"grid: {shape} is too large to hold"):
-        built = build_grid(**grid)
+        built = checked("grid", build_grid, **grid)
         np.empty((grid["nlat"], grid["nlon"], grid["nlev"]))
-    with allocating(f"surrogate.overrides.n_steps: {params.n_steps} steps are too many to hold"):
+    steps = shown(params.n_steps)
+    with allocating(f"surrogate.overrides.n_steps: {steps} steps are too many to hold"):
         np.empty((len(registry_canonical()), params.n_steps + 1))
     members = max(plan.n_members, plan.baseline_members)
     key = "plan.n_members" if members == plan.n_members else "plan.baseline_members"
-    with allocating(f"{key}: {members} members of {params.n_steps} steps are too many to hold"):
+    with allocating(f"{key}: {shown(members)} members of {steps} steps are too many to hold"):
         np.empty((params.n_steps, members, N_NOISE_BANDS))
     # a Stepper's checks, made here so that they name their key before any run
     checked("surrogate.overrides.v_transport", transport_fraction, params, built)
@@ -207,7 +209,7 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
 
     output_dir = raw.get("output_dir", "out")
     if not (isinstance(output_dir, str) and output_dir):
-        raise ConfigurationError(f"output_dir must be a non-empty string, got {output_dir!r}")
+        raise ConfigurationError(f"output_dir must be a non-empty string, got {shown(output_dir)}")
 
     return ExperimentConfig(
         grid=grid,

@@ -36,11 +36,17 @@ def checked(where: str, check, *args, **kwargs):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
+def shown(value) -> str:
+    """value's repr for a message, cut to at most 80 characters ending in '...' if longer."""
+    return text if len(text := repr(value)) <= 80 else f"{text[:77]}..."
+
+
 def distinct_names(where: str, values: tuple[float, ...]) -> None:
     """Raise naming where unless values differ in the {:g} form that names output files."""
     if len({f"{value:g}" for value in values}) < len(values):
         raise ConfigurationError(
-            f"{where} must differ in the {{:g}} form that names output files, got {list(values)}"
+            f"{where} must differ in the {{:g}} form that names output files, "
+            f"got {shown(list(values))}"
         )
 
 
@@ -49,7 +55,7 @@ def allocating(message: str):
     """Raise ConfigurationError(message) where the block asks numpy for too large an array."""
     try:
         yield
-    except (MemoryError, ValueError):
+    except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(message) from None
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, allocating, checked, read_input
+from .errors import ConfigurationError, allocating, checked, read_input, shown
 from .harness import BenchRow, SummaryRow
 from .pathway import BaseDag, PathwayDag, materialize_dag, step_at_day
 from .stats import BaselineStats
@@ -67,7 +67,9 @@ def pathway_to_dict(pathway: PathwayDag, manifest_digest: str) -> dict:
 def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
     """(n_steps + 1, r) taus from each vertex's sorted, disjoint, non-adjacent runs."""
     if type(n_steps) is not int or n_steps < 0:
-        raise ConfigurationError(f"pathway: 'n_steps' must be an integer >= 0, got {n_steps!r}")
+        raise ConfigurationError(
+            f"pathway: 'n_steps' must be an integer >= 0, got {shown(n_steps)}"
+        )
     if not isinstance(intervals, list) or len(intervals) != base.r:
         raise ConfigurationError(
             f"pathway: 'intervals' must hold {base.r} lists, one per vertex"
@@ -75,7 +77,7 @@ def _activation_from_intervals(base: BaseDag, n_steps, intervals) -> np.ndarray:
     with allocating(f"pathway: 'n_steps' {n_steps} is too large to hold"):
         activation = np.zeros((n_steps + 1, base.r), dtype=bool)
     for l, (v, runs) in enumerate(zip(base.vertices, intervals)):
-        where = f"pathway: 'intervals' of vertex {v!r}"
+        where = f"pathway: 'intervals' of vertex {shown(v)}"
         if not isinstance(runs, list) or not all(
             isinstance(run, list) and len(run) == 2 and all(type(x) is int for x in run)
             for run in runs
@@ -128,7 +130,7 @@ def pathway_from_dict(doc: dict) -> PathwayDag:
     dt = doc["dt_days"]
     # kept as written, so the file writes back byte for byte; past the float range fails the bound
     if type(dt) not in (int, float) or not 0 < dt <= sys.float_info.max:
-        raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {dt!r}")
+        raise ConfigurationError(f"pathway: 'dt_days' must be a positive number, got {shown(dt)}")
     activation = _activation_from_intervals(base, doc["n_steps"], doc["intervals"])
     return PathwayDag(base=base, activation=activation, dt=dt)
 

@@ -4,16 +4,16 @@ threshold grid, and the QOI-count overhead benchmark.
 The bounds-test thresholds are analysis-side only, so each (mass, member)
 trajectory is simulated once and every experiment's pathway is derived from
 the same in-situ-extracted series, under score tables built once per
-experiment (experiment_tables).  run_lockstep steps one whole state.
-canonical_series records one ensemble at every mass in one call: simulate's
-one member, the baseline or the experiment grid's members.  The tracers draw
-no random numbers and are linear in the mass, so every mass's 12 tracer rows
-are the mass times one 1 Tg run's (within 1e-12 relative of a direct run), a
-mass-0 ensemble takes no tracer step, and each member, started once, steps
-its 4 T-QOIs in QOI space from those rows' AOD.  run_member, the paper's
-single-member in-situ path and the overhead benchmark's, steps the whole
-state and shows it to the caller's hook.  Member seeds are derived from the
-plan seed with a stable hash so any cell of the grid can be reproduced alone.
+experiment (experiment_tables).  run_member, the paper's in-situ path, is
+the one loop that steps a whole state (a member's, or the 1 Tg tracer run's)
+and shows it to the caller's hook.  canonical_series records one ensemble at
+every mass in one call: simulate's one member, the baseline or the
+experiment grid's members.  The tracers draw no random numbers and are
+linear in the mass, so every mass's 12 tracer rows are the mass times one
+1 Tg run's (within 1e-12 relative of a direct run), a mass-0 ensemble takes
+no tracer step, and each member, started once, steps its 4 T-QOIs in QOI
+space from those rows' AOD.  Member seeds are derived from the plan seed
+with a stable hash so any cell of the grid can be reproduced alone.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class TrackerHook:
     def observe(self, state) -> None:
         self.series[:, state.step_index] = self.evaluator.evaluate_state(state)
 
-    def series_by_id(self) -> dict[str, np.ndarray]:
-        return {qid: self.series[i] for i, qid in enumerate(self.evaluator.ids)}
-
 
 @dataclass
 class MemberResult:
@@ -129,13 +126,13 @@ def _member(seed: RunSeed, mass: float) -> str:
     return f"member {seed.member_index} (mass {mass} Tg, seed {seed.seed})"
 
 
-def run_lockstep(
+def run_member(
     params: ModelParams,
     eruption: EruptionSpec,
     grid: SphericalGrid,
     seed: RunSeed | None,
     hook: TrackerHook,
-) -> None:
+) -> MemberResult:
     """Step one state in place, shown to hook at steps 0..n_steps: the loop for whole states.
 
     The state is seed's member's or, with no seed, only the tracers, which
@@ -161,18 +158,7 @@ def run_lockstep(
         # the same object, so attributes such as step_index survive
         exc.args = (f"{who} failed: {exc}",)
         raise
-
-
-def run_member(
-    params: ModelParams,
-    eruption: EruptionSpec,
-    grid: SphericalGrid,
-    seed: RunSeed,
-    hook: TrackerHook,
-) -> MemberResult:
-    """One simulation with the in-situ hook called every step: run_lockstep of seed's member."""
-    run_lockstep(params, eruption, grid, seed, hook)
-    return MemberResult(series=hook.series_by_id())
+    return MemberResult(series=dict(zip(hook.evaluator.ids, hook.series)))
 
 
 def tracer_unit_rows(
@@ -189,7 +175,7 @@ def tracer_unit_rows(
     specs = [s for s in registry_canonical() if s.field != "T"]
     slab = replace(grid, nlon=1, area_weight=grid.area_weight.sum(axis=1, keepdims=True))
     hook = TrackerHook(slab, specs, params.n_steps, params.dt)
-    run_lockstep(params, replace(eruption, mass=1.0), slab, None, hook)
+    run_member(params, replace(eruption, mass=1.0), slab, None, hook)
     return hook.series
 
 

@@ -161,7 +161,7 @@ def transport_fraction(params: ModelParams, grid: SphericalGrid) -> float:
     frac = params.v_transport * params.dt / grid.dlat
     if frac > 1.0:
         raise ConfigurationError(
-            f"transport CFL fraction {frac:.3f} > 1 at dt {params.dt} on grid.nlat "
+            f"transport CFL fraction {frac:.4g} > 1 at dt {params.dt} on grid.nlat "
             f"{grid.nlat}; reduce dt or v_transport, or use fewer rows"
         )
     return frac

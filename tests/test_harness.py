@@ -25,7 +25,6 @@ from volpath.harness import (
     experiment_tables,
     run_baseline_ensemble,
     run_experiment_grid,
-    run_lockstep,
     run_member,
     synthetic_registry,
     tracer_unit_rows,
@@ -474,7 +473,7 @@ def unit_rows_3d(params, eruption, grid):
     """Oracle: the 1 Tg tracer run's 12 tracer QOI rows, stepped on the whole 3-D grid."""
     specs = [s for s in registry_canonical() if s.field != "T"]
     hook = TrackerHook(grid, specs, params.n_steps, params.dt)
-    run_lockstep(params, replace(eruption, mass=1.0), grid, None, hook)
+    run_member(params, replace(eruption, mass=1.0), grid, None, hook)
     return hook.series
 
 
@@ -534,9 +533,9 @@ class TestSlab:
     def test_slab_conserves_sulfur(self, monkeypatch):
         # criterion 4 on the grid that tracer_unit_rows steps
         grids = []
-        lockstep = harness.run_lockstep
-        monkeypatch.setattr(harness, "run_lockstep",
-                            lambda p, e, grid, *a: grids.append(grid) or lockstep(p, e, grid, *a))
+        member = harness.run_member
+        monkeypatch.setattr(harness, "run_member",
+                            lambda p, e, grid, *a: grids.append(grid) or member(p, e, grid, *a))
         tracer_unit_rows(ModelParams(n_steps=1), EruptionSpec(), build_grid(**DEFAULT_GRID))
         (slab,) = grids
         params = replace(PRESET_PARAMS, tau_decay=None)

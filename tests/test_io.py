@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,9 @@ from volpath.pathway import (
     compute_pathway,
     score_tables,
 )
+from volpath.qoi import RegistryEvaluator, registry_canonical
 from volpath.stats import BaselineStats
-from volpath.surrogate import N_NOISE_BANDS, PRESET_ID
+from volpath.surrogate import N_NOISE_BANDS, PRESET_ID, Stepper
 
 
 def tiny_config_dict(tmp_path, **extra):
@@ -145,7 +147,48 @@ def read_or_write_back(path, text, field, read, write):
         assert path.read_text() == text
 
 
+#: every key of the configuration schema, as section.key
+SCHEMA_KEYS = [f"{where}.{key}" if where else key for where, keys in config._KEYS.items()
+               for key in keys]
+#: values no key of a configuration should take: the wrong type, NaN, +-inf, a negative number,
+#: 0, huge numbers, an empty list or string, and strings holding a path
+HOSTILE_CONFIG = [
+    True, [1.0], float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 1e300, 10**30, [], "",
+    "a/b", "../x",
+]
+
+
+def names_a_key(message):
+    """Whether message starts with a key of the schema: section.key, or a whole section."""
+    return any(message.startswith(key) and message[len(key):][:1] in (":", " ", ".", "[")
+               for key in SCHEMA_KEYS)
+
+
 class TestConfig:
+    # 600 examples draw each of the 33 x 14 (key, value) pairs
+    @settings(max_examples=600, deadline=None)
+    @given(key=st.sampled_from(SCHEMA_KEYS), value=st.sampled_from(HOSTILE_CONFIG))
+    def test_hostile_key_is_named_or_builds(self, key, value):
+        """One key of a valid 8x8x8 config made hostile either fails naming a key, in a short
+        message, or parses into a config whose grid, steppers, evaluator and tests all build."""
+        raw = tiny_config_dict(Path("."), snapshot_days=[1.0])
+        *sections, name = key.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        try:
+            cfg = parse_config(raw)
+        except ConfigurationError as exc:
+            assert names_a_key(str(exc)) and len(str(exc)) < 200, str(exc)
+            return
+        grid = cfg.build_grid()
+        for mass in cfg.plan.masses:
+            Stepper(cfg.params, replace(cfg.eruption, mass=mass), grid)
+        RegistryEvaluator(grid, registry_canonical())
+        for _, t_l, t_u in cfg.plan.experiments:
+            canonical_tests(t_l, t_u)
+
     def test_defaults(self):
         cfg = parse_config({})
         assert cfg.grid == {
@@ -910,6 +953,17 @@ class TestCli:
             pytest.param({"plan": {"n_members": 10**20}},
                          "plan.n_members: 100000000000000000000 members of 40 steps are "
                          "too many to hold", id="members-too-large"),
+            # beyond a C long: numpy overflows rather than refusing the shape
+            pytest.param({"grid": {"nlon": 1.0e+30}},
+                         "grid: 8 x 1000000000000000019884624838656 x 8 is too large to hold",
+                         id="nlon-overflows-c-long"),
+            # build_grid's own checks
+            pytest.param({"grid": {"p_top": 2000}},
+                         "grid: pressure bounds require 0 < p_top < p_surface, "
+                         "got (2000.0, 1000.0)",
+                         id="p-top-below-the-surface"),
+            pytest.param({"grid": {"nlat": 2}}, "grid: grid counts too small: nlat=2 (>=4)",
+                         id="nlat-too-small"),
             # finite in Tg, not in kg
             pytest.param({"eruption": {"mass": 1e300}}, "eruption.mass", id="mass-overflows-kg"),
             pytest.param({"plan": {"masses": [5.0, 1e300]}}, "plan.masses",
@@ -954,18 +1008,33 @@ class TestCli:
         assert ran == []
         assert list(tmp_path.rglob("*")) == [path]
 
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-    @pytest.mark.parametrize("command", ["simulate", "baseline", "experiment", "bench"])
+    @pytest.mark.parametrize("command, bad", [
+        *(pytest.param(command, bad, id=f"{command}-{bad}")
+          for command in ("simulate", "baseline", "experiment", "bench")
+          for bad in ("file", "under-a-file")),
+        # the subdirectories experiment writes into, once it has stepped the baseline and a mass
+        pytest.param("experiment", "pathways", id="experiment-pathways-a-file"),
+        pytest.param("experiment", "snapshots", id="experiment-snapshots-a-file"),
+    ])
     def test_out_that_cannot_be_a_directory_exits_2_before_any_run(
-        self, tmp_path, capsys, monkeypatch, command, under
+        self, tmp_path, capsys, monkeypatch, command, bad
     ):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, snapshot_days=[1.0])
+        if bad in ("file", "under-a-file"):
+            out, blocker = (cfg if bad == "file" else cfg / "out"), cfg
+        else:
+            out = tmp_path / "o5"
+            blocker = out / bad
+            out.mkdir()
+            blocker.write_text("")
+        before = sorted(tmp_path.rglob("*"))
         ran = []
         monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
-        assert main([command, str(cfg), "--out", str(cfg / "out" if under else cfg)]) == 2
-        assert capsys.readouterr().err == f"configuration error: --out: {cfg} is not a directory\n"
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --out: {blocker} is not a directory\n"
         assert ran == []
-        assert list(tmp_path.rglob("*")) == [cfg]
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
@@ -988,6 +1057,27 @@ class TestCli:
             assert main(["export-dot", str(pw_path), f"--day={day}"]) == 2
             err = capsys.readouterr().err
             assert err == f"configuration error: day {float(day)} is not a finite number\n", day
+
+    @pytest.mark.parametrize("bad", ["directory", "under-a-file"])
+    def test_export_dot_out_that_cannot_be_written_exits_2_before_rendering(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        pw_path = tmp_path / "pathway.json"
+        write_pathway_json(pw_path, tiny_pathway(), "abc")
+        if bad == "directory":
+            out = tmp_path / "adir"
+            out.mkdir()
+            why = f"{out} is a directory"
+        else:
+            out = pw_path / "x.dot"
+            why = f"{pw_path} is not a directory"
+        before = sorted(tmp_path.rglob("*"))
+        rendered = []
+        monkeypatch.setattr(cli, "export_dot", lambda *a, **k: rendered.append(a) or "")
+        assert main(["export-dot", str(pw_path), "--day", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: --out: {why}\n"
+        assert rendered == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_export_dot_creates_output_directory(self, tmp_path):
         pw_path = tmp_path / "pathway.json"
@@ -1180,6 +1270,42 @@ class TestCli:
         )
         assert ran == []
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_mass_outside_the_injection_levels_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every configured mass is 0, so parse_config has no injection to check on 8 levels
+        cfg = write_config(tmp_path, eruption={"mass": 0, "injection_levels": [1.5, 1.6]},
+                           plan={"masses": [0], "n_members": 2, "baseline_members": 2})
+        ran = []
+        monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
+        assert main(["simulate", str(cfg), "--mass", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: --mass: injection selection is empty\n"
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["dt-nested-900-deep", "nlat-1e300", "300-masses-collide"])
+    def test_bad_value_is_echoed_short(self, tmp_path, capsys, case):
+        if case == "dt-nested-900-deep":
+            # a value nested 900 deep, which the JSON parser still reads
+            path = tmp_path / "pathway.json"
+            doc = pathway_to_dict(tiny_pathway(), "abc")
+            doc["dt_days"] = json.loads("[" * 900 + "0.5" + "]" * 900)
+            path.write_text(json.dumps(doc))
+            argv, key = ["export-dot", str(path), "--day", "1"], "pathway: 'dt_days'"
+        elif case == "nlat-1e300":
+            argv = ["experiment", str(write_config(tmp_path, grid={"nlat": 1.0e+300}))]
+            key = "grid: 1000000000000000052504760255204420248704468581108159154915854115511802"
+        else:
+            masses = [float(m) for m in range(1, 300)] + [1.0000001]
+            plan = {"masses": masses, "n_members": 2, "baseline_members": 2}
+            argv = ["experiment", str(write_config(tmp_path, plan=plan))]
+            key = "plan.masses must differ in the {:g} form that names output files, got [1.0, "
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}")
+        assert err.count("\n") == 1 and len(err) < 200, err
 
     def test_simulate_negative_mass_names_option(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

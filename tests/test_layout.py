@@ -117,7 +117,7 @@ def test_every_public_name_has_a_caller():
 #: The functions allowed to call a Stepper method: the loop that steps one
 #: whole state, the zone-mean loop of an ensemble's members and the one-step
 #: function
-STEPPING = {"harness.run_lockstep", "harness.canonical_series", "surrogate.step"}
+STEPPING = {"harness.run_member", "harness.canonical_series", "surrogate.step"}
 STEPPER_METHODS = {
     "advance_tracers", "advance_temperature", "advance_zone_temperature", "noise_path",
 }
@@ -160,7 +160,7 @@ def test_only_the_stepping_functions_step_runs():
 #: normals of the one-step function, a whole-state run and an ensemble.  A
 #: Stepper draws nothing.
 DRAWING = {
-    "surrogate.initialize", "surrogate.step", "harness.run_lockstep", "harness.canonical_series",
+    "surrogate.initialize", "surrogate.step", "harness.run_member", "harness.canonical_series",
 }
 
 

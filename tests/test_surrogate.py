@@ -266,7 +266,7 @@ class TestStepper:
         # so a reordered operation shows in the last bit
         halves, stepped, oracle = (random_state(grid, np.random.default_rng(5))
                                    for _ in range(3))
-        # the halves draw the run's normals in one call, as run_lockstep does
+        # the halves draw the run's normals in one call, as run_member does
         normals = rngs[0].standard_normal((params.n_steps, N_NOISE_BANDS))
         noise = stepper.noise_path(halves.band_noise, normals)
         for m in range(params.n_steps):

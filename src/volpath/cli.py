@@ -49,18 +49,23 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _can_hold(where: str, *dirs: Path) -> None:
-    """Raise naming where unless, of each of dirs, the part that exists is a directory."""
+def _can_hold(where: str, dirs: list[Path], files: list[Path]) -> None:
+    """Raise naming where unless, of each of dirs, the part that exists is a directory,
+    and none of files is a directory, which the rename of a written file cannot replace."""
     for path in dirs:
         existing = next(p for p in (path, *path.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigurationError(f"{where}: {existing} is not a directory")
+    for path in files:
+        if path.is_dir():
+            raise ConfigurationError(f"{where}: {path} is a directory")
 
 
-def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig, *subdirs: str) -> Path:
-    """The output directory and the subdirectories written into, checked before any step."""
+def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig, files: list[str],
+                *subdirs: str) -> Path:
+    """The output directory and the files and subdirectories written into, checked first."""
     out, where = (Path(args.out), "--out") if args.out else (Path(cfg.output_dir), "output_dir")
-    _can_hold(where, out, *(out / d for d in subdirs))
+    _can_hold(where, [out, *(out / d for d in subdirs)], [out / f for f in files])
     return out
 
 
@@ -72,7 +77,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, eruption=checked("--mass", replace, cfg.eruption, mass=args.mass))
     if args.seed is not None:
         cfg = replace(cfg, plan=replace(cfg.plan, seed=args.seed))
-    out = _output_dir(args, cfg)
+    out = _output_dir(args, cfg, ["series.csv", "pathway.json", "manifest.json"])
     grid = cfg.build_grid()
     # only --mass can erupt where parse_config saw every mass at 0
     checked("--mass", injection_slice, grid, cfg.eruption)
@@ -98,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out = _output_dir(args, cfg)
+    out = _output_dir(args, cfg, ["baselines.json", "manifest.json"])
     grid = cfg.build_grid()
     baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
     # the check every consumer of the file makes, so no unusable file is written
@@ -117,7 +122,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--experiments: unknown labels {unknown}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
-    out = _output_dir(args, cfg, "pathways", "snapshots")
+    files = ["summary.csv", "manifest.json"] + ([] if args.baseline else ["baselines.json"])
+    out = _output_dir(args, cfg, files, "pathways", "snapshots")
     grid = cfg.build_grid()
 
     if args.baseline:
@@ -154,9 +160,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.out:  # checked before rendering, as _output_dir checks a directory
-        _can_hold("--out", Path(args.out).parent)
-        if Path(args.out).is_dir():
-            raise ConfigurationError(f"--out: {args.out} is a directory")
+        _can_hold("--out", [Path(args.out).parent], [Path(args.out)])
     pathway = read_pathway_json(args.pathway)
     dot = export_dot(pathway, args.day, active_only=args.active_only)
     if args.out:
@@ -183,7 +187,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # the largest count's series and the run's step normals
     with allocating(f"--steps: {args.steps} steps of {max(counts)} QOIs are too many to hold"):
         np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
-    out = _output_dir(args, cfg)
+    out = _output_dir(args, cfg, ["bench.csv"])
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
     write_bench_csv(out / "bench.csv", rows)

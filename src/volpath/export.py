@@ -3,15 +3,17 @@
 A pathway file stores its activation matrix as n_steps plus, per vertex in
 vertex order, the sorted, disjoint, non-adjacent [start, end) step ranges in
 which the vertex is active, so each matrix has exactly one encoding.  A
-baselines file stores each QOI's member count, per-step mean and per-step
-Welford m2.  Only this module knows the formats, and each has one reader,
-which checks every field before it builds anything.  Every writer goes
-through an atomic write-then-rename so no partial file is left behind on an
-error path.
+baselines file stores each QOI's member count, and its per-step mean and
+per-step Welford m2 each as the base64 of the array's little-endian float64
+bytes, which read back bit for bit and have one canonical encoding.  Only
+this module knows the formats, and each has one reader, which checks every
+field before it builds anything.  Every writer goes through an atomic
+write-then-rename so no partial file is left behind on an error path.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -220,48 +222,53 @@ def write_bench_csv(path: str | Path, rows: list[BenchRow]) -> None:
     atomic_write_text(path, bench_csv_text(rows))
 
 
+def _packed(values: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
 def baselines_to_dict(baselines: dict[str, BaselineStats]) -> dict:
     return {
-        qid: {
-            "n_members": b.n,
-            "mean": [float(x) for x in b.mean],
-            "m2": [float(x) for x in b.m2],
-        }
+        qid: {"n_members": b.n, "mean": _packed(b.mean), "m2": _packed(b.m2)}
         for qid, b in baselines.items()
     }
 
 
 def _baseline_entry(qid: str, entry) -> BaselineStats:
     """One QOI's stats from a baselines file; a malformed field raises naming QOI and field."""
+    where = f"baseline {shown(qid)}"
     if not isinstance(entry, dict):
-        raise ConfigurationError(f"baseline {qid}: entry must be a mapping")
+        raise ConfigurationError(f"{where}: entry must be a mapping")
     for key in ("n_members", "mean", "m2"):
         if key not in entry:
             # files written before m2 was stored carry the std instead
             legacy = key == "m2" and "std" in entry
             note = "; the 'std' form is no longer read" if legacy else ""
-            raise ConfigurationError(f"baseline {qid}: missing field {key!r}{note}")
+            raise ConfigurationError(f"{where}: missing field {key!r}{note}")
     n = entry["n_members"]
     if type(n) is not int or n < 0:
-        raise ConfigurationError(f"baseline {qid}: 'n_members' must be an integer >= 0")
+        raise ConfigurationError(f"{where}: 'n_members' must be an integer >= 0")
     arrays = {}
     for key in ("mean", "m2"):
-        values = entry[key]
-        numbers = isinstance(values, list) and all(type(x) in (int, float) for x in values)
-        if not (numbers and values):
-            raise ConfigurationError(f"baseline {qid}: {key!r} must be a non-empty list of numbers")
+        text = entry[key]
         try:
-            values = np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            values = np.array([np.inf])
-        # json reads NaN and Infinity; m2 is never negative
+            raw = base64.b64decode(text)
+        except (TypeError, ValueError):  # not a string, or not base64
+            raw = b""
+        # only the canonical encoding, so that every file writes back byte for byte
+        if not raw or len(raw) % 8 or base64.b64encode(raw).decode() != text:
+            # files written before the packed form hold a list of decimal numbers
+            note = "; the list form is no longer read" if isinstance(text, list) else ""
+            raise ConfigurationError(
+                f"{where}: {key!r} must be the canonical base64 of a non-empty '<f8' array{note}"
+            )
+        values = np.frombuffer(raw, "<f8")
         if not (np.isfinite(values).all() and (key == "mean" or (values >= 0).all())):
             bound = "" if key == "mean" else " >= 0"
-            raise ConfigurationError(f"baseline {qid}: {key!r} must hold finite numbers{bound}")
+            raise ConfigurationError(f"{where}: {key!r} must hold finite numbers{bound}")
         arrays[key] = values
     if arrays["mean"].size != arrays["m2"].size:
         raise ConfigurationError(
-            f"baseline {qid}: 'mean' has {arrays['mean'].size} steps, 'm2' has {arrays['m2'].size}"
+            f"{where}: 'mean' has {arrays['mean'].size} steps, 'm2' has {arrays['m2'].size}"
         )
     return BaselineStats.from_arrays(qid, n, **arrays)
 

@@ -1,5 +1,6 @@
 """Config parsing, serialization round trips, DOT rendering, and the CLI."""
 
+import base64
 import json
 import logging
 import re
@@ -91,6 +92,16 @@ def tiny_baseline():
     return stats
 
 
+def packed(values):
+    """values in a baselines file's form: the base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def unpacked(text):
+    """The float64s of a baselines file's packed field, decoded as its documentation says."""
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
 #: every field the writers put in a file, config_digest aside (it is provenance)
 PATHWAY_FIELDS = [k for k in pathway_to_dict(tiny_pathway(), "abc") if k != "config_digest"]
 BASELINE_FIELDS = list(baselines_to_dict({"T(e)": tiny_baseline()})["T(e)"])
@@ -132,6 +143,29 @@ HOSTILE_JSON = st.sampled_from([
     '"abc"', "null", "true", "{}", "NaN", "Infinity", "-Infinity", "-1", "-0.5",
     "1" + "0" * 30, "1" + "0" * 400, "1" * 5000, "[]",
 ]) | st.sampled_from([1, 3, 100_000]).map(lambda depth: "[" * depth + "]" * depth)
+
+
+def _not_canonical(text):
+    """text with the padding bits of its last character set: it decodes to the same bytes."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    last = text.rstrip("=")[-1]
+    return text.replace(last + "=", alphabet[alphabet.index(last) + 1] + "=")
+
+
+#: what a baselines reader says of a 'mean' or 'm2' that is not packed float64s
+NOT_PACKED = "must be the canonical base64 of a non-empty '<f8' array"
+_FOUR = packed([240.0, 241.0, 242.0, 243.0])
+#: JSON text no packed field ('mean', 'm2') of a baselines file should hold: padding bits that
+#: are not zero, 7 bytes, characters outside the alphabet, an embedded newline, NaN (also with
+#: a payload) and +-inf bits, a negative number (an m2 never is), 3 steps where the other field
+#: has 4, and the decimal list form before the packed one
+HOSTILE_PACKED = st.sampled_from([json.dumps(text) for text in (
+    _not_canonical(_FOUR), base64.b64encode(bytes(7)).decode(),
+    "*" + _FOUR[1:], _FOUR.replace("A", "-"), _FOUR[:20] + "\n" + _FOUR[20:], _FOUR + "\n",
+    packed([np.nan] * 4), packed(np.array([0x7FF8_0000_0000_0001] * 4, "<u8").view("<f8")),
+    packed([240.0, np.inf, 0.0, 0.0]), packed([-np.inf] * 4), packed([-1.0, 0.0, 0.0, 0.0]),
+    packed([0.0, 0.0, 0.0]),
+)] + ["[240.0, 241.0, 242.0, 243.0]"])
 
 
 def read_or_write_back(path, text, field, read, write):
@@ -360,17 +394,41 @@ class TestBaselineSerialization:
     def test_every_written_field_is_required(self, key):
         doc = baselines_to_dict({"T(e)": tiny_baseline()})
         del doc["T(e)"][key]
-        with pytest.raises(ConfigurationError, match=rf"T\(e\): missing field '{key}'"):
+        with pytest.raises(ConfigurationError, match=rf"baseline 'T\(e\)': missing field '{key}'"):
             baselines_from_dict(doc)
 
-    @settings(max_examples=150, deadline=None)
-    @given(field=st.sampled_from(BASELINE_FIELDS), value=HOSTILE_JSON)
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(BASELINE_FIELDS), value=HOSTILE_JSON | HOSTILE_PACKED)
     def test_hostile_field_is_named_or_written_back(self, tmp_path_factory, field, value):
         doc = baselines_to_dict({"T(e)": tiny_baseline(), "T(s)": tiny_baseline()})
         doc["T(e)"][field] = "<hostile>"
         text = json.dumps(doc).replace('"<hostile>"', value)
         path = tmp_path_factory.mktemp("bl") / "baselines.json"
         read_or_write_back(path, text, field, read_baselines_json, write_baselines_json)
+
+
+    # 5e-324 and -2.2e-308 are subnormal; 1.7e308 is near the largest float64
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 10**6),
+           mean=arrays(np.float64, st.sampled_from([1, 2, 4801]),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)
+                       | st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])),
+           data=st.data())
+    def test_packed_fields_write_back_byte_for_byte(self, tmp_path_factory, n, mean, data):
+        m2 = data.draw(arrays(np.float64, mean.shape,
+                              elements=st.floats(min_value=0.0, allow_infinity=False)
+                              | st.sampled_from([-0.0, 5e-324, 1.7e308])))
+        path = tmp_path_factory.mktemp("bl") / "baselines.json"
+        write_baselines_json(path, {"T(e)": BaselineStats.from_arrays("T(e)", n, mean, m2)})
+        text = path.read_text()
+        entry = json.loads(text)["T(e)"]
+        assert unpacked(entry["mean"]).tobytes() == mean.tobytes()
+        assert unpacked(entry["m2"]).tobytes() == m2.tobytes()
+        back = read_baselines_json(path)["T(e)"]
+        assert back.n == n
+        assert back.mean.tobytes() == mean.tobytes() and back.m2.tobytes() == m2.tobytes()
+        write_baselines_json(path, {"T(e)": back})
+        assert path.read_text() == text
 
 
 class TestCsv:
@@ -535,7 +593,9 @@ class TestCli:
         if defect == "no T(s)":
             del doc["T(s)"]
         elif defect == "sigma 0":
-            doc["T(p)"]["m2"][5] = 0.0
+            m2 = unpacked(doc["T(p)"]["m2"]).copy()
+            m2[5] = 0.0
+            doc["T(p)"]["m2"] = packed(m2)
         elif defect == "one member":
             doc["T(e)"]["n_members"] = 1
         path.write_text(json.dumps(doc))
@@ -587,62 +647,75 @@ class TestCli:
     @pytest.mark.parametrize(
         "doc, named",
         [
-            pytest.param({"T(e)": {"n_members": -1, "mean": [240.0], "m2": [0.0]}},
-                         ["T(e)", "'n_members' must be an integer >= 0"],
+            pytest.param({"T(e)": {"n_members": -1, "mean": packed([240.0]), "m2": packed([0.0])}},
+                         ["baseline 'T(e)': 'n_members' must be an integer >= 0"],
                          id="doc0-named0"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [[0.5]]}},
-                         ["T(e)", "'m2' must be a non-empty list of numbers"],
-                         id="doc1-named1"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [], "m2": []}},
-                         ["T(e)", "'mean' must be a non-empty list of numbers"],
-                         id="doc2-named2"),
-            pytest.param({"T(e)": {"n_members": "2", "mean": [240.0], "m2": [0.0]}},
+            # a number, not base64 text
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]), "m2": 0.5}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="doc1-named1"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": "", "m2": ""}},
+                         ["T(e)", f"'mean' {NOT_PACKED}\n"], id="doc2-named2"),
+            pytest.param({"T(e)": {"n_members": "2", "mean": packed([240.0]), "m2": packed([0.0])}},
                          ["T(e)", "'n_members'"], id="doc3-named3"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": "abc", "m2": [0.0]}},
-                         ["T(e)", "'mean'"], id="doc4-named4"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.5]}},
+            # 'abc' is not a whole number of base64 groups
+            pytest.param({"T(e)": {"n_members": 2, "mean": "abc", "m2": packed([0.0])}},
+                         ["T(e)", f"'mean' {NOT_PACKED}\n"], id="doc4-named4"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0, 241.0]),
+                                   "m2": packed([0.5])}},
                          ["T(e)", "'mean' has 2 steps, 'm2' has 1"], id="doc5-named5"),
             # the form before m2 was stored
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "std": [0.5]}},
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]), "std": packed([0.5])}},
                          ["T(e)", "missing field 'm2'; the 'std' form is no longer read"],
                          id="doc6-named6"),
             pytest.param({"T(e)": [240.0, 241.0]}, ["T(e)", "mapping"], id="doc7-named7"),
             pytest.param([1, 2], ["mapping"], id="doc8-named8"),
             pytest.param("{not json", ["cannot read baseline file <file>: Expecting"],
                          id="{not json-named9"),
-            # json reads NaN and Infinity
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("nan")]}},
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]),
+                                   "m2": packed([float("nan")])}},
                          ["T(e)", "'m2' must hold finite numbers >= 0"],
                          id="doc10-named10"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [float("inf")]}},
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]),
+                                   "m2": packed([float("inf")])}},
                          ["T(e)", "'m2' must hold finite numbers >= 0"],
                          id="doc11-named11"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [-0.5]}},
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]), "m2": packed([-0.5])}},
                          ["T(e)", "'m2' must hold finite numbers >= 0"],
                          id="doc12-named12"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [float("nan")], "m2": [0.5]}},
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([float("nan")]),
+                                   "m2": packed([0.5])}},
                          ["T(e)", "'mean' must hold finite numbers"],
                          id="doc13-named13"),
-            pytest.param({"T(e)": {"n_members": True, "mean": [240.0], "m2": [0.0]}},
+            pytest.param({"T(e)": {"n_members": True, "mean": packed([240.0]),
+                                   "m2": packed([0.0])}},
                          ["T(e)", "'n_members' must be an integer >= 0"],
                          id="doc14-named14"),
-            # only JSON numbers count, and a boolean is not one
-            pytest.param({"T(e)": {"n_members": 2, "mean": ["240.5", 241.0], "m2": [0.0, 0.5]}},
-                         ["T(e)", "'mean' must be a non-empty list of numbers"],
+            # the decimal list form before the packed one
+            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [0.0, 0.5]}},
+                         ["T(e)", f"'mean' {NOT_PACKED}; the list form is no longer read"],
                          id="doc15-named15"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0, 241.0], "m2": [True, 0.5]}},
-                         ["T(e)", "'m2' must be a non-empty list of numbers"],
-                         id="doc16-named16"),
-            pytest.param({"T(e)": {"n_members": 2, "mean": [240.0], "m2": [None]}},
-                         ["T(e)", "'m2' must be a non-empty list of numbers"],
-                         id="doc17-named17"),
-            # an integer beyond the float range
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0, 241.0]), "m2": True}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="doc16-named16"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]), "m2": None}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="doc17-named17"),
+            # an integer beyond the float range, in the list form
             pytest.param('{"T(e)": {"n_members": 2, "mean": [1' + "0" * 400 + '], "m2": [0.0]}}',
-                         ["T(e)", "'mean' must hold finite numbers"], id="int-beyond-float"),
+                         ["T(e)", f"'mean' {NOT_PACKED}; the list form is no longer read"],
+                         id="int-beyond-float"),
             # beyond the parser's limit on the digits of an integer
             pytest.param('{"T(e)": {"n_members": 2, "mean": [' + "1" * 5000 + '], "m2": [0.0]}}',
                          ["cannot read baseline file <file>: Exceeds the limit"],
                          id="int-beyond-digit-limit"),
+            # base64 that decodes but is not what the writer writes, or not whole float64s
+            pytest.param({"T(e)": {"n_members": 2, "mean": _not_canonical(packed([240.0])),
+                                   "m2": packed([0.5])}},
+                         ["T(e)", f"'mean' {NOT_PACKED}\n"], id="padding-bits-not-zero"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]),
+                                   "m2": base64.b64encode(bytes(7)).decode()}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="seven-bytes"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]) + "\n",
+                                   "m2": packed([0.5])}},
+                         ["T(e)", f"'mean' {NOT_PACKED}\n"], id="trailing-newline"),
             *(pytest.param(case.values[0], [f"cannot read baseline file {case.values[1]}"],
                            id=case.id) for case in UNREADABLE),
         ],
@@ -1036,6 +1109,44 @@ class TestCli:
         assert ran == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command, name", [
+        pytest.param(command, name, id=f"{command}-{name}")
+        for command, names in (("simulate", ("series.csv", "pathway.json", "manifest.json")),
+                               ("baseline", ("baselines.json", "manifest.json")),
+                               ("experiment", ("summary.csv", "manifest.json", "baselines.json")),
+                               ("bench", ("bench.csv",)))
+        for name in names
+    ])
+    def test_out_file_that_is_a_directory_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, name
+    ):
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "o6" / name
+        blocker.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        ran = []
+        monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
+        assert main([command, str(cfg), "--out", str(tmp_path / "o6")]) == 2
+        assert capsys.readouterr().err == f"configuration error: --out: {blocker} is a directory\n"
+        assert ran == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_output_dir_file_that_is_a_directory_is_named(self, tmp_path, capsys):
+        (tmp_path / "out" / "summary.csv").mkdir(parents=True)
+        assert main(["experiment", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: output_dir: {tmp_path / 'out' / 'summary.csv'} is a directory\n"
+        )
+
+    def test_experiment_from_a_baseline_does_not_check_baselines_json(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["baseline", str(cfg), "--out", str(tmp_path / "bl")]) == 0
+        (tmp_path / "o6" / "baselines.json").mkdir(parents=True)
+        baseline = str(tmp_path / "bl" / "baselines.json")
+        assert main(["experiment", str(cfg), "--baseline", baseline,
+                     "--out", str(tmp_path / "o6")]) == 0
+        assert (tmp_path / "o6" / "summary.csv").is_file()
+
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
         write_pathway_json(pw_path, tiny_pathway(), "abc")
@@ -1285,7 +1396,8 @@ class TestCli:
         assert ran == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["dt-nested-900-deep", "nlat-1e300", "300-masses-collide"])
+    @pytest.mark.parametrize("case", ["dt-nested-900-deep", "nlat-1e300", "300-masses-collide",
+                                      "baseline-key-3000-long"])
     def test_bad_value_is_echoed_short(self, tmp_path, capsys, case):
         if case == "dt-nested-900-deep":
             # a value nested 900 deep, which the JSON parser still reads
@@ -1297,11 +1409,17 @@ class TestCli:
         elif case == "nlat-1e300":
             argv = ["experiment", str(write_config(tmp_path, grid={"nlat": 1.0e+300}))]
             key = "grid: 1000000000000000052504760255204420248704468581108159154915854115511802"
-        else:
+        elif case == "300-masses-collide":
             masses = [float(m) for m in range(1, 300)] + [1.0000001]
             plan = {"masses": masses, "n_members": 2, "baseline_members": 2}
             argv = ["experiment", str(write_config(tmp_path, plan=plan))]
             key = "plan.masses must differ in the {:g} form that names output files, got [1.0, "
+        else:
+            # a baselines file's QOI id, named in every message about its entry
+            path = tmp_path / "baselines.json"
+            path.write_text(json.dumps({"x" * 3000: "bad"}))
+            argv = ["simulate", str(write_config(tmp_path)), "--baseline", str(path)]
+            key = "baseline 'xxxxxxxxxx"
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {key}")

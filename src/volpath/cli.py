@@ -122,7 +122,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--experiments: unknown labels {unknown}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
+    plan, first_label = cfg.plan, cfg.plan.experiments[0][0]
+    # every file the run writes is named here and checked before any run
+    pathway_file = "pathways/pathway_m{:g}_{}_b{}.json".format
+    snapshot_file = "snapshots/dag_m{:g}_{}_day{:g}.dot".format
     files = ["summary.csv", "manifest.json"] + ([] if args.baseline else ["baselines.json"])
+    files += [pathway_file(m, e[0], b) for m in plan.masses for e in plan.experiments
+              for b in range(plan.n_members)]
+    files += [snapshot_file(m, first_label, day) for m in plan.masses for day in cfg.snapshot_days]
     out = _output_dir(args, cfg, files, "pathways", "snapshots")
     grid = cfg.build_grid()
 
@@ -136,17 +143,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         write_baselines_json(out / "baselines.json", baselines)
 
     digest = config_digest(cfg)
-    first_label = cfg.plan.experiments[0][0]
     rows = []
     # each mass's files are written before the next mass steps
     grid_run = run_experiment_grid(cfg.plan, cfg.params, grid, tables, cfg.eruption)
     for mass, pathways, mass_rows in grid_run:
         for (label, member), pathway in pathways.items():
-            name = f"pathway_m{mass:g}_{label}_b{member}.json"
-            write_pathway_json(out / "pathways" / name, pathway, digest)
+            write_pathway_json(out / pathway_file(mass, label, member), pathway, digest)
         for day in cfg.snapshot_days:
-            path = out / "snapshots" / f"dag_m{mass:g}_{first_label}_day{day:g}.dot"
-            atomic_write_text(path, export_dot(pathways[first_label, 0], day))
+            dot = export_dot(pathways[first_label, 0], day)
+            atomic_write_text(out / snapshot_file(mass, first_label, day), dot)
         logger.info("%g Tg: %d members, %d pathway files", mass, cfg.plan.n_members, len(pathways))
         rows += mass_rows
     write_summary_csv(out / "summary.csv", rows)
@@ -185,7 +190,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if counts[-1] < 1:
             raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
     # the largest count's series and the run's step normals
-    with allocating(f"--steps: {args.steps} steps of {max(counts)} QOIs are too many to hold"):
+    with allocating(f"--steps: {args.steps} steps of --counts {max(counts)} QOIs are too many"):
         np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
     out = _output_dir(args, cfg, ["bench.csv"])
     grid = cfg.build_grid()

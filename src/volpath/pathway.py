@@ -17,7 +17,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateBaselineError
+from .errors import ConfigurationError, DegenerateBaselineError, shown
 from .grid import ZONE_ORDER
 from .qoi import FIELD_NAMES, registry_canonical
 
@@ -159,7 +159,7 @@ def step_at_day(day: float, dt: float, n_steps: int) -> int:
     step = day / dt
     m = int(round(step)) if np.isfinite(step) else step
     if not 0 <= m <= n_steps:
-        raise ConfigurationError(f"day {day} maps to step {m}, outside [0, {n_steps}]")
+        raise ConfigurationError(f"day {day} maps to step {shown(m)}, outside [0, {n_steps}]")
     return m
 
 

@@ -10,9 +10,14 @@ The model advances a state (SO2, SO4, T, AOD) one step at a time:
   5. temperature: AOD-driven stratospheric heating, Newtonian relaxation
      toward an equilibrium temperature, and AR(1) band noise.
 
-A Stepper runs the step as two halves and draws nothing.  advance_tracers
-does 1-4 and advances the clock; advance_temperature does 5 from the state's
-AOD and a row of noise_path, the one AR(1), fed the normals that a run draws.
+1 fills the source row on the injection levels, 2 is pointwise and 3 moves
+mass only north on those levels, so the tracers are exactly +0.0 outside the
+plume, the rows from the source north on the injection levels, in a state
+that initialize made and every step after.  A Stepper runs the step as two
+halves and draws nothing.  advance_tracers does 1-4 on the plume alone (AOD is
+0.0 south of it) and advances the clock; advance_temperature does 5 from the
+state's AOD and a row of noise_path, the one AR(1), fed the normals that a run
+draws.  Both halves check that the whole fields they wrote are finite.
 
 Step 5's relaxation and heating are written twice in Stepper: on a 3-D field
 (advance_temperature) and on zone means (advance_zone_temperature).  Every term
@@ -172,10 +177,11 @@ class Stepper:
 
     Everything that does not change from step to step is computed once, when
     the stepper is built: the injection level slice, the source row, the
-    injection mixing ratio, the chemistry and removal factors, the transport
-    weights, the noise band of each row and a scratch buffer.  Building
-    raises the transport CFL error and the empty-injection error before any
-    step runs.
+    plume, the injection mixing ratio, the chemistry and removal factors, the
+    plume's transport weights, the rows of each noise band and a scratch
+    buffer.  A state's tracers must be +0.0 outside the plume, as the module
+    docstring says every run's are.  Building raises the transport CFL error
+    and the empty-injection error before any step runs.
     """
 
     def __init__(self, params: ModelParams, eruption: EruptionSpec, grid: SphericalGrid):
@@ -197,27 +203,27 @@ class Stepper:
 
         self.frac = transport_fraction(params, grid)
         self.transport = self.frac != 0.0 and self.i_src < grid.nlat - 1
-        self.w = grid.area_weight[:, :, None] * grid.dp[self.levels][None, None, :]
+        self.plume = (slice(self.i_src, None), slice(None), self.levels)
+        self.w = grid.area_weight[self.i_src :, :, None] * grid.dp[self.levels][None, None, :]
 
         self.dp = grid.dp
         self.heat = dt * params.k_heat
         self.noise_scale = params.noise_amp * np.sqrt(dt)
-        self.bands = zone_of_rows(grid)
+        edges = np.searchsorted(zone_of_rows(grid), range(N_NOISE_BANDS + 1)).tolist()
+        self.band_rows = [slice(a, b) for a, b in zip(edges, edges[1:])]  # zones rise northward
         self.buf = np.empty((grid.nlat, grid.nlon, grid.nlev))
 
-    def _advect_poleward(self, f: np.ndarray) -> None:
-        """Conservative first-order upwind northward transport of one tracer, in place.
+    def _advect_poleward(self, q: np.ndarray) -> None:
+        """Conservative first-order upwind northward transport of one tracer's plume, in place.
 
         Moves a fraction frac of each donor cell's mass to its northern
         neighbor, for rows i_src..nlat-2 on the injection levels.  The polar
         row only receives; nothing leaves through the cap.
         """
-        i = self.i_src
-        q = f[:, :, self.levels]
         mass = q * self.w
-        donor = self.frac * mass[i:-1]
-        mass[i:-1] -= donor
-        mass[i + 1 :] += donor
+        donor = self.frac * mass[:-1]
+        mass[:-1] -= donor
+        mass[1:] += donor
         np.divide(mass, self.w, out=q)
 
     def advance_tracers(self, state: ModelState) -> None:
@@ -227,17 +233,17 @@ class Stepper:
         the start of the step.  Draws no random numbers.
         """
         params, eruption = self.params, self.eruption
-        so2, so4 = state.so2, state.so4
+        so2, so4 = state.so2[self.plume], state.so4[self.plume]
         start = state.time
         state.step_index += 1
         state.time = start + params.dt
 
-        # 1. injection
+        # 1. injection into the plume's first row, the source row
         if eruption.mass > 0.0 and start <= eruption.day < start + params.dt:
-            so2[self.i_src, :, self.levels] += self.inject
+            so2[0] += self.inject
 
         # 2. chemistry: exact exponential transfer, then SO4 removal
-        transferred = np.multiply(so2, self.convert, out=self.buf)
+        transferred = so2 * self.convert
         so2 -= transferred
         so4 += transferred
         if self.decay is not None:
@@ -248,11 +254,13 @@ class Stepper:
             self._advect_poleward(so2)
             self._advect_poleward(so4)
 
-        # 4. AOD from the column sulfate burden
-        nlat, nlon, nlev = so4.shape
-        state.aod = params.k_aod * np.dot(so4.reshape(-1, nlev), self.dp).reshape(nlat, nlon)
+        # 4. AOD from the column sulfate burden, of which there is none south of the source
+        nlat, nlon, nlev = state.so4.shape
+        state.aod = aod = np.zeros((nlat, nlon))
+        column = np.dot(state.so4[self.i_src :].reshape(-1, nlev), self.dp)
+        aod[self.i_src :] = params.k_aod * column.reshape(-1, nlon)
 
-        if not np.isfinite(so2.sum() + so4.sum() + state.aod.sum()):
+        if not np.isfinite(state.so2.sum() + state.so4.sum() + aod.sum()):
             raise self._non_finite(state)
 
     def noise_path(self, start: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -272,15 +280,16 @@ class Stepper:
         """
         params, buf, temp = self.params, self.buf, state.temperature
 
-        # 5. temperature: relaxation dt * ((t_eq - T) / tau_relax), heating in
-        # the injection levels, band noise
+        # 5. temperature: relaxation dt * ((t_eq - T) / tau_relax), heating on
+        # the plume (AOD is 0.0 south of it), band noise by each band's rows
         np.subtract(params.t_eq, temp, out=buf)
         np.divide(buf, params.tau_relax, out=buf)
         np.multiply(params.dt, buf, out=buf)
         temp += buf
-        temp[:, :, self.levels] += self.heat * state.aod[:, :, None]
+        temp[self.plume] += self.heat * state.aod[self.i_src :, :, None]
         state.band_noise = noise
-        temp += noise[self.bands][:, None, None]
+        for z, rows in enumerate(self.band_rows):
+            temp[rows] += noise[z]
 
         if not np.isfinite(temp.sum()):
             raise self._non_finite(state)
@@ -319,12 +328,8 @@ def step(
     Builds a Stepper and draws one step's normals on every call; a run of many
     steps builds one, draws once and calls its two halves instead.
     """
-    new = replace(
-        state,
-        so2=state.so2.copy(),
-        so4=state.so4.copy(),
-        temperature=state.temperature.copy(),
-    )
+    new = replace(state, so2=state.so2.copy(), so4=state.so4.copy(),
+                  temperature=state.temperature.copy())
     stepper = Stepper(params, eruption, grid)
     stepper.advance_tracers(new)
     [noise] = stepper.noise_path(state.band_noise, rng.standard_normal((1, N_NOISE_BANDS)))

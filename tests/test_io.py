@@ -1,9 +1,11 @@
 """Config parsing, serialization round trips, DOT rendering, and the CLI."""
 
 import base64
+import io
 import json
 import logging
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -190,6 +192,13 @@ HOSTILE_CONFIG = [
     True, [1.0], float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 1e300, 10**30, [], "",
     "a/b", "../x",
 ]
+
+
+#: each numeric flag of the CLI, and the command it is given to
+NUMERIC_FLAGS = {
+    "--mass": "simulate", "--member": "simulate", "--seed": "simulate", "--day": "export-dot",
+    "--steps": "bench", "--repetitions": "bench", "--counts": "bench",
+}
 
 
 def names_a_key(message):
@@ -1131,6 +1140,25 @@ class TestCli:
         assert ran == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("name", [
+        # the last mass's files, which the run would write last
+        pytest.param("pathways/pathway_m10_Ex1_b1.json", id="pathway"),
+        pytest.param("snapshots/dag_m10_Ex1_day1.dot", id="snapshot"),
+    ])
+    def test_experiment_file_under_a_subdirectory_that_is_a_directory_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        cfg = write_config(tmp_path, snapshot_days=[1.0])
+        blocker = tmp_path / "o7" / name
+        blocker.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        ran = []
+        monkeypatch.setattr(harness, "initialize", lambda *a, **k: ran.append(a))
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / "o7")]) == 2
+        assert capsys.readouterr().err == f"configuration error: --out: {blocker} is a directory\n"
+        assert ran == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_output_dir_file_that_is_a_directory_is_named(self, tmp_path, capsys):
         (tmp_path / "out" / "summary.csv").mkdir(parents=True)
         assert main(["experiment", str(write_config(tmp_path))]) == 2
@@ -1381,6 +1409,35 @@ class TestCli:
         )
         assert ran == []
         assert not (tmp_path / "out").exists()
+
+    # 300 examples draw each of the 7 x 14 (flag, value) pairs
+    @settings(max_examples=300, deadline=None)
+    @given(flag=st.sampled_from(sorted(NUMERIC_FLAGS)), value=st.sampled_from(HOSTILE_CONFIG))
+    def test_hostile_numeric_flag_is_named_or_runs(self, tmp_path_factory, flag, value):
+        """A numeric flag given a hostile value of the config property, as text, either exits 2
+        with a message under 200 characters that names the flag, or its command runs."""
+        tmp = tmp_path_factory.mktemp("flag")
+        command = NUMERIC_FLAGS[flag]
+        if command == "export-dot":
+            source = tmp / "pathway.json"
+            write_pathway_json(source, tiny_pathway(), "abc")
+            argv = [command, str(source)]
+        else:
+            argv = [command, str(write_config(tmp)), "--out", str(tmp / "o")]
+        argv.append(f"{flag}={value}")
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp:
+            # bench's run is not stepped: a valid --repetitions of 10**30 would never end
+            mp.setattr(cli, "bench_overhead", lambda *args: [])
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse's own errors
+                status = exc.code
+        if status == 2:
+            message = err.getvalue().splitlines()[-1]
+            assert flag[2:] in message and len(message) < 200, message
+        else:
+            assert status == 0, err.getvalue()
 
     def test_simulate_mass_outside_the_injection_levels_exits_2(
         self, tmp_path, capsys, monkeypatch

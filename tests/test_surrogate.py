@@ -5,6 +5,7 @@ import pytest
 
 from conftest import STEPPER_CASES, random_state, total_sulfur_kg
 from volpath.errors import ConfigurationError, NumericalFailureError
+from volpath.harness import TrackerHook, run_member
 from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask, zone_of_rows
 from volpath.surrogate import (
     AIR_MASS_PER_HPA_KG,
@@ -65,6 +66,16 @@ def step_oracle(state, params, eruption, grid, rng):
 def state_arrays(state):
     return (state.so2, state.so4, state.temperature, state.aod, state.band_noise,
             np.array([state.step_index, state.time]))
+
+
+def plume_state(stepper, grid, rng):
+    """random_state with tracers only in stepper's plume and +0.0 elsewhere, as a run keeps them."""
+    state = random_state(grid, rng)
+    for f in (state.so2, state.so4):
+        inside = f[stepper.plume].copy()
+        f[:] = 0.0
+        f[stepper.plume] = inside
+    return state
 
 
 def run_series(params, eruption, grid, seed, collect=None):
@@ -264,7 +275,7 @@ class TestStepper:
         rngs = [make_rng(RunSeed(3, 1)) for _ in range(3)]
         # nonzero tracers and temperatures far from t_eq use every mantissa bit,
         # so a reordered operation shows in the last bit
-        halves, stepped, oracle = (random_state(grid, np.random.default_rng(5))
+        halves, stepped, oracle = (plume_state(stepper, grid, np.random.default_rng(5))
                                    for _ in range(3))
         # the halves draw the run's normals in one call, as run_member does
         normals = rngs[0].standard_normal((params.n_steps, N_NOISE_BANDS))
@@ -283,10 +294,42 @@ class TestStepper:
     def test_aod_equals_tensordot(self, dims):
         grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
         params = ModelParams()
-        state = random_state(grid, np.random.default_rng(7))
-        Stepper(params, EruptionSpec(mass=10.0, day=0.0), grid).advance_tracers(state)
+        stepper = Stepper(params, EruptionSpec(mass=10.0, day=0.0), grid)
+        state = plume_state(stepper, grid, np.random.default_rng(7))
+        stepper.advance_tracers(state)
         oracle = params.k_aod * np.tensordot(state.so4, grid.dp, axes=([2], [0]))
         assert np.array_equal(state.aod, oracle)
+
+    @pytest.mark.parametrize("params, eruption", STEPPER_CASES)
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (13, 7, 11), (32, 1, 16), (32, 64, 16)])
+    def test_tracers_stay_exactly_zero_outside_the_plume(self, params, eruption, dims):
+        # the plume, from the eruption alone: the source row northward, on the injection levels
+        grid = build_grid(*dims, p_top=1.0, p_surface=1000.0)
+        i_src = lat_row_index(grid, eruption.lat)
+        outside = np.ones((grid.nlat, grid.nlon, grid.nlev), dtype=bool)
+        outside[i_src:, :, level_mask(grid, eruption.injection_levels)] = False
+        states = []
+
+        def check(state):
+            # +0.0 has no bit set
+            for f in (state.so2[outside], state.so4[outside], state.aod[:i_src]):
+                assert not f.view(np.int64).any(), state.step_index
+            states.append(state.step_index)
+
+        class CheckingHook(TrackerHook):
+            def observe(self, state):
+                check(state)
+
+        for seed in (RunSeed(3, 1), None):
+            run_member(params, eruption, grid, seed, CheckingHook(grid, [], params.n_steps,
+                                                                  params.dt))
+        rng = make_rng(RunSeed(3, 1))
+        state = initialize(params, grid, rng=rng)
+        for _ in range(params.n_steps):
+            state = step(state, params, eruption, grid, rng)
+            check(state)
+        steps = list(range(params.n_steps + 1))
+        assert states == steps + steps + steps[1:]
 
     def test_zone_temperature_steps_band_noise_as_the_field_does(self, small_grid, fast_params):
         # one noise path drives both halves, and equals the AR(1) stepped one draw at a time;

@@ -209,7 +209,7 @@ class Stepper:
         self.dp = grid.dp
         self.heat = dt * params.k_heat
         self.noise_scale = params.noise_amp * np.sqrt(dt)
-        edges = np.searchsorted(zone_of_rows(grid), range(N_NOISE_BANDS + 1)).tolist()
+        edges = np.searchsorted(zone_of_rows(grid), np.arange(N_NOISE_BANDS + 1)).tolist()
         self.band_rows = [slice(a, b) for a, b in zip(edges, edges[1:])]  # zones rise northward
         self.buf = np.empty((grid.nlat, grid.nlon, grid.nlev))
 

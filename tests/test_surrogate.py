@@ -5,8 +5,8 @@ import pytest
 
 from conftest import STEPPER_CASES, random_state, total_sulfur_kg
 from volpath.errors import ConfigurationError, NumericalFailureError
-from volpath.harness import TrackerHook, run_member
 from volpath.grid import LevelRange, build_grid, lat_row_index, level_mask, zone_of_rows
+from volpath.harness import TrackerHook, run_member
 from volpath.surrogate import (
     AIR_MASS_PER_HPA_KG,
     N_NOISE_BANDS,
@@ -321,8 +321,8 @@ class TestStepper:
                 check(state)
 
         for seed in (RunSeed(3, 1), None):
-            run_member(params, eruption, grid, seed, CheckingHook(grid, [], params.n_steps,
-                                                                  params.dt))
+            hook = CheckingHook(grid, [], params.n_steps, params.dt)
+            run_member(params, eruption, grid, seed, hook)
         rng = make_rng(RunSeed(3, 1))
         state = initialize(params, grid, rng=rng)
         for _ in range(params.n_steps):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, build_manifest, config_digest, load_config
-from .errors import ConfigurationError, VolpathError, allocating, checked
+from .errors import ConfigurationError, VolpathError, allocating, checked, shown
 from .export import (
     atomic_write_text,
     export_dot,
@@ -49,35 +49,35 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _can_hold(where: str, dirs: list[Path], files: list[Path]) -> None:
-    """Raise naming where unless, of each of dirs, the part that exists is a directory,
-    and none of files is a directory, which the rename of a written file cannot replace."""
-    for path in dirs:
-        existing = next(p for p in (path, *path.parents) if p.exists())
+def _can_hold(where: str, paths: list[Path]) -> None:
+    """Raise naming where unless, of each path's directory, the part that exists is a
+    directory, and no path is a directory, which the rename of a written file cannot replace."""
+    for parent in dict.fromkeys(path.parent for path in paths):
+        existing = next(p for p in (parent, *parent.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigurationError(f"{where}: {existing} is not a directory")
-    for path in files:
+    for path in paths:
         if path.is_dir():
             raise ConfigurationError(f"{where}: {path} is a directory")
 
 
-def _output_dir(args: argparse.Namespace, cfg: ExperimentConfig, files: list[str],
-                *subdirs: str) -> Path:
-    """The output directory and the files and subdirectories written into, checked first."""
+def _outputs(args: argparse.Namespace, cfg: ExperimentConfig, names: list[str]) -> dict[str, Path]:
+    """Each name a command writes, mapped to its path under --out or output_dir, checked first."""
     out, where = (Path(args.out), "--out") if args.out else (Path(cfg.output_dir), "output_dir")
-    _can_hold(where, [out, *(out / d for d in subdirs)], [out / f for f in files])
-    return out
+    paths = {name: out / name for name in names}
+    _can_hold(where, list(paths.values()))
+    return paths
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.member < 0:
-        raise ConfigurationError(f"--member must be >= 0, got {args.member}")
+        raise ConfigurationError(f"--member must be >= 0, got {shown(args.member)}")
     cfg = load_config(args.config)
     if args.mass is not None:
         cfg = replace(cfg, eruption=checked("--mass", replace, cfg.eruption, mass=args.mass))
     if args.seed is not None:
         cfg = replace(cfg, plan=replace(cfg.plan, seed=args.seed))
-    out = _output_dir(args, cfg, ["series.csv", "pathway.json", "manifest.json"])
+    out = _outputs(args, cfg, ["series.csv", "pathway.json", "manifest.json"])
     grid = cfg.build_grid()
     # only --mass can erupt where parse_config saw every mass at 0
     checked("--mass", injection_slice, grid, cfg.eruption)
@@ -93,23 +93,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     pathway = compute_pathway(base, series, tables, cfg.params.dt)
 
     digest = config_digest(cfg)
-    write_series_csv(out / "series.csv", series, cfg.params.dt)
-    write_pathway_json(out / "pathway.json", pathway, digest)
-    manifest = build_manifest(cfg, seeds={"member": seed.seed})
-    write_manifest_json(out / "manifest.json", manifest)
-    logger.info("wrote series.csv, pathway.json, manifest.json to %s", out)
+    write_series_csv(out["series.csv"], series, cfg.params.dt)
+    write_pathway_json(out["pathway.json"], pathway, digest)
+    write_manifest_json(out["manifest.json"], build_manifest(cfg, seeds={"member": seed.seed}))
+    logger.info("wrote series.csv, pathway.json, manifest.json to %s", out["series.csv"].parent)
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    out = _output_dir(args, cfg, ["baselines.json", "manifest.json"])
+    out = _outputs(args, cfg, ["baselines.json", "manifest.json"])
     grid = cfg.build_grid()
     baselines = run_baseline_ensemble(cfg.plan, cfg.params, grid, cfg.eruption)
     # the check every consumer of the file makes, so no unusable file is written
     experiment_tables(cfg.plan, cfg.params.n_steps, baselines)
-    write_baselines_json(out / "baselines.json", baselines)
-    write_manifest_json(out / "manifest.json", build_manifest(cfg))
+    write_baselines_json(out["baselines.json"], baselines)
+    write_manifest_json(out["manifest.json"], build_manifest(cfg))
     return 0
 
 
@@ -119,18 +118,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         wanted = args.experiments.split(",")
         unknown = sorted(set(wanted) - {e[0] for e in cfg.plan.experiments})
         if unknown:
-            raise ConfigurationError(f"--experiments: unknown labels {unknown}")
+            raise ConfigurationError(f"--experiments: unknown labels {shown(unknown)}")
         kept = tuple(e for e in cfg.plan.experiments if e[0] in wanted)
         cfg = replace(cfg, plan=replace(cfg.plan, experiments=kept))
     plan, first_label = cfg.plan, cfg.plan.experiments[0][0]
     # every file the run writes is named here and checked before any run
     pathway_file = "pathways/pathway_m{:g}_{}_b{}.json".format
     snapshot_file = "snapshots/dag_m{:g}_{}_day{:g}.dot".format
-    files = ["summary.csv", "manifest.json"] + ([] if args.baseline else ["baselines.json"])
-    files += [pathway_file(m, e[0], b) for m in plan.masses for e in plan.experiments
+    names = ["summary.csv", "manifest.json"] + ([] if args.baseline else ["baselines.json"])
+    names += [pathway_file(m, e[0], b) for m in plan.masses for e in plan.experiments
               for b in range(plan.n_members)]
-    files += [snapshot_file(m, first_label, day) for m in plan.masses for day in cfg.snapshot_days]
-    out = _output_dir(args, cfg, files, "pathways", "snapshots")
+    names += [snapshot_file(m, first_label, day) for m in plan.masses for day in cfg.snapshot_days]
+    out = _outputs(args, cfg, names)
     grid = cfg.build_grid()
 
     if args.baseline:
@@ -140,7 +139,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # the one check of the baselines, before any of them is written or any member steps
     tables = experiment_tables(cfg.plan, cfg.params.n_steps, baselines)
     if not args.baseline:
-        write_baselines_json(out / "baselines.json", baselines)
+        write_baselines_json(out["baselines.json"], baselines)
 
     digest = config_digest(cfg)
     rows = []
@@ -148,24 +147,25 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     grid_run = run_experiment_grid(cfg.plan, cfg.params, grid, tables, cfg.eruption)
     for mass, pathways, mass_rows in grid_run:
         for (label, member), pathway in pathways.items():
-            write_pathway_json(out / pathway_file(mass, label, member), pathway, digest)
+            write_pathway_json(out[pathway_file(mass, label, member)], pathway, digest)
         for day in cfg.snapshot_days:
             dot = export_dot(pathways[first_label, 0], day)
-            atomic_write_text(out / snapshot_file(mass, first_label, day), dot)
+            atomic_write_text(out[snapshot_file(mass, first_label, day)], dot)
         logger.info("%g Tg: %d members, %d pathway files", mass, cfg.plan.n_members, len(pathways))
         rows += mass_rows
-    write_summary_csv(out / "summary.csv", rows)
+    write_summary_csv(out["summary.csv"], rows)
     # every mass's member b erupts with the one seed
     seeds = [derive_seed(cfg.plan.seed, "eruption", b).seed for b in range(cfg.plan.n_members)]
     member_seeds = {f"{mass:g}/{b}": s for mass in cfg.plan.masses for b, s in enumerate(seeds)}
-    write_manifest_json(out / "manifest.json", build_manifest(cfg, seeds=member_seeds))
-    logger.info("wrote every mass's files, summary.csv, manifest.json to %s", out)
+    write_manifest_json(out["manifest.json"], build_manifest(cfg, seeds=member_seeds))
+    logger.info("wrote every mass's files, summary.csv, manifest.json to %s",
+                out["summary.csv"].parent)
     return 0
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    if args.out:  # checked before rendering, as _output_dir checks a directory
-        _can_hold("--out", [Path(args.out).parent], [Path(args.out)])
+    if args.out:  # checked before rendering, as _outputs checks a command's paths
+        _can_hold("--out", [Path(args.out)])
     pathway = read_pathway_json(args.pathway)
     dot = export_dot(pathway, args.day, active_only=args.active_only)
     if args.out:
@@ -177,25 +177,25 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
-        raise ConfigurationError(f"--repetitions must be >= 1, got {args.repetitions}")
+        raise ConfigurationError(f"--repetitions must be >= 1, got {shown(args.repetitions)}")
     if args.steps < 1:
-        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
+        raise ConfigurationError(f"--steps must be >= 1, got {shown(args.steps)}")
     cfg = load_config(args.config)
     counts = []
     for entry in args.counts.split(","):
         try:
             counts.append(int(entry))
         except ValueError:
-            raise ConfigurationError(f"--counts: {entry!r} is not an integer") from None
+            raise ConfigurationError(f"--counts: {shown(entry)} is not an integer") from None
         if counts[-1] < 1:
-            raise ConfigurationError(f"--counts: {entry!r} must be >= 1")
+            raise ConfigurationError(f"--counts: {shown(entry)} must be >= 1")
     # the largest count's series and the run's step normals
     with allocating(f"--steps: {args.steps} steps of --counts {max(counts)} QOIs are too many"):
         np.empty((max(*counts, N_NOISE_BANDS), args.steps + 1))
-    out = _output_dir(args, cfg, ["bench.csv"])
+    out = _outputs(args, cfg, ["bench.csv"])
     grid = cfg.build_grid()
     rows = bench_overhead(counts, cfg.params, grid, args.repetitions, args.steps)
-    write_bench_csv(out / "bench.csv", rows)
+    write_bench_csv(out["bench.csv"], rows)
     for r in rows:
         print(f"{r.qoi_count} QOIs: ratio {r.ratio:.3f}")
     return 0

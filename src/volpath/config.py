@@ -16,7 +16,7 @@ from .errors import ConfigurationError, allocating, checked, distinct_names, rea
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
-from .harness import ExperimentPlan
+from .harness import ExperimentPlan, experiment_key
 from .pathway import step_at_day
 from .qoi import registry_canonical
 from .surrogate import (
@@ -160,7 +160,7 @@ def parse_config(raw: dict | None) -> ExperimentConfig:
     plan = ExperimentPlan(
         masses=_reals("plan.masses", plan_raw.get("masses", list(defaults.masses))),
         experiments=tuple(
-            (str(label), *_reals(f"plan.experiments.{label}", pair, 2))
+            (str(label), *_reals(experiment_key(str(label)), pair, 2))
             for label, pair in experiments.items()
         ),
         n_members=_integer("plan.n_members", plan_raw.get("n_members", defaults.n_members)),

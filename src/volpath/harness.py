@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError, checked, distinct_names
+from .errors import ConfigurationError, NumericalFailureError, checked, distinct_names, shown
 from .grid import SphericalGrid, zone_number
 from .pathway import (
     ABSOLUTE_BOUNDS, PathwayDag, ZScoreHysteresis, base_dag_canonical, canonical_tests,
@@ -52,6 +52,14 @@ DEFAULT_EXPERIMENTS = (
 )
 
 
+def experiment_key(label: str) -> str:
+    """plan.experiments.<label>, or raise, echoing it short, for a label over 64 characters:
+    up to 64, every file name it goes into, mkstemp's temporaries too, fits in 255 bytes."""
+    if len(label) > 64:
+        raise ConfigurationError(f"plan.experiments: label {shown(label)} is over 64 characters")
+    return f"plan.experiments.{label}"
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """The full protocol: eruption masses, threshold experiments, ensemble sizes."""
@@ -70,7 +78,7 @@ class ExperimentPlan:
         # a mass's {:g} form names its output files and manifest seed keys
         distinct_names("plan.masses", self.masses)
         for label, t_l, t_u in self.experiments:
-            where = f"plan.experiments.{label}"
+            where = experiment_key(label)
             # a label goes into file names and into summary.csv's comma-separated rows
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
                 raise ConfigurationError(f"{where}: a label must match [A-Za-z0-9_.-]+")
@@ -318,14 +326,10 @@ def run_experiment_grid(
             firsts, totals = np.array(summaries).swapaxes(0, 1)
             mean_first, se_first = ensemble_summarize(firsts)
             mean_total, se_total = ensemble_summarize(totals)
-            for l, qid in enumerate(base.vertices):
-                rows.append(
-                    SummaryRow(
-                        mass, label, qid, plan.n_members,
-                        float(mean_first[l]), float(se_first[l]),
-                        float(mean_total[l]), float(se_total[l]),
-                    )
-                )
+            rows += [
+                SummaryRow(mass, label, qid, plan.n_members, *map(float, stats))
+                for qid, *stats in zip(base.vertices, mean_first, se_first, mean_total, se_total)
+            ]
         yield mass, pathways, rows
 
 
@@ -379,12 +383,5 @@ def bench_overhead(
     times[:, 1:] /= times[:, :1]
     k = repetitions // 4
     baseline, *ratios = np.sort(times, axis=0)[k:repetitions - k].mean(axis=0)
-    return [
-        BenchRow(
-            qoi_count=count,
-            baseline_s_per_step=float(baseline),
-            tracked_s_per_step=float(ratio * baseline),
-            ratio=float(ratio),
-        )
-        for count, ratio in zip(qoi_counts, ratios)
-    ]
+    return [BenchRow(count, float(baseline), float(ratio * baseline), float(ratio))
+            for count, ratio in zip(qoi_counts, ratios)]

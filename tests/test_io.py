@@ -25,7 +25,7 @@ from volpath.config import (
     load_config,
     parse_config,
 )
-from volpath.errors import ConfigurationError
+from volpath.errors import ConfigurationError, shown
 from volpath.export import (
     atomic_write_text,
     baselines_from_dict,
@@ -1159,6 +1159,34 @@ class TestCli:
         assert ran == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("length", [64, 65, 300])
+    def test_experiment_label_over_64_characters_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, length
+    ):
+        """A label goes into every pathway and snapshot file name.  One of 64 characters runs and
+        writes them; a longer one, with which a name or its temporary could pass the 255-byte
+        limit, exits 2 naming plan.experiments before any run, with nothing written."""
+        label = "L" * length
+        plan = {**tiny_config_dict(tmp_path)["plan"], "experiments": {label: [0.5, 0.75]}}
+        cfg = write_config(tmp_path, plan=plan, snapshot_days=[1.0])
+        ran = []
+        initialize = harness.initialize
+        monkeypatch.setattr(harness, "initialize",
+                            lambda *a, **k: ran.append(a) or initialize(*a, **k))
+        status = main(["experiment", str(cfg)])
+        out = tmp_path / "out"
+        if length == 64:
+            assert status == 0, capsys.readouterr().err
+            assert (out / "pathways" / f"pathway_m5_{label}_b1.json").is_file()
+            assert (out / "snapshots" / f"dag_m10_{label}_day1.dot").is_file()
+            return
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: plan.experiments: label {shown(label)} is over 64 characters\n"
+        )
+        assert ran == []
+        assert not out.exists()
+
     def test_output_dir_file_that_is_a_directory_is_named(self, tmp_path, capsys):
         (tmp_path / "out" / "summary.csv").mkdir(parents=True)
         assert main(["experiment", str(write_config(tmp_path))]) == 2
@@ -1174,6 +1202,16 @@ class TestCli:
         assert main(["experiment", str(cfg), "--baseline", baseline,
                      "--out", str(tmp_path / "o6")]) == 0
         assert (tmp_path / "o6" / "summary.csv").is_file()
+
+    def test_experiment_without_snapshot_days_does_not_check_snapshots(self, tmp_path):
+        """Only the paths a run writes are checked: with no snapshot day, a plain file named
+        snapshots stands in no file's way."""
+        cfg = write_config(tmp_path)
+        (tmp_path / "o8").mkdir()
+        (tmp_path / "o8" / "snapshots").write_text("kept")
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / "o8")]) == 0
+        assert (tmp_path / "o8" / "snapshots").read_text() == "kept"
+        assert (tmp_path / "o8" / "summary.csv").is_file()
 
     def test_export_dot_round_trip(self, tmp_path, capsys):
         pw_path = tmp_path / "pathway.json"
@@ -1454,7 +1492,9 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["dt-nested-900-deep", "nlat-1e300", "300-masses-collide",
-                                      "baseline-key-3000-long"])
+                                      "baseline-key-3000-long", "label-3000-long",
+                                      "label-3000-long-bad-pair", "experiments-3000-long",
+                                      "member-4000-digits", "counts-3000-long"])
     def test_bad_value_is_echoed_short(self, tmp_path, capsys, case):
         if case == "dt-nested-900-deep":
             # a value nested 900 deep, which the JSON parser still reads
@@ -1463,6 +1503,21 @@ class TestCli:
             doc["dt_days"] = json.loads("[" * 900 + "0.5" + "]" * 900)
             path.write_text(json.dumps(doc))
             argv, key = ["export-dot", str(path), "--day", "1"], "pathway: 'dt_days'"
+        elif case.startswith("label-3000-long"):
+            # a label of 3,000 characters with one that no label may hold
+            pair = "bad" if case.endswith("bad-pair") else [0.5, 0.75]
+            plan = {**tiny_config_dict(tmp_path)["plan"], "experiments": {"L" * 2999 + ",": pair}}
+            argv = ["experiment", str(write_config(tmp_path, plan=plan))]
+            key = "plan.experiments: label 'LLLLLLLLLL"
+        elif case == "experiments-3000-long":
+            argv = ["experiment", str(write_config(tmp_path)), "--experiments", "x" * 3000]
+            key = "--experiments: unknown labels ['xxxxxxxxxx"
+        elif case == "member-4000-digits":
+            argv = ["simulate", str(write_config(tmp_path)), "--member=-" + "9" * 4000]
+            key = "--member must be >= 0, got -9999999999"
+        elif case == "counts-3000-long":
+            argv = ["bench", str(write_config(tmp_path)), "--counts", "x" * 3000]
+            key = "--counts: 'xxxxxxxxxx"
         elif case == "nlat-1e300":
             argv = ["experiment", str(write_config(tmp_path, grid={"nlat": 1.0e+300}))]
             key = "grid: 1000000000000000052504760255204420248704468581108159154915854115511802"

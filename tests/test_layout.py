@@ -1,6 +1,7 @@
 """Package layout: one-way imports, none inside functions, a caller for every public name,
 the only functions that step runs or draw their random numbers, the one function that
-advances their clock, and the one function that reads an input file."""
+advances their clock, the one function that reads an input file and the one that builds an
+output path."""
 
 import ast
 from pathlib import Path
@@ -195,3 +196,14 @@ def test_one_reader_of_input_files():
     readers = {"read_text", "read_bytes", "open"}
     calls = [call for path in MODULES for call in calls_to(path, readers)]
     assert {scope for scope, _ in calls} == {"errors.read_input"}, calls
+
+
+def test_one_builder_of_output_paths():
+    """cli._outputs joins every path a command writes, and checks each before it returns them,
+    so a write to a path the check never saw raises KeyError instead of going ahead."""
+    joins = [
+        (scope, node.lineno)
+        for scope, node in scoped_nodes(SRC / "cli.py")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+    ]
+    assert {scope for scope, _ in joins} == {"cli._outputs"}, joins

@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, allocating, checked, distinct_names, read_input, shown
+from .errors import ConfigurationError, allocating, checked, cut, distinct_names, read_input, shown
 from .grid import (
     LevelRange, SphericalGrid, ZONE_ORDER, build_grid, lat_row_index, level_mask, zone_of_rows,
 )
@@ -69,7 +69,7 @@ def _mapping(where: str, value) -> dict:
     if not isinstance(value, dict):
         what = where or "the configuration"
         raise ConfigurationError(f"{what} must be a mapping, got {shown(value)}")
-    unknown = [f"{where}.{k}" if where else str(k) for k in value if k not in _KEYS[where]]
+    unknown = [cut(f"{where}.{k}" if where else str(k)) for k in value if k not in _KEYS[where]]
     if unknown:
         raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
     return value

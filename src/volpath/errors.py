@@ -36,9 +36,14 @@ def checked(where: str, check, *args, **kwargs):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
+def cut(text: str) -> str:
+    """text for a message, cut to at most 80 characters ending in '...' if longer."""
+    return text if len(text) <= 80 else f"{text[:77]}..."
+
+
 def shown(value) -> str:
-    """value's repr for a message, cut to at most 80 characters ending in '...' if longer."""
-    return text if len(text := repr(value)) <= 80 else f"{text[:77]}..."
+    """value's repr, cut for a message."""
+    return cut(repr(value))
 
 
 def distinct_names(where: str, values: tuple[float, ...]) -> None:

@@ -4,8 +4,9 @@ A pathway file stores its activation matrix as n_steps plus, per vertex in
 vertex order, the sorted, disjoint, non-adjacent [start, end) step ranges in
 which the vertex is active, so each matrix has exactly one encoding.  A
 baselines file stores each QOI's member count, and its per-step mean and
-per-step Welford m2 each as the base64 of the array's little-endian float64
-bytes, which read back bit for bit and have one canonical encoding.  Only
+per-step Welford m2 each as the base64 of zlib's level-6 deflate of the eight
+byte planes of the differences between consecutive float64 bit patterns,
+which read back bit for bit and have one canonical encoding.  Only
 this module knows the formats, and each has one reader, which checks every
 field before it builds anything.  Every writer goes through an atomic
 write-then-rename so no partial file is left behind on an error path.
@@ -19,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -223,7 +225,11 @@ def write_bench_csv(path: str | Path, rows: list[BenchRow]) -> None:
 
 
 def _packed(values: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+    """The base64 of the deflated byte planes, least significant first, of the differences
+    between consecutive little-endian float64 bit patterns, which wrap modulo 2**64."""
+    deltas = np.diff(np.ascontiguousarray(values, "<f8").view("<u8"), prepend=np.uint64(0))
+    planes = deltas.view(np.uint8).reshape(-1, 8).T.tobytes()
+    return base64.b64encode(zlib.compress(planes, 6)).decode()
 
 
 def baselines_to_dict(baselines: dict[str, BaselineStats]) -> dict:
@@ -254,14 +260,27 @@ def _baseline_entry(qid: str, entry) -> BaselineStats:
             raw = base64.b64decode(text)
         except (TypeError, ValueError):  # not a string, or not base64
             raw = b""
-        # only the canonical encoding, so that every file writes back byte for byte
-        if not raw or len(raw) % 8 or base64.b64encode(raw).decode() != text:
-            # files written before the packed form hold a list of decimal numbers
+        with allocating(f"{where}: {key!r} inflates past memory"):
+            try:
+                planes = zlib.decompress(raw)
+            except zlib.error:  # not a zlib stream, or cut short
+                planes = b""
+        if not planes or len(planes) % 8 or base64.b64encode(raw).decode() != text:
+            # files written before the packed form hold a list of decimal numbers, and those
+            # before the deflated form hold whole '<f8' values, which no zlib header 'x' starts
             note = "; the list form is no longer read" if isinstance(text, list) else ""
+            if raw and not planes and len(raw) % 8 == 0 and raw[:1] != b"x":
+                note = "; the uncompressed packed form is no longer read"
+            raise ConfigurationError(f"{where}: {key!r} must be the canonical base64 of the "
+                                     f"deflated byte planes of a non-empty '<f8' array{note}")
+        deltas = np.frombuffer(planes, np.uint8).reshape(8, -1).T.copy().view("<u8")[:, 0]
+        values = np.cumsum(deltas, dtype="<u8").view("<f8")
+        # only the canonical encoding, so that every file writes back byte for byte
+        if _packed(values) != text:
             raise ConfigurationError(
-                f"{where}: {key!r} must be the canonical base64 of a non-empty '<f8' array{note}"
+                f"{where}: {key!r} is not the stream zlib {zlib.ZLIB_RUNTIME_VERSION} writes; "
+                "`volpath baseline` rewrites the file"
             )
-        values = np.frombuffer(raw, "<f8")
         if not (np.isfinite(values).all() and (key == "mean" or (values >= 0).all())):
             bound = "" if key == "mean" else " >= 0"
             raise ConfigurationError(f"{where}: {key!r} must hold finite numbers{bound}")

@@ -42,9 +42,9 @@ class BaseDag:
         sorter = TopologicalSorter()
         for a, b in self.edges:
             if a == b:
-                raise ConfigurationError(f"self-loop at {a!r}")
+                raise ConfigurationError(f"self-loop at {shown(a)}")
             if a not in vs or b not in vs:
-                raise ConfigurationError(f"edge ({a!r}, {b!r}) references unknown vertex")
+                raise ConfigurationError(f"edge ({shown(a)}, {shown(b)}) references unknown vertex")
             sorter.add(b, a)
         try:
             sorter.prepare()

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -94,14 +95,29 @@ def tiny_baseline():
     return stats
 
 
-def packed(values):
-    """values in a baselines file's form: the base64 of their little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+def planes(values):
+    """The eight byte planes, least significant first, of the differences between the
+    consecutive float64 bit patterns of values, the first taken from 0, modulo 2**64."""
+    bits = np.asarray(values, "<f8").view("<u8")
+    deltas = bits - np.concatenate([np.zeros(1, "<u8"), bits[:-1]])
+    return np.stack([(deltas >> np.uint64(8 * k)) & np.uint64(0xFF) for k in range(8)]
+                    ).astype(np.uint8).tobytes()
+
+
+def deflated(data, level=6):
+    """The base64 of zlib's deflate of data."""
+    return base64.b64encode(zlib.compress(data, level)).decode()
+
+
+def packed(values, level=6):
+    """values in a baselines file's form: the base64 of their deflated byte planes."""
+    return deflated(planes(values), level)
 
 
 def unpacked(text):
     """The float64s of a baselines file's packed field, decoded as its documentation says."""
-    return np.frombuffer(base64.b64decode(text), "<f8")
+    planes = np.frombuffer(zlib.decompress(base64.b64decode(text)), "u1").reshape(8, -1)
+    return np.cumsum(planes.T.copy().view("<u8"), dtype="<u8").view("<f8")
 
 
 #: every field the writers put in a file, config_digest aside (it is provenance)
@@ -155,18 +171,25 @@ def _not_canonical(text):
 
 
 #: what a baselines reader says of a 'mean' or 'm2' that is not packed float64s
-NOT_PACKED = "must be the canonical base64 of a non-empty '<f8' array"
+NOT_PACKED = "must be the canonical base64 of the deflated byte planes of a non-empty '<f8' array"
+#: what it says of a stream that inflates but is not the one this zlib writes
+NOT_THIS_ZLIB = f"is not the stream zlib {zlib.ZLIB_RUNTIME_VERSION} writes"
 _FOUR = packed([240.0, 241.0, 242.0, 243.0])
 #: JSON text no packed field ('mean', 'm2') of a baselines file should hold: padding bits that
 #: are not zero, 7 bytes, characters outside the alphabet, an embedded newline, NaN (also with
 #: a payload) and +-inf bits, a negative number (an m2 never is), 3 steps where the other field
-#: has 4, and the decimal list form before the packed one
+#: has 4, the decimal list form before the packed one, valid floats deflated at level 0 (not
+#: canonical), streams that inflate to 7 or 0 bytes, a stream cut short, bytes after the end
+#: of the stream, and the uncompressed '<f8' bytes, the form before the deflated one
 HOSTILE_PACKED = st.sampled_from([json.dumps(text) for text in (
     _not_canonical(_FOUR), base64.b64encode(bytes(7)).decode(),
     "*" + _FOUR[1:], _FOUR.replace("A", "-"), _FOUR[:20] + "\n" + _FOUR[20:], _FOUR + "\n",
     packed([np.nan] * 4), packed(np.array([0x7FF8_0000_0000_0001] * 4, "<u8").view("<f8")),
     packed([240.0, np.inf, 0.0, 0.0]), packed([-np.inf] * 4), packed([-1.0, 0.0, 0.0, 0.0]),
-    packed([0.0, 0.0, 0.0]),
+    packed([0.0, 0.0, 0.0]), packed([240.0, 241.0, 242.0, 243.0], level=0),
+    deflated(bytes(7)), deflated(b""), _FOUR[:12],
+    base64.b64encode(base64.b64decode(_FOUR) + b"\0").decode(),
+    base64.b64encode(np.array([240.0, 241.0, 242.0, 243.0], "<f8").tobytes()).decode(),
 )] + ["[240.0, 241.0, 242.0, 243.0]"])
 
 
@@ -404,6 +427,16 @@ class TestBaselineSerialization:
         doc = baselines_to_dict({"T(e)": tiny_baseline()})
         del doc["T(e)"][key]
         with pytest.raises(ConfigurationError, match=rf"baseline 'T\(e\)': missing field '{key}'"):
+            baselines_from_dict(doc)
+
+    def test_stream_that_inflates_past_memory_is_named(self, monkeypatch):
+        def out_of_memory(data):
+            raise MemoryError
+
+        doc = baselines_to_dict({"T(e)": tiny_baseline()})
+        monkeypatch.setattr(zlib, "decompress", out_of_memory)
+        with pytest.raises(ConfigurationError,
+                           match=r"^baseline 'T\(e\)': 'mean' inflates past memory$"):
             baselines_from_dict(doc)
 
     @settings(max_examples=200, deadline=None)
@@ -725,6 +758,31 @@ class TestCli:
             pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]) + "\n",
                                    "m2": packed([0.5])}},
                          ["T(e)", f"'mean' {NOT_PACKED}\n"], id="trailing-newline"),
+            # a stream of valid floats that inflates but is not the canonical one
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0, 241.0], level=0),
+                                   "m2": packed([0.5, 0.5])}},
+                         ["T(e)", f"'mean' {NOT_THIS_ZLIB}; `volpath baseline` rewrites the file"],
+                         id="deflated-at-level-0"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]),
+                                   "m2": deflated(bytes(7))}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="inflates-to-seven-bytes"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": deflated(b""), "m2": packed([0.5])}},
+                         ["T(e)", f"'mean' {NOT_PACKED}\n"], id="inflates-to-zero-bytes"),
+            pytest.param({"T(e)": {"n_members": 2, "mean": packed([240.0]),
+                                   "m2": base64.b64encode(zlib.compress(planes([0.5]))[:-4])
+                                   .decode()}},
+                         ["T(e)", f"'m2' {NOT_PACKED}\n"], id="truncated-stream"),
+            pytest.param({"T(e)": {"n_members": 2,
+                                   "mean": base64.b64encode(zlib.compress(planes([240.0]), 6)
+                                                            + b"\0").decode(),
+                                   "m2": packed([0.5])}},
+                         ["T(e)", f"'mean' {NOT_THIS_ZLIB}"], id="bytes-after-the-stream"),
+            # the base64 of the '<f8' bytes themselves, the form before the deflated one
+            pytest.param({"T(e)": {"n_members": 2,
+                                   "mean": base64.b64encode(np.float64(240.0).tobytes()).decode(),
+                                   "m2": packed([0.5])}},
+                         ["T(e)", f"'mean' {NOT_PACKED}; the uncompressed packed form is no "
+                          "longer read\n"], id="uncompressed-packed-form"),
             *(pytest.param(case.values[0], [f"cannot read baseline file {case.values[1]}"],
                            id=case.id) for case in UNREADABLE),
         ],
@@ -1494,7 +1552,8 @@ class TestCli:
     @pytest.mark.parametrize("case", ["dt-nested-900-deep", "nlat-1e300", "300-masses-collide",
                                       "baseline-key-3000-long", "label-3000-long",
                                       "label-3000-long-bad-pair", "experiments-3000-long",
-                                      "member-4000-digits", "counts-3000-long"])
+                                      "member-4000-digits", "counts-3000-long",
+                                      "unknown-key-3000-long", "edge-endpoint-3000-long"])
     def test_bad_value_is_echoed_short(self, tmp_path, capsys, case):
         if case == "dt-nested-900-deep":
             # a value nested 900 deep, which the JSON parser still reads
@@ -1518,6 +1577,16 @@ class TestCli:
         elif case == "counts-3000-long":
             argv = ["bench", str(write_config(tmp_path)), "--counts", "x" * 3000]
             key = "--counts: 'xxxxxxxxxx"
+        elif case == "unknown-key-3000-long":
+            argv = ["experiment", str(write_config(tmp_path, **{"k" * 3000: 1}))]
+            key = "unknown keys: kkkkkkkkkk"
+        elif case == "edge-endpoint-3000-long":
+            path = tmp_path / "pathway.json"
+            doc = pathway_to_dict(tiny_pathway(), "abc")
+            doc["edges"].append(["A", "Z" * 3000])
+            path.write_text(json.dumps(doc))
+            argv = ["export-dot", str(path), "--day", "1"]
+            key = "pathway: 'vertices' and 'edges': edge ('A', 'ZZZZZZZZZZ"
         elif case == "nlat-1e300":
             argv = ["experiment", str(write_config(tmp_path, grid={"nlat": 1.0e+300}))]
             key = "grid: 1000000000000000052504760255204420248704468581108159154915854115511802"

@@ -116,8 +116,8 @@ def packed(values, level=6):
 
 def unpacked(text):
     """The float64s of a baselines file's packed field, decoded as its documentation says."""
-    planes = np.frombuffer(zlib.decompress(base64.b64decode(text)), "u1").reshape(8, -1)
-    return np.cumsum(planes.T.copy().view("<u8"), dtype="<u8").view("<f8")
+    rows = np.frombuffer(zlib.decompress(base64.b64decode(text)), "u1").reshape(8, -1)
+    return np.cumsum(rows.T.copy().view("<u8"), dtype="<u8").view("<f8")
 
 
 #: every field the writers put in a file, config_digest aside (it is provenance)
